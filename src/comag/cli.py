@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .config import RunSettings, default_config_text, parse_config
+from .config import RunSettings, parse_config
 from .errors import (
     ComagError,
     ConfigParseError,
@@ -74,17 +75,6 @@ COMMANDS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command plus common options."""
-
-    command: str
-    config_path: str | None
-    output_dir: str
-    seed: int | None
-    verbose: bool
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="comag",
@@ -126,15 +116,21 @@ def _parse_vector_flag(text: str, name: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ConfigParseError(f"flag {name}: expected three comma-separated numbers")
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigParseError(f"flag {name}: expected numbers, got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigValidationError(f"flag {name}: values must be finite, got {text!r}")
+    return values  # type: ignore[return-value]
 
 
 def _load_settings(args) -> RunSettings:
     settings = parse_config(args.config) if args.config else RunSettings()
     if args.seed is not None:
-        settings = settings.with_seed(args.seed)
+        try:
+            settings = settings.with_seed(args.seed)
+        except ValueError as err:
+            raise ConfigValidationError(f"--seed {args.seed}: {err}")
     return settings
 
 
@@ -351,6 +347,8 @@ def _cmd_estimate(args, settings: RunSettings) -> int:
         raise ConfigValidationError(
             "estimate needs --b-nv and --b-rb (flags or [estimate] section)"
         )
+    if not math.isfinite(b_rb):
+        raise ConfigValidationError(f"flag --b-rb: value must be finite, got {b_rb!r}")
     if b_rb < 0:
         raise ConfigValidationError("estimate b_rb must be >= 0")
     est = combined_estimate(FieldVector(*b_nv), FieldVector(*b_0), float(b_rb))
@@ -397,11 +395,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"comag: i/o error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-def dump_default_config() -> str:
-    """Default configuration text, round-trippable through parse_config."""
-    return default_config_text()
 
 
 if __name__ == "__main__":

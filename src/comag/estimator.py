@@ -163,19 +163,16 @@ def working_point_estimate(
     the constraint sphere is centered at b_nv + b_0_hat + b_wp while the
     reported estimate remains b_hat = b_nv - c.
     """
-    shifted = b_0_hat + b_wp
-    c = correction_vector(b_nv, shifted, b_rb_with_wp)
-    b_hat = b_nv - c
-    s = b_nv.as_array() + shifted.as_array()
-    ref = (reference if reference is not None else b_nv).as_array()
-    radial, tangential, ortho = _decompose(c.as_array(), s, ref)
-    return CombinedEstimate(
-        b_hat=b_hat,
-        correction=c,
-        radial=radial,
-        tangential=tangential,
-        orthogonality=ortho,
-    )
+    return combined_estimate(b_nv, b_0_hat + b_wp, b_rb_with_wp, reference)
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of a (..., 3) array.
+
+    Sums the squares in the same order as ``np.linalg.norm(x, axis=-1)``,
+    so the result is bit-identical, without its generic reduction.
+    """
+    return np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
 
 
 def batch_combined(
@@ -192,7 +189,7 @@ def batch_combined(
     nv = np.asarray(nv, dtype=float)
     rb = np.asarray(rb, dtype=float)
     s = nv + np.asarray(b_0, dtype=float)
-    norm_s = np.linalg.norm(s, axis=1)
+    norm_s = row_norms(s)
     valid = norm_s > 0.0
     factor = np.zeros_like(norm_s)
     np.divide(norm_s - rb, norm_s, out=factor, where=valid)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimator import batch_combined
+from .estimator import batch_combined, row_norms
 from .geometry import FieldVector
 
 # Stream tags keep the per-cell RNG keys of different harnesses disjoint.
@@ -67,6 +67,8 @@ class SimConfig:
             raise ValueError("sigma_rb must be positive")
         if self.b_0_cal_error < 0:
             raise ValueError("b_0_cal_error must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def resolved_sigma_rb(self) -> float:
         if self.sigma_rb is not None:
@@ -105,71 +107,120 @@ def _cell_rng(seed: int, tag: int, i: int, j: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed, tag, i, j])
 
 
-def _angle_between(v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Angles (rad) between rows of v and the vector u; NaN for zero rows."""
-    nv = np.linalg.norm(v, axis=1)
-    nu = np.linalg.norm(u)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cosang = (v @ u) / (nv * nu)
-    return np.arccos(np.clip(cosang, -1.0, 1.0))
-
-
 def _db(ratio: float) -> float:
     if ratio <= 0 or not math.isfinite(ratio):
         return math.nan
     return 10.0 * math.log10(ratio)
 
 
-def _orthogonality(delta: np.ndarray, b_0: np.ndarray) -> float:
-    s = delta + b_0
-    ns, nd = np.linalg.norm(s), np.linalg.norm(delta)
-    if ns == 0.0 or nd == 0.0:
-        return math.nan
-    return abs(float(s @ delta)) / (ns * nd)
+# Elementwise _db; the scalar math.log10 keeps the last digit of every gain.
+_db_cells = np.vectorize(_db, otypes=[float])
+
+# Readings (cells x reps) fused per batch: bounds the working set however
+# many cells a harness asks for.
+_CHUNK_ROWS = 8192
 
 
-def _simulate_cell(
-    delta: np.ndarray,
-    cfg: SimConfig,
-    rng: np.random.Generator,
-) -> dict:
-    """One grid cell: n_reps noisy readings of both sensors, both estimators."""
-    n = cfg.n_reps
-    sigma_rb = cfg.resolved_sigma_rb()
-    b_0 = cfg.b_0_true.as_array()
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a[k] @ b[k] of two (m, 3) arrays, as the 1-D ``@`` computes it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    nv = delta[None, :] + rng.normal(0.0, cfg.sigma_nv, size=(n, 3))
-    rb = np.linalg.norm(delta + b_0) + rng.normal(0.0, sigma_rb, size=n)
-    rb = np.clip(rb, 0.0, None)
-    if cfg.b_0_cal_error > 0:
-        b_0_hat = b_0[None, :] + rng.normal(0.0, cfg.b_0_cal_error, size=(n, 3))
-    else:
-        b_0_hat = np.broadcast_to(b_0, (n, 3))
 
-    b_hat, ok = batch_combined(nv, b_0_hat, rb)
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Row-wise np.linalg.norm(a[k]) of an (m, 3) array, to the last bit."""
+    return np.sqrt(_dots(a, a))
 
-    true_mag = float(np.linalg.norm(delta))
-    mag_err_comb = np.linalg.norm(b_hat[ok], axis=1) - true_mag
-    mag_err_nv = np.linalg.norm(nv, axis=1) - true_mag
 
-    out = {
-        "valid": bool(np.any(ok)),
-        "mse_mag_nv": float(np.mean(mag_err_nv**2)),
-        "mse_mag_comb": float(np.mean(mag_err_comb**2)) if np.any(ok) else math.nan,
-        "mae_mag_nv": float(np.mean(np.abs(mag_err_nv))),
-        "mae_mag_comb": float(np.mean(np.abs(mag_err_comb))) if np.any(ok) else math.nan,
-    }
-    if true_mag > 0 and np.any(ok):
-        ang_nv = _angle_between(nv, delta)
-        ang_comb = _angle_between(b_hat[ok], delta)
-        out["dir_valid"] = True
-        out["mse_dir_nv"] = float(np.mean(ang_nv**2))
-        out["mse_dir_comb"] = float(np.mean(ang_comb**2))
-        out["mae_dir_nv"] = float(np.mean(np.abs(ang_nv)))
-        out["mae_dir_comb"] = float(np.mean(np.abs(ang_comb)))
-    else:
-        out["dir_valid"] = False
+def _angles(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Angles (rad) between each row of v[k] (m, n, 3) and d[k]; NaN for zero rows."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosang = np.matmul(v, d[:, :, None])[..., 0] / (row_norms(v) * _norms(d)[:, None])
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
+
+
+def _orthogonality(deltas: np.ndarray, b_0: np.ndarray) -> np.ndarray:
+    """Per-cell |cos| between deltas[k] + b_0 and deltas[k]; NaN if either is 0."""
+    s = deltas + b_0
+    ns, nd = _norms(s), _norms(deltas)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ortho = np.abs(_dots(s, deltas)) / (ns * nd)
+    return np.where((ns == 0.0) | (nd == 0.0), math.nan, ortho)
+
+
+def _masked_mean(x: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Mean of each row of x over its ok entries (NaN if none), summed as
+    ``np.mean(x[r][ok[r]])`` sums; rows with equal counts are averaged together."""
+    out = np.full(len(x), math.nan)
+    counts = np.count_nonzero(ok, axis=1)
+    for k in np.unique(counts[counts > 0]):
+        rows = counts == k
+        out[rows] = np.mean(x[rows][ok[rows]].reshape(-1, k), axis=1)
     return out
+
+
+def _simulate_cells(deltas, cfg: SimConfig, tag: int, keys) -> dict[str, np.ndarray]:
+    """Error statistics of both estimators for many cells, fused in batches.
+
+    Cell k (true small field deltas[k]) draws from its own stream
+    ``_cell_rng(cfg.seed, tag, *keys[k])``, in the order NV (n_reps, 3),
+    Rb (n_reps,), calibration error (n_reps, 3) if b_0_cal_error > 0, so
+    its numbers do not depend on the cells batched with it.  Returns
+    per-cell ``valid``, ``dir_valid`` and the NV/combined mean squared and
+    absolute errors ``{mse,mae}_{mag,dir}_{nv,comb}``; combined errors
+    average the fused repetitions only, NaN if there are none.
+    """
+    per_chunk = max(1, _CHUNK_ROWS // cfg.n_reps)
+    chunks = [
+        _simulate_chunk(deltas[k : k + per_chunk], cfg, tag, keys[k : k + per_chunk])
+        for k in range(0, len(deltas), per_chunk)
+    ]
+    return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+
+
+def _simulate_chunk(deltas, cfg, tag, keys) -> dict[str, np.ndarray]:
+    m, n = len(deltas), cfg.n_reps
+    b_0 = cfg.b_0_true.as_array()
+    cal = cfg.b_0_cal_error > 0
+    nv, rb = np.empty((m, n, 3)), np.empty((m, n))
+    b_0_hat = np.empty((m, n, 3)) if cal else b_0
+    for c, key in enumerate(keys):
+        rng = _cell_rng(cfg.seed, tag, *key)
+        nv[c] = rng.normal(0.0, cfg.sigma_nv, size=(n, 3))
+        rb[c] = rng.normal(0.0, cfg.resolved_sigma_rb(), size=n)
+        if cal:
+            b_0_hat[c] = rng.normal(0.0, cfg.b_0_cal_error, size=(n, 3))
+    nv += deltas[:, None, :]
+    rb = np.clip(rb + _norms(deltas + b_0)[:, None], 0.0, None)
+    if cal:
+        b_0_hat = (b_0_hat + b_0).reshape(-1, 3)
+    b_hat, ok = batch_combined(nv.reshape(-1, 3), b_0_hat, rb.reshape(-1))
+    b_hat, ok = b_hat.reshape(m, n, 3), ok.reshape(m, n)
+
+    true_mag = _norms(deltas)
+    errors = {
+        "mag": (row_norms(nv) - true_mag[:, None], row_norms(b_hat) - true_mag[:, None]),
+        "dir": (_angles(nv, deltas), _angles(b_hat, deltas)),
+    }
+    stats = {"valid": ok.any(axis=1)}
+    stats["dir_valid"] = stats["valid"] & (true_mag > 0)
+    for quantity, (err_nv, err_comb) in errors.items():
+        for metric, f in (("mse", np.square), ("mae", np.abs)):
+            stats[f"{metric}_{quantity}_nv"] = np.mean(f(err_nv), axis=1)
+            stats[f"{metric}_{quantity}_comb"] = _masked_mean(f(err_comb), ok)
+    return stats
+
+
+def _gains(stats: dict[str, np.ndarray], metric: str, mask: np.ndarray) -> np.ndarray:
+    """dB gain of the combined estimator on one metric, NaN outside mask."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gains = _db_cells(stats[f"{metric}_nv"] / stats[f"{metric}_comb"])
+    return np.where(mask, gains, math.nan)
+
+
+def _grid_deltas(cfg: SimConfig) -> np.ndarray:
+    """Cell fields (x, y, 0) in row-major (iy, ix) order."""
+    x, y = np.meshgrid(cfg.axis_values(), cfg.axis_values())
+    return np.stack([x.ravel(), y.ravel(), np.zeros(x.size)], axis=1)
 
 
 def run_grid_simulation(cfg: SimConfig) -> ImprovementMap:
@@ -181,42 +232,19 @@ def run_grid_simulation(cfg: SimConfig) -> ImprovementMap:
     accumulates magnitude and direction errors for the combined and the
     NV-only estimates.  Deterministic for a fixed config.
     """
-    xs = cfg.axis_values()
-    ys = cfg.axis_values()
-    shape = (len(ys), len(xs))
-    gmag_mse = np.full(shape, math.nan)
-    gmag_mae = np.full(shape, math.nan)
-    gdir_mse = np.full(shape, math.nan)
-    gdir_mae = np.full(shape, math.nan)
-    ortho = np.full(shape, math.nan)
-    valid = np.zeros(shape, dtype=bool)
-    dir_valid = np.zeros(shape, dtype=bool)
-    b_0 = cfg.b_0_true.as_array()
-
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            delta = np.array([x, y, 0.0])
-            rng = _cell_rng(cfg.seed, _TAG_GRID, ix, iy)
-            cell = _simulate_cell(delta, cfg, rng)
-            ortho[iy, ix] = _orthogonality(delta, b_0)
-            if not cell["valid"]:
-                continue
-            valid[iy, ix] = True
-            gmag_mse[iy, ix] = _db(cell["mse_mag_nv"] / cell["mse_mag_comb"])
-            gmag_mae[iy, ix] = _db(cell["mae_mag_nv"] / cell["mae_mag_comb"])
-            if cell["dir_valid"]:
-                dir_valid[iy, ix] = True
-                gdir_mse[iy, ix] = _db(cell["mse_dir_nv"] / cell["mse_dir_comb"])
-                gdir_mae[iy, ix] = _db(cell["mae_dir_nv"] / cell["mae_dir_comb"])
-
+    n = cfg.grid_points
+    keys = [(ix, iy) for iy in range(n) for ix in range(n)]
+    cells = _simulate_cells(_grid_deltas(cfg), cfg, _TAG_GRID, keys)
+    stats = {name: v.reshape(n, n) for name, v in cells.items()}
+    valid, dir_valid = stats["valid"], stats["dir_valid"]
     return ImprovementMap(
-        bx=xs,
-        by=ys,
-        gain_mag_mse_db=gmag_mse,
-        gain_mag_mae_db=gmag_mae,
-        gain_dir_mse_db=gdir_mse,
-        gain_dir_mae_db=gdir_mae,
-        orthogonality=ortho,
+        bx=cfg.axis_values(),
+        by=cfg.axis_values(),
+        gain_mag_mse_db=_gains(stats, "mse_mag", valid),
+        gain_mag_mae_db=_gains(stats, "mae_mag", valid),
+        gain_dir_mse_db=_gains(stats, "mse_dir", dir_valid),
+        gain_dir_mae_db=_gains(stats, "mae_dir", dir_valid),
+        orthogonality=orthogonality_map(cfg),
         valid=valid,
         dir_valid=dir_valid,
         config=cfg,
@@ -230,14 +258,8 @@ def orthogonality_map(cfg: SimConfig) -> np.ndarray:
     magnitude improvement), 0 means it can only rotate it (none).  Cells
     where either vector vanishes are NaN.
     """
-    xs = cfg.axis_values()
-    ys = cfg.axis_values()
-    b_0 = cfg.b_0_true.as_array()
-    out = np.full((len(ys), len(xs)), math.nan)
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            out[iy, ix] = _orthogonality(np.array([x, y, 0.0]), b_0)
-    return out
+    n = cfg.grid_points
+    return _orthogonality(_grid_deltas(cfg), cfg.b_0_true.as_array()).reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -271,33 +293,18 @@ def marginal_improvement(
     if axis_i is None:
         raise ValueError("axis must be x, y, or z")
     values = np.linspace(field_min, field_max, n_points)
-    b_0 = cfg.b_0_true.as_array()
-
-    gains_mse = np.full(n_points, math.nan)
-    gains_mae = np.full(n_points, math.nan)
-    var_nv = np.full(n_points, math.nan)
-    var_comb = np.full(n_points, math.nan)
-    ortho = np.full(n_points, math.nan)
-    for i, v in enumerate(values):
-        delta = np.zeros(3)
-        delta[axis_i] = v
-        rng = _cell_rng(cfg.seed, _TAG_MARGINAL, i, axis_i)
-        cell = _simulate_cell(delta, cfg, rng)
-        ortho[i] = _orthogonality(delta, b_0)
-        if not cell["valid"]:
-            continue
-        gains_mse[i] = _db(cell["mse_mag_nv"] / cell["mse_mag_comb"])
-        gains_mae[i] = _db(cell["mae_mag_nv"] / cell["mae_mag_comb"])
-        var_nv[i] = cell["mse_mag_nv"]
-        var_comb[i] = cell["mse_mag_comb"]
-
+    deltas = np.zeros((n_points, 3))
+    deltas[:, axis_i] = values
+    keys = [(i, axis_i) for i in range(n_points)]
+    stats = _simulate_cells(deltas, cfg, _TAG_MARGINAL, keys)
+    valid = stats["valid"]
     return MarginalProfile(
         b_applied=values,
-        gain_mag_mse_db=gains_mse,
-        gain_mag_mae_db=gains_mae,
-        var_nv=var_nv,
-        var_combined=var_comb,
-        orthogonality=ortho,
+        gain_mag_mse_db=_gains(stats, "mse_mag", valid),
+        gain_mag_mae_db=_gains(stats, "mae_mag", valid),
+        var_nv=np.where(valid, stats["mse_mag_nv"], math.nan),
+        var_combined=np.where(valid, stats["mse_mag_comb"], math.nan),
+        orthogonality=_orthogonality(deltas, cfg.b_0_true.as_array()),
         axis=axis,
         config=cfg,
     )
@@ -344,6 +351,8 @@ class SpatialScanConfig:
             raise ValueError("sensor noise must be positive")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def axis_unit(self) -> np.ndarray:
         if self.source_axis is not None:

@@ -66,6 +66,23 @@ class TestEstimateCommand:
         )
         assert rc == EXIT_RUNTIME
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--b-nv", "nan,0,0", "--b-rb", "1.0"],
+            ["--b-nv", "1,inf,0", "--b-rb", "1.0"],
+            ["--b-nv", "1,0,0", "--b-0=0,0,-inf", "--b-rb", "1.0"],
+            ["--b-nv", "1,0,0", "--b-rb", "inf"],
+            ["--b-nv", "1,0,0", "--b-rb", "nan"],
+        ],
+    )
+    def test_non_finite_flag_is_validation_error(self, tmp_path, capsys, flags):
+        rc = main(["estimate", *flags, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err
+        assert not (tmp_path / "o").exists()
+
     def test_values_from_config_section(self, tmp_path):
         cfg = write_cfg(tmp_path, "[estimate]\nb_nv = 1.1,0,0\nb_rb = 1.0\n")
         rc = main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -144,6 +161,20 @@ class TestSimulationCommands:
         cfg = write_cfg(tmp_path, "[simulation]\nsigmaNv = 1\n")
         rc = main(["simulate-grid", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == EXIT_PARSE
+
+    @pytest.mark.parametrize("command", ["simulate-grid", "spatial-scan"])
+    def test_negative_seed_flag_is_validation_error(self, tmp_path, capsys, command):
+        rc = main([command, "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("section", ["simulation", "spatial"])
+    def test_negative_config_seed_is_validation_error(self, tmp_path, capsys, section):
+        cfg = write_cfg(tmp_path, f"[{section}]\nseed = -3\n")
+        rc = main(["simulate-grid", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_VALIDATION
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_invalid_value_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[simulation]\nsigma_rb = -2\n")

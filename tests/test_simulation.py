@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from comag.estimator import angular_uncertainty
+from comag import simulation
 from comag.geometry import FieldVector
 from comag.simulation import (
     SimConfig,
@@ -251,3 +252,176 @@ class TestSweep:
         assert set(out) == {0.001, 0.002}
         for imp in out.values():
             assert imp.config.b_0_cal_error in (0.001, 0.002)
+
+
+# Per-cell reference: the loop the batched kernel replaced, with the fusion
+# of batch_combined inlined as it was (np.linalg.norm row norms).  Only a
+# zero error denominator differs: it gives NaN here instead of raising.
+def _oracle_angle_between(v, u):
+    nv = np.linalg.norm(v, axis=1)
+    nu = np.linalg.norm(u)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosang = (v @ u) / (nv * nu)
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
+
+
+def _oracle_orthogonality(delta, b_0):
+    s = delta + b_0
+    ns, nd = np.linalg.norm(s), np.linalg.norm(delta)
+    if ns == 0.0 or nd == 0.0:
+        return math.nan
+    return abs(float(s @ delta)) / (ns * nd)
+
+
+def _oracle_cell(delta, cfg, rng):
+    n = cfg.n_reps
+    b_0 = cfg.b_0_true.as_array()
+    nv = delta[None, :] + rng.normal(0.0, cfg.sigma_nv, size=(n, 3))
+    rb = np.linalg.norm(delta + b_0) + rng.normal(0.0, cfg.resolved_sigma_rb(), size=n)
+    rb = np.clip(rb, 0.0, None)
+    if cfg.b_0_cal_error > 0:
+        b_0_hat = b_0[None, :] + rng.normal(0.0, cfg.b_0_cal_error, size=(n, 3))
+    else:
+        b_0_hat = np.broadcast_to(b_0, (n, 3))
+    s = nv + b_0_hat
+    norm_s = np.linalg.norm(s, axis=1)
+    ok = norm_s > 0.0
+    factor = np.zeros_like(norm_s)
+    np.divide(norm_s - rb, norm_s, out=factor, where=ok)
+    b_hat = np.where(ok[:, None], nv - s * factor[:, None], np.nan)
+
+    true_mag = float(np.linalg.norm(delta))
+    mag_err_comb = np.linalg.norm(b_hat[ok], axis=1) - true_mag
+    mag_err_nv = np.linalg.norm(nv, axis=1) - true_mag
+    out = {"valid": bool(np.any(ok)), "dir_valid": bool(true_mag > 0 and np.any(ok))}
+    out["mse_mag"] = (np.mean(mag_err_nv**2), np.mean(mag_err_comb**2) if ok.any() else math.nan)
+    out["mae_mag"] = (
+        np.mean(np.abs(mag_err_nv)),
+        np.mean(np.abs(mag_err_comb)) if ok.any() else math.nan,
+    )
+    if out["dir_valid"]:
+        ang_nv = _oracle_angle_between(nv, delta)
+        ang_comb = _oracle_angle_between(b_hat[ok], delta)
+        out["mse_dir"] = (np.mean(ang_nv**2), np.mean(ang_comb**2))
+        out["mae_dir"] = (np.mean(np.abs(ang_nv)), np.mean(np.abs(ang_comb)))
+    return out
+
+
+def _oracle_gain(pair):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return simulation._db(np.float64(pair[0]) / np.float64(pair[1]))
+
+
+def _oracle_grid(cfg):
+    xs = ys = cfg.axis_values()
+    shape = (len(ys), len(xs))
+    out = {name: np.full(shape, math.nan) for name in ORACLE_GAINS}
+    out["orthogonality"] = np.full(shape, math.nan)
+    out["valid"] = np.zeros(shape, dtype=bool)
+    out["dir_valid"] = np.zeros(shape, dtype=bool)
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            delta = np.array([x, y, 0.0])
+            cell = _oracle_cell(delta, cfg, simulation._cell_rng(cfg.seed, 1, ix, iy))
+            out["orthogonality"][iy, ix] = _oracle_orthogonality(delta, cfg.b_0_true.as_array())
+            if not cell["valid"]:
+                continue
+            out["valid"][iy, ix] = True
+            out["gain_mag_mse_db"][iy, ix] = _oracle_gain(cell["mse_mag"])
+            out["gain_mag_mae_db"][iy, ix] = _oracle_gain(cell["mae_mag"])
+            if cell["dir_valid"]:
+                out["dir_valid"][iy, ix] = True
+                out["gain_dir_mse_db"][iy, ix] = _oracle_gain(cell["mse_dir"])
+                out["gain_dir_mae_db"][iy, ix] = _oracle_gain(cell["mae_dir"])
+    return out
+
+
+def _oracle_marginal(cfg, axis_i, values):
+    out = {
+        name: np.full(len(values), math.nan)
+        for name in ("gain_mag_mse_db", "gain_mag_mae_db", "var_nv", "var_combined")
+    }
+    out["orthogonality"] = np.full(len(values), math.nan)
+    for i, v in enumerate(values):
+        delta = np.zeros(3)
+        delta[axis_i] = v
+        cell = _oracle_cell(delta, cfg, simulation._cell_rng(cfg.seed, 2, i, axis_i))
+        out["orthogonality"][i] = _oracle_orthogonality(delta, cfg.b_0_true.as_array())
+        if not cell["valid"]:
+            continue
+        out["gain_mag_mse_db"][i] = _oracle_gain(cell["mse_mag"])
+        out["gain_mag_mae_db"][i] = _oracle_gain(cell["mae_mag"])
+        out["var_nv"][i], out["var_combined"][i] = cell["mse_mag"]
+    return out
+
+
+ORACLE_GAINS = ("gain_mag_mse_db", "gain_mag_mae_db", "gain_dir_mse_db", "gain_dir_mae_db")
+MAP_ARRAYS = ("bx", "by", *ORACLE_GAINS, "orthogonality", "valid", "dir_valid")
+PROFILE_ARRAYS = (
+    "b_applied", "gain_mag_mse_db", "gain_mag_mae_db", "var_nv", "var_combined", "orthogonality"
+)
+
+# Noise scale at which |s|^2 underflows to 0 for many repetitions: fusion
+# drops those rows, so near the origin cells are partly valid, or not at all.
+TINY = 3e-163
+
+BIT_IDENTITY_CONFIGS = {
+    "shielded": SimConfig(grid_points=11, n_reps=50),
+    "background_x": SimConfig(grid_points=11, n_reps=50, b_0_true=FieldVector(0.5, 0, 0)),
+    "measured_b0_cal_error": SimConfig(
+        grid_points=9, n_reps=40, b_0_true=B0_MEASURED, b_0_cal_error=1e-3
+    ),
+    "underflow_rows": SimConfig(
+        grid_min=-10 * TINY, grid_max=10 * TINY, grid_points=5, n_reps=30, sigma_nv=TINY
+    ),
+    "rb_clipped": SimConfig(grid_points=7, n_reps=30, sigma_rb=1.0),
+}
+
+
+def _assert_same(actual, expected, names):
+    for name in names:
+        a = getattr(actual, name)
+        e = expected[name] if isinstance(expected, dict) else getattr(expected, name)
+        assert a.shape == e.shape, name
+        assert np.array_equal(a, e, equal_nan=True), name
+
+
+class TestCellBatchKernel:
+    @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_CONFIGS))
+    def test_grid_matches_per_cell_loop(self, name):
+        cfg = BIT_IDENTITY_CONFIGS[name]
+        imp = run_grid_simulation(cfg)
+        expected = _oracle_grid(cfg)
+        expected["bx"] = expected["by"] = cfg.axis_values()
+        _assert_same(imp, expected, MAP_ARRAYS)
+        assert np.array_equal(
+            orthogonality_map(cfg), expected["orthogonality"], equal_nan=True
+        )
+
+    @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_CONFIGS))
+    def test_marginal_matches_per_cell_loop(self, name):
+        cfg = BIT_IDENTITY_CONFIGS[name]
+        for axis_i, axis in enumerate("xyz"):
+            lo, hi = cfg.grid_min, cfg.grid_max
+            prof = marginal_improvement(cfg, axis=axis, field_min=lo, field_max=hi, n_points=9)
+            expected = _oracle_marginal(cfg, axis_i, np.linspace(lo, hi, 9))
+            expected["b_applied"] = np.linspace(lo, hi, 9)
+            _assert_same(prof, expected, PROFILE_ARRAYS)
+
+    def test_degenerate_configs_exercise_masks(self):
+        under = run_grid_simulation(BIT_IDENTITY_CONFIGS["underflow_rows"])
+        assert under.valid.any() and not under.valid.all()
+        assert under.dir_valid.any()
+        assert np.isnan(under.gain_mag_mse_db[under.valid]).any()
+        clipped = run_grid_simulation(BIT_IDENTITY_CONFIGS["rb_clipped"])
+        assert np.isnan(clipped.gain_dir_mse_db[clipped.dir_valid]).any()
+
+    @pytest.mark.parametrize("name", ["measured_b0_cal_error", "underflow_rows"])
+    def test_chunk_boundaries_do_not_matter(self, name, monkeypatch):
+        cfg = BIT_IDENTITY_CONFIGS[name]
+        reference_map = run_grid_simulation(cfg)
+        reference_profile = marginal_improvement(cfg, n_points=13)
+        for rows in (3 * cfg.n_reps - 1, 1, 10**9):
+            monkeypatch.setattr(simulation, "_CHUNK_ROWS", rows)
+            _assert_same(run_grid_simulation(cfg), reference_map, MAP_ARRAYS)
+            _assert_same(marginal_improvement(cfg, n_points=13), reference_profile, PROFILE_ARRAYS)
