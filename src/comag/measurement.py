@@ -14,7 +14,7 @@ NV channel, kHz/G for the Rb channel) so the Larmor relation reads
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, least_squares
@@ -185,34 +185,6 @@ class LiaFit:
     delta_y: float
 
 
-@dataclass(frozen=True)
-class MeasurementPair:
-    """One NV vector reading with one Rb scalar reading and their uncertainties.
-
-    The NV reading is a differential measurement of the small field alone;
-    the Rb scalar contains the background: it measures |delta_b + b_0|.
-    """
-
-    b_nv: FieldVector
-    sigma_nv: np.ndarray
-    b_rb: float
-    sigma_rb: float
-
-    def __post_init__(self):
-        sig = np.asarray(self.sigma_nv, dtype=float)
-        if sig.shape != (3,):
-            raise ValueError("sigma_nv must have three per-axis components")
-        if np.any(sig <= 0) or not self.sigma_rb > 0:
-            raise ValueError("uncertainties must be positive")
-        if self.b_rb < 0:
-            raise ValueError("b_rb must be >= 0")
-
-
-def larmor_shift(b_axis: float, gamma: GyromagneticRatio) -> float:
-    """Larmor frequency shift for a per-axis field, in gamma's frequency unit."""
-    return gamma.value * b_axis
-
-
 def odmr_sensitivity(delta_pl: float, slope: float, gamma: GyromagneticRatio) -> float:
     """Per-axis field sensitivity from PL scatter and ODMR slope, Gauss.
 
@@ -251,6 +223,19 @@ def _lorentzian_dips_slope(freqs, contrasts, centers, widths):
     return s
 
 
+def _lorentzian_dips_jac(freqs, contrasts, centers, widths):
+    """Jacobian of ``_lorentzian_dips``: baseline, then (contrast, center, width) per dip."""
+    half2 = (widths / 2.0) ** 2
+    u = freqs[:, None] - centers
+    d = u**2 + half2
+    jac = np.empty((len(freqs), 1 + 3 * len(contrasts)))
+    jac[:, 0] = 1.0
+    jac[:, 1::3] = -half2 / d
+    jac[:, 2::3] = -2.0 * contrasts * half2 * u / d**2
+    jac[:, 3::3] = -contrasts * widths * u**2 / (2.0 * d**2)
+    return jac
+
+
 def synth_odmr(
     b_total: FieldVector,
     basis: OrientationBasis,
@@ -278,19 +263,10 @@ def synth_odmr(
     return OdmrSpectrum(freqs=freqs, pl=pl, pl_sigma=np.full_like(freqs, noise))
 
 
-def fit_odmr(
-    spectrum: OdmrSpectrum,
-    params: OdmrParams,
-    gamma: GyromagneticRatio = GAMMA_NV,
-    n_peaks: int = 4,
-) -> OdmrFit:
-    """Least-squares multi-Lorentzian fit of an ODMR spectrum.
-
-    Dips are seeded from a prominence-based peak search and refined by a
-    joint fit of baseline, contrasts, centers and widths.  Raises
-    :class:`UnresolvedPeaksError` when fewer dips than requested can be
-    located (overlapping orientations, insufficient bias field).
-    """
+def _find_dips(spectrum: OdmrSpectrum, params: OdmrParams, n_peaks: int):
+    """Grid indices (ascending) of the ``n_peaks`` most prominent dips, the depth
+    below the estimated baseline, the prominence threshold and that baseline.
+    Raises :class:`UnresolvedPeaksError` when fewer dips are found."""
     freqs = np.asarray(spectrum.freqs, dtype=float)
     pl = np.asarray(spectrum.pl, dtype=float)
     spacing = float(np.median(np.diff(freqs)))
@@ -312,6 +288,26 @@ def fit_odmr(
     if len(idx) > n_peaks:
         keep = np.argsort(props["prominences"])[-n_peaks:]
         idx = np.sort(idx[keep])
+    return idx, depth, prominence, baseline0
+
+
+def fit_odmr(
+    spectrum: OdmrSpectrum,
+    params: OdmrParams,
+    gamma: GyromagneticRatio = GAMMA_NV,
+    n_peaks: int = 4,
+) -> OdmrFit:
+    """Least-squares multi-Lorentzian fit of an ODMR spectrum.
+
+    Dips are seeded from a prominence-based peak search and refined by a
+    joint Levenberg-Marquardt fit of baseline, contrasts, centers and
+    widths with the analytic Jacobian of the lineshape.  Raises
+    :class:`UnresolvedPeaksError` when fewer dips than requested can be
+    located (overlapping orientations, insufficient bias field).
+    """
+    freqs = np.asarray(spectrum.freqs, dtype=float)
+    pl = np.asarray(spectrum.pl, dtype=float)
+    idx, depth, prominence, baseline0 = _find_dips(spectrum, params, n_peaks)
 
     f_ref = float(freqs[0])
     # Parameters: baseline, then (contrast, center offset, width) per dip.
@@ -325,10 +321,14 @@ def fit_odmr(
         return base, rest[:, 0], f_ref + rest[:, 1], rest[:, 2]
 
     def resid(p):
-        base, contrasts, centers, widths = unpack(p)
-        return _lorentzian_dips(freqs, base, contrasts, centers, widths) - pl
+        return _lorentzian_dips(freqs, *unpack(p)) - pl
 
-    sol = least_squares(resid, p0, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    def jac(p):
+        return _lorentzian_dips_jac(freqs, *unpack(p)[1:])
+
+    sol = least_squares(
+        resid, p0, jac=jac, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14
+    )
     base, contrasts, centers, widths = unpack(sol.x)
     widths = np.abs(widths)
     contrasts = np.abs(contrasts)
@@ -372,7 +372,9 @@ def nv_measure(
     """Differential NV vector measurement of the small field delta_b.
 
     Runs two synthetic scans, with and without delta_b applied on top of
-    the bias and background, and fits both.  The per-axis Larmor shift is
+    the bias and background.  The reference scan is fitted; the signal
+    scan only has its dips counted, so :class:`UnresolvedPeaksError` is
+    raised when delta_b merges them.  The per-axis Larmor shift is
     then read out at the maximum-slope working point of each reference
     dip: the PL difference between the scans at that frequency, divided by
     the fitted local slope (iteratively refined with the finite-shift
@@ -394,7 +396,8 @@ def nv_measure(
     spec_sig = synth_odmr(total_sig, basis, params, gamma, seed_sig)
     spec_ref = synth_odmr(total_ref, basis, params, gamma, seed_ref)
     fit_ref = fit_odmr(spec_ref, params, gamma)
-    fit_odmr(spec_sig, params, gamma)  # raises if the shifted dips overlap
+    n_dips = len(fit_ref.peak_freqs)
+    _find_dips(spec_sig, params, n_dips)
 
     # Dips are reported in ascending frequency; the bias field dominates
     # the shifts, so the frequency order of the bias projections maps dips
@@ -403,7 +406,6 @@ def nv_measure(
     axis_order = np.argsort(bias_proj)
 
     freqs = spec_ref.freqs
-    n_dips = len(fit_ref.peak_freqs)
     readout_idx = [_working_point_index(freqs, fit_ref, i) for i in range(n_dips)]
     dpl_obs = np.array([float(spec_ref.pl[j] - spec_sig.pl[j]) for j in readout_idx])
 
@@ -419,22 +421,17 @@ def nv_measure(
 
     delta_f = np.zeros(4)
     sigma_axis = np.zeros(4)
+    slopes = _lorentzian_dips_slope(
+        freqs[readout_idx], fit_ref.contrasts, fit_ref.peak_freqs, fit_ref.linewidths
+    )
     for dip_i in range(n_dips):
         axis_i = int(axis_order[dip_i])
         delta_f[axis_i] = df_dips[dip_i]
-        slope_model = _lorentzian_dips_slope(
-            np.array([freqs[readout_idx[dip_i]]]),
-            fit_ref.contrasts,
-            fit_ref.peak_freqs,
-            fit_ref.linewidths,
-        )[0]
         if fit_ref.delta_pl > 0:
             # Two independent scans contribute to the PL difference.
             sigma_axis[axis_i] = math.sqrt(2.0) * odmr_sensitivity(
-                fit_ref.delta_pl, abs(slope_model), gamma
+                fit_ref.delta_pl, abs(slopes[dip_i]), gamma
             )
-        else:
-            sigma_axis[axis_i] = 0.0
 
     b_axis = delta_f / gamma.value
     if axes_used == 3:
@@ -487,29 +484,24 @@ def _invert_working_point(
     """
     center = fit_ref.peak_freqs[dip_i]
     width = fit_ref.linewidths[dip_i]
-    ref_at = float(
-        _lorentzian_dips(
-            np.array([f_j]),
-            fit_ref.baseline,
-            fit_ref.contrasts,
-            fit_ref.peak_freqs,
-            fit_ref.linewidths,
-        )[0]
-    )
+    # _lorentzian_dips at the one point f_j in Python floats, bit-identical: pow for
+    # ``half**2`` as on a numpy scalar, ``u * u`` as numpy squares an array.
+    halves = (fit_ref.linewidths / 2.0).tolist()
+    dips = list(zip(fit_ref.contrasts.tolist(), fit_ref.peak_freqs.tolist(), halves))
+    f_j, shifts = float(f_j), np.asarray(df_others, dtype=float).tolist()
+
+    def pl_at(offsets):
+        pl = fit_ref.baseline
+        for (c, f0, half), s in zip(dips, offsets):
+            u = f_j - (f0 + s)
+            pl = pl - c * half**2 / (u * u + half**2)
+        return pl
+
+    ref_at = pl_at([0.0] * len(dips))
 
     def transfer(df):
-        shifts = np.array(df_others, dtype=float)
         shifts[dip_i] = df
-        shifted = float(
-            _lorentzian_dips(
-                np.array([f_j]),
-                fit_ref.baseline,
-                fit_ref.contrasts,
-                fit_ref.peak_freqs + shifts,
-                fit_ref.linewidths,
-            )[0]
-        )
-        return (ref_at - shifted) - dpl
+        return (ref_at - pl_at(shifts)) - dpl
 
     df_hi = 0.95 * (f_j - center)
     df_lo = -1.5 * width
@@ -561,15 +553,29 @@ def synth_lia(
 _LINEAR_REGION = 2.0 - math.sqrt(3.0)
 
 
+def _dispersive(freqs, amp, f0, gam):
+    u = (freqs - f0) / (abs(gam) / 2.0)
+    return amp * u / (1.0 + u**2)
+
+
+def _dispersive_jac(freqs, amp, f0, gam):
+    """Jacobian of ``_dispersive`` in (amp, f0, gam); du/dgam = -u/gam for either sign."""
+    u = (freqs - f0) / (abs(gam) / 2.0)
+    q = 1.0 + u**2
+    dy_du = amp * (1.0 - u**2) / q**2
+    return np.column_stack([u / q, dy_du * (-2.0 / abs(gam)), dy_du * (-u / gam)])
+
+
 def fit_lia(signal: LiaSignal, gamma_rb: GyromagneticRatio = GAMMA_RB) -> LiaFit:
     """Resonance readout of an LIA trace.
 
     The resonance is located from the in-phase peak, confirmed by the Y
     sign change, and refined by a least-squares fit of the dispersive
-    model (exact at zero noise).  The uncertainty follows the slope
-    method: a linear fit to Y over the region around the zero crossing
-    where the fitted lineshape stays within half its peak value gives the
-    slope m and the RMSE dY, and sigma = dY / (gamma * m).
+    model with its analytic Jacobian (exact at zero noise).  The
+    uncertainty follows the slope method: a linear fit to Y over the region
+    around the zero crossing where the fitted lineshape stays within half
+    its peak value gives the slope m and the RMSE dY, and
+    sigma = dY / (gamma * m).
     """
     freqs = np.asarray(signal.mod_freqs, dtype=float)
     y = np.asarray(signal.y, dtype=float)
@@ -605,14 +611,10 @@ def fit_lia(signal: LiaSignal, gamma_rb: GyromagneticRatio = GAMMA_RB) -> LiaFit
     fit_span = np.abs(freqs - f0_guess) <= 3.0 * width_guess
     ff, yf = freqs[fit_span], y[fit_span]
 
-    def resid(p):
-        amp, f0, gam = p
-        u = (ff - f0) / (abs(gam) / 2.0)
-        return amp * u / (1.0 + u**2) - yf
-
     sol = least_squares(
-        resid,
+        lambda p: _dispersive(ff, *p) - yf,
         [amp_guess, f0_guess, width_guess],
+        jac=lambda p: _dispersive_jac(ff, *p),
         method="lm",
         xtol=1e-14,
         ftol=1e-14,

@@ -353,6 +353,7 @@ class SpatialScanConfig:
             raise ValueError("n_reps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        self.axis_unit()
 
     def axis_unit(self) -> np.ndarray:
         if self.source_axis is not None:
@@ -361,7 +362,7 @@ class SpatialScanConfig:
             v = self.b_0.as_array()
         n = np.linalg.norm(v)
         if n == 0.0:
-            raise ValueError("source axis is undefined for a zero vector")
+            raise ValueError("source_axis, or b_0 when source_axis is unset, must be nonzero")
         return v / n
 
     def positions(self) -> np.ndarray:

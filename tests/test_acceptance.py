@@ -169,7 +169,8 @@ def test_criterion_5_estimator_properties():
         c = correction_vector(b_nv, b_0, b_rb).as_array()
         worst_sphere = max(worst_sphere, abs(np.linalg.norm(s - c) - b_rb))
         worst_parallel = max(worst_parallel, float(np.linalg.norm(np.cross(c, s))))
-        sampled_min = float(np.min(np.linalg.norm(s[None, :] + b_rb * pool, axis=1)))
+        # min |s + r p| over the pool from one matvec: |s|^2 + r^2 + 2 r (p . s).
+        sampled_min = math.sqrt(s @ s + b_rb**2 + 2.0 * b_rb * float(np.min(pool @ s)))
         if np.linalg.norm(c) > sampled_min + 1e-9:
             minimality_violations += 1
 

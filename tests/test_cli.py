@@ -176,6 +176,18 @@ class TestSimulationCommands:
         assert rc == EXIT_VALIDATION
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spatial",
+        ["source_axis = 0,0,0\n", "b_0 = 0,0,0\n"],
+        ids=["zero-source-axis", "zero-b0-without-axis"],
+    )
+    def test_zero_source_axis_is_validation_error(self, tmp_path, capsys, spatial):
+        cfg = write_cfg(tmp_path, FAST_SPATIAL + spatial)
+        rc = main(["spatial-scan", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be nonzero" in err
+
     def test_invalid_value_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[simulation]\nsigma_rb = -2\n")
         rc = main(["simulate-grid", "--config", cfg, "--out", str(tmp_path / "o")])

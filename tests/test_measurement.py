@@ -10,17 +10,19 @@ from comag.errors import (
 )
 from comag.geometry import FieldVector, default_basis, project_field
 from comag.measurement import (
+    _dispersive,
+    _dispersive_jac,
+    _lorentzian_dips,
+    _lorentzian_dips_jac,
     DEFAULT_BIAS,
     GAMMA_NV,
     GAMMA_RB,
     GAMMA_RB_IMPLIED_KHZ_PER_G,
     GyromagneticRatio,
     LiaParams,
-    MeasurementPair,
     OdmrParams,
     fit_lia,
     fit_odmr,
-    larmor_shift,
     lia_sensitivity,
     nv_measure,
     odmr_sensitivity,
@@ -37,16 +39,18 @@ def basis():
     return default_basis()
 
 
+def assert_jacobian(model, jac, p, step=1e-4):
+    """jac(p) against a central finite difference of model at p, to rtol 1e-6."""
+    numeric = np.column_stack(
+        [(model(p + e) - model(p - e)) / (2.0 * step) for e in step * np.eye(len(p))]
+    )
+    # Tail entries and zero crossings, where the difference's rounding error
+    # dominates, are held to 1e-8 of their column's largest entry instead.
+    atol = 1e-8 * np.abs(numeric).max(axis=0)
+    np.testing.assert_array_less(np.abs(jac(p) - numeric), atol + 1e-6 * np.abs(numeric))
+
+
 class TestLarmorAndSensitivity:
-    def test_zero_field(self):
-        assert larmor_shift(0.0, GAMMA_NV) == 0.0
-
-    def test_one_gauss(self):
-        assert larmor_shift(1.0, GyromagneticRatio(2.857)) == pytest.approx(2.857)
-
-    def test_linearity(self):
-        assert larmor_shift(0.5, GyromagneticRatio(2.857)) == pytest.approx(1.4285)
-
     def test_odmr_sensitivity_reported_arithmetic(self):
         # dPL = 0.6e-3, slope 1.4e-3 /MHz, gamma 2.857 MHz/G -> 150 mG.
         s = odmr_sensitivity(0.6e-3, 1.4e-3, GyromagneticRatio(2.857))
@@ -168,6 +172,47 @@ class TestFitOdmr:
         assert np.mean(s4) == pytest.approx(0.5 * np.mean(s1), rel=0.10)
 
 
+class TestJacobians:
+    def test_lorentzian_dips(self):
+        freqs = OdmrParams().frequencies()
+        rng = np.random.default_rng(5)
+
+        def unpack(p):
+            rest = p[1:].reshape(4, 3)
+            return rest[:, 0], rest[:, 1], rest[:, 2]
+
+        for _ in range(8):
+            dips = np.column_stack(
+                [
+                    rng.uniform(0.005, 0.05, 4),
+                    rng.uniform(2780.0, 2960.0, 4),
+                    rng.uniform(4.0, 16.0, 4),
+                ]
+            )
+            p = np.concatenate([[rng.uniform(0.9, 1.1)], dips.ravel()])
+            assert_jacobian(
+                lambda q: _lorentzian_dips(freqs, q[0], *unpack(q)),
+                lambda q: _lorentzian_dips_jac(freqs, *unpack(q)),
+                p,
+            )
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["gam>0", "gam<0"])
+    def test_dispersive(self, sign):
+        freqs = LiaParams().frequencies()
+        rng = np.random.default_rng(6)
+        for _ in range(8):
+            p = np.array(
+                [
+                    rng.choice([-1.0, 1.0]) * rng.uniform(1e-5, 1e-4),
+                    rng.uniform(400.0, 1400.0),
+                    sign * rng.uniform(50.0, 200.0),
+                ]
+            )
+            assert_jacobian(
+                lambda q: _dispersive(freqs, *q), lambda q: _dispersive_jac(freqs, *q), p
+            )
+
+
 class TestNvMeasure:
     def test_noiseless_exact(self, basis):
         params = OdmrParams(pl_noise=0.0)
@@ -231,6 +276,19 @@ class TestNvMeasure:
         )
         assert v1.as_array() == pytest.approx(delta.as_array(), abs=1e-6)
         assert v2.as_array() == pytest.approx(delta.as_array(), abs=1e-6)
+
+    def test_signal_scan_merging_two_dips_raises(self, basis):
+        # The reference dips are resolved (the default bias); delta_b along the
+        # axis of the second-highest dip moves it onto its lower neighbour.
+        params = OdmrParams(pl_noise=0.0)
+        proj = project_field(basis, DEFAULT_BIAS).as_array()
+        order = np.argsort(proj)
+        gap = proj[order[2]] - proj[order[1]]
+        delta = FieldVector.from_array(-0.75 * gap * basis.axes[order[2]])
+        with pytest.raises(UnresolvedPeaksError, match="found 3 dips, expected 4"):
+            nv_measure(
+                delta, DEFAULT_BIAS, FieldVector(0, 0, 0), basis, params, GAMMA_NV, 0
+            )
 
     def test_unresolved_bias_raises(self, basis):
         params = OdmrParams(pl_noise=0.0)
@@ -329,16 +387,3 @@ class TestRbMeasure:
         assert b_rb == pytest.approx(0.9855, abs=2e-3)
         assert sigma > 0
 
-
-class TestMeasurementPair:
-    def test_valid(self):
-        pair = MeasurementPair(
-            FieldVector(0.5, 0, 0), np.array([0.26, 0.26, 0.26]), 0.9855, 7.9e-4
-        )
-        assert pair.b_rb > 0
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            MeasurementPair(FieldVector(0, 0, 0), np.array([0.1, 0.1, 0.0]), 1.0, 1e-3)
-        with pytest.raises(ValueError):
-            MeasurementPair(FieldVector(0, 0, 0), np.array([0.1, 0.1, 0.1]), -1.0, 1e-3)
