@@ -194,6 +194,104 @@ class TestSimulationCommands:
         assert rc == EXIT_VALIDATION
 
 
+# Bad config inputs: (command, INI text, exit code, stderr fragment).  Every
+# one must end in a single-line message, never a traceback.
+BAD_CONFIGS = [
+    pytest.param(
+        "simulate-grid", "[simulatoin]\n", EXIT_PARSE,
+        "unknown section [simulatoin]; did you mean 'simulation'?", id="unknown-section",
+    ),
+    pytest.param(
+        "simulate-grid", "[simulation]\nsigmaNv = 1\n", EXIT_PARSE,
+        "unknown key 'sigmanv' in [simulation]; did you mean 'sigma_nv'?", id="unknown-key",
+    ),
+    pytest.param(
+        "simulate-grid", "[simulation]\ngrid_min = abc\n", EXIT_PARSE,
+        "key 'grid_min': expected a number, got 'abc'", id="bad-float",
+    ),
+    pytest.param(
+        "simulate-grid", "[simulation]\ngrid_points = 2.5\n", EXIT_PARSE,
+        "key 'grid_points': expected an integer, got '2.5'", id="bad-int",
+    ),
+    pytest.param(
+        "simulate-grid", "[simulation]\nb_0 = 1,2\n", EXIT_PARSE,
+        "key 'b_0': expected three comma-separated numbers", id="short-vector",
+    ),
+    pytest.param(
+        "simulate-grid", "[simulation]\nsigma_nv = nan\n", EXIT_VALIDATION,
+        "key 'sigma_nv': value must be finite", id="nan-float",
+    ),
+    pytest.param(
+        "simulate-grid", "[simulation]\nb_0 = 0,inf,0\n", EXIT_VALIDATION,
+        "key 'b_0': value must be finite", id="inf-vector",
+    ),
+    pytest.param(
+        "simulate-grid", "[measurement]\ngamma_nv = 0\n", EXIT_VALIDATION,
+        "gamma_nv must be positive", id="gamma-nv",
+    ),
+    pytest.param(
+        "simulate-grid", "[measurement]\ngamma_rb = -1\n", EXIT_VALIDATION,
+        "gamma_rb must be positive", id="gamma-rb",
+    ),
+    pytest.param(
+        "simulate-grid", "[measurement]\nlia_points = 2\n", EXIT_VALIDATION,
+        "n_points must be >= 5", id="lia-points",
+    ),
+    pytest.param(
+        "angular-map", "[angular]\nsigma = 0\n", EXIT_VALIDATION,
+        "angular sigma must be positive", id="angular-sigma",
+    ),
+    pytest.param(
+        "angular-map", "[angular]\ngrid_points = 1\n", EXIT_VALIDATION,
+        "angular grid_points must be >= 2", id="angular-points",
+    ),
+    pytest.param(
+        "marginal", "[marginal]\naxis = q\n", EXIT_VALIDATION,
+        "marginal axis must be one of x, y, z", id="marginal-axis",
+    ),
+    pytest.param(
+        "marginal", "[marginal]\nn_points = 1\n", EXIT_VALIDATION,
+        "marginal n_points must be >= 2", id="marginal-points",
+    ),
+    pytest.param(
+        "marginal", "[marginal]\nfield_min = 2\nfield_max = 1\n", EXIT_VALIDATION,
+        "marginal field_min must be below field_max", id="marginal-range",
+    ),
+    pytest.param(
+        "estimate", "[estimate]\nb_rb = -1\n", EXIT_VALIDATION,
+        "estimate b_rb must be >= 0", id="estimate-b-rb",
+    ),
+    pytest.param(
+        "calibrate", "[calibrate]\ncalibration_averages = 0\n", EXIT_VALIDATION,
+        "calibration_averages must be >= 1", id="calibration-averages",
+    ),
+    pytest.param(
+        "simulate-grid", "[geometry]\naxis_a = 1,1,1\n", EXIT_VALIDATION,
+        "[geometry] requires all four axes; missing ['axis_b', 'axis_c', 'axis_d']",
+        id="partial-geometry",
+    ),
+    pytest.param(
+        "spatial-scan", "[spatial]\nsource_axis = 0,0,0\n", EXIT_VALIDATION,
+        "source_axis, or b_0 when source_axis is unset, must be nonzero",
+        id="zero-source-axis",
+    ),
+    pytest.param(
+        "simulate-grid", "[simulation]\nseed = -1\n", EXIT_VALIDATION,
+        "seed must be >= 0", id="negative-seed",
+    ),
+]
+
+
+class TestBadConfigs:
+    @pytest.mark.parametrize("command, text, code, fragment", BAD_CONFIGS)
+    def test_exit_code_and_message(self, tmp_path, capsys, command, text, code, fragment):
+        cfg = write_cfg(tmp_path, text)
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.count("\n") == 1 and fragment in err
+
+
 class TestCalibrateCommand:
     def test_round_trip_from_csv(self, tmp_path, capsys):
         b_0 = FieldVector(0.004, -0.7454, 0.6451)
