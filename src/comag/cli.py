@@ -30,24 +30,7 @@ from .errors import (
 from .estimator import CalibrationSet, calibrate_background, combined_estimate
 from .geometry import FieldVector
 from .plots import emit_plot_script
-from .reports import (
-    ANGULAR_HEADER,
-    DEMO_HEADER,
-    ESTIMATE_HEADER,
-    GRID_HEADER,
-    MARGINAL_HEADER,
-    ORTHO_HEADER,
-    SPATIAL_HEADER,
-    angular_rows,
-    demo_rows,
-    estimate_row,
-    grid_rows,
-    marginal_rows,
-    ortho_rows,
-    spatial_rows,
-    write_csv,
-    write_summary,
-)
+from .reports import write_csv, write_summary
 from .simulation import (
     SpatialScanConfig,
     angular_error_map,
@@ -156,17 +139,33 @@ def _config_echo(settings: RunSettings) -> dict:
     }
 
 
+def _grid_xy(bx: np.ndarray, by: np.ndarray) -> dict[str, np.ndarray]:
+    """bx and by columns of a (by, bx) grid table, rows in C order."""
+    return {"bx": np.tile(bx, len(by)), "by": np.repeat(by, len(bx))}
+
+
 def _cmd_simulate_grid(args, settings: RunSettings) -> int:
     imp = run_grid_simulation(settings.simulation)
-    write_csv(_out(args, "grid.csv"), GRID_HEADER, grid_rows(imp))
-    sel = imp.valid & np.isfinite(imp.gain_mag_mse_db)
+    write_csv(
+        _out(args, "grid.csv"),
+        {
+            **_grid_xy(imp.bx, imp.by),
+            "gain_mag_mse_db": imp.gain_mag_mse_db,
+            "gain_mag_mae_db": imp.gain_mag_mae_db,
+            "gain_dir_mse_db": imp.gain_dir_mse_db,
+            "gain_dir_mae_db": imp.gain_dir_mae_db,
+            "orthogonality": imp.orthogonality,
+            "valid": imp.valid,
+        },
+    )
+    gains = imp.gain_mag_mse_db[imp.valid & np.isfinite(imp.gain_mag_mse_db)]
     summary = _config_echo(settings)
     summary.update(
         {
             "cells": int(imp.valid.size),
             "valid_cells": int(np.count_nonzero(imp.valid)),
-            "median_gain_mag_mse_db": float(np.median(imp.gain_mag_mse_db[sel])),
-            "max_gain_mag_mse_db": float(np.max(imp.gain_mag_mse_db[sel])),
+            "median_gain_mag_mse_db": float(np.median(gains)) if gains.size else math.nan,
+            "max_gain_mag_mse_db": float(np.max(gains)) if gains.size else math.nan,
         }
     )
     write_summary(_out(args, "grid_summary.txt"), summary)
@@ -181,8 +180,7 @@ def _cmd_orthogonality(args, settings: RunSettings) -> int:
     ortho = orthogonality_map(cfg)
     write_csv(
         _out(args, "orthogonality.csv"),
-        ORTHO_HEADER,
-        ortho_rows(cfg.axis_values(), cfg.axis_values(), ortho),
+        {**_grid_xy(cfg.axis_values(), cfg.axis_values()), "orthogonality": ortho},
     )
     summary = _config_echo(settings)
     summary["median_orthogonality"] = float(np.nanmedian(ortho))
@@ -200,7 +198,17 @@ def _cmd_marginal(args, settings: RunSettings) -> int:
         field_max=mg.field_max,
         n_points=mg.n_points,
     )
-    write_csv(_out(args, "marginal.csv"), MARGINAL_HEADER, marginal_rows(prof))
+    write_csv(
+        _out(args, "marginal.csv"),
+        {
+            "b_applied": prof.b_applied,
+            "gain_mag_mse_db": prof.gain_mag_mse_db,
+            "gain_mag_mae_db": prof.gain_mag_mae_db,
+            "var_nv": prof.var_nv,
+            "var_combined": prof.var_combined,
+            "orthogonality": prof.orthogonality,
+        },
+    )
     summary = _config_echo(settings)
     ok = np.isfinite(prof.gain_mag_mse_db)
     summary.update(
@@ -218,7 +226,19 @@ def _cmd_marginal(args, settings: RunSettings) -> int:
 
 def _cmd_spatial(args, settings: RunSettings) -> int:
     rep = spatial_scan_sim(settings.spatial)
-    write_csv(_out(args, "spatial_scan.csv"), SPATIAL_HEADER, spatial_rows(rep))
+    write_csv(
+        _out(args, "spatial_scan.csv"),
+        {
+            "position_mm": rep.positions,
+            "true_mag": rep.true_mag,
+            "nv_mag": rep.nv_mag,
+            "rb_mag": rep.rb_mag,
+            "combined_mag": rep.combined_mag,
+            "nv_fit": rep.nv_fit,
+            "rb_fit": rep.rb_fit,
+            "combined_fit": rep.combined_fit,
+        },
+    )
     write_summary(
         _out(args, "spatial_scan_summary.txt"),
         {
@@ -246,7 +266,17 @@ def _cmd_demo(args, settings: RunSettings) -> int:
         # demo exists to show; default to a clearly non-collinear axis.
         cfg = replace(cfg, source_axis=(0.0, 0.0, 1.0))
     rep = scalar_vs_vector_demo(cfg)
-    write_csv(_out(args, "scalar_demo.csv"), DEMO_HEADER, demo_rows(rep))
+    write_csv(
+        _out(args, "scalar_demo.csv"),
+        {
+            "position_mm": rep.positions,
+            "true_mag": rep.true_mag,
+            "combined": rep.combined,
+            "naive": rep.naive,
+            "combined_reversed": rep.combined_reversed,
+            "naive_reversed": rep.naive_reversed,
+        },
+    )
     write_summary(
         _out(args, "scalar_demo_summary.txt"),
         {
@@ -267,7 +297,15 @@ def _cmd_demo(args, settings: RunSettings) -> int:
 def _cmd_angular(args, settings: RunSettings) -> int:
     a = settings.angular
     amap = angular_error_map(a.grid_min, a.grid_max, a.grid_points, a.sigma)
-    write_csv(_out(args, "angular_map.csv"), ANGULAR_HEADER, angular_rows(amap))
+    write_csv(
+        _out(args, "angular_map.csv"),
+        {
+            **_grid_xy(amap.bx, amap.by),
+            "d_theta_rad": amap.d_theta,
+            "d_phi_rad": amap.d_phi,
+            "total_db": amap.total_db,
+        },
+    )
     write_summary(
         _out(args, "angular_map_summary.txt"),
         {
@@ -303,11 +341,11 @@ def _read_pairs_csv(path: str) -> CalibrationSet:
                     raise ConfigParseError(
                         f"{path}:{line_no}: expected four numbers, got {row!r}"
                     )
-                pairs.append((FieldVector(bx, by, bz), rb))
+                pairs.append((bx, by, bz, rb))
     except OSError as err:
         raise ConfigParseError(f"cannot read calibration file {path!r}: {err}")
     try:
-        return CalibrationSet(tuple(pairs))
+        return CalibrationSet(tuple((FieldVector(bx, by, bz), rb) for bx, by, bz, rb in pairs))
     except ValueError as err:
         raise ConfigValidationError(str(err))
 
@@ -361,7 +399,20 @@ def _cmd_estimate(args, settings: RunSettings) -> int:
     print(f"tangential   = {est.tangential:.6f} G")
     print(f"orthogonality= {est.orthogonality:.6f}")
     print(f"b_0          = ({b_0[0]:.6f}, {b_0[1]:.6f}, {b_0[2]:.6f}) G")
-    write_csv(_out(args, "estimate.csv"), ESTIMATE_HEADER, [estimate_row(est)])
+    write_csv(
+        _out(args, "estimate.csv"),
+        {
+            "bhat_x": est.b_hat.bx,
+            "bhat_y": est.b_hat.by,
+            "bhat_z": est.b_hat.bz,
+            "correction_x": est.correction.bx,
+            "correction_y": est.correction.by,
+            "correction_z": est.correction.bz,
+            "radial": est.radial,
+            "tangential": est.tangential,
+            "orthogonality": est.orthogonality,
+        },
+    )
     return EXIT_OK
 
 

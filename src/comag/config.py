@@ -3,14 +3,25 @@
 One file drives every command; flags override file values.  Unknown
 sections or keys are rejected with a suggestion, malformed values report
 the key, and constraint violations name the constraint.
+
+Each section is a field of :class:`RunSettings` holding a frozen
+dataclass, and each field of that dataclass is one INI key, declared
+nowhere else: the field's type picks the parser (``float``, ``int``,
+``str``, ``tuple[float, float, float]``, ``FieldVector``, or ``X | None``,
+where an empty value means None), its default is the documented default,
+and the dataclass's ``__post_init__`` holds its checks.  A nested
+dataclass field (``odmr``, ``lia``) adds its own keys to the section, and
+``field(metadata={"ini": name})`` names a key that differs from its field.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import difflib
-import io
+import functools
 import math
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +31,6 @@ from .geometry import FieldVector, OrientationBasis, default_basis
 from .measurement import (
     GAMMA_NV_MHZ_PER_G,
     GAMMA_RB_KHZ_PER_G,
-    GyromagneticRatio,
     LiaParams,
     OdmrParams,
 )
@@ -36,18 +46,26 @@ class MeasurementSettings:
     bias_field: float = 30.0
     bias_direction: tuple[float, float, float] = (2.0, 1.0, 0.0)
 
-    def bias_vector(self) -> FieldVector:
-        d = np.asarray(self.bias_direction, dtype=float)
-        n = np.linalg.norm(d)
-        if n == 0:
-            raise ConfigValidationError("bias_direction must be nonzero")
-        return FieldVector.from_array(d / n * self.bias_field)
+    def __post_init__(self):
+        if self.gamma_nv <= 0:
+            raise ValueError("gamma_nv must be positive")
+        if self.gamma_rb <= 0:
+            raise ValueError("gamma_rb must be positive")
 
-    def gamma_nv_ratio(self) -> GyromagneticRatio:
-        return GyromagneticRatio(self.gamma_nv)
 
-    def gamma_rb_ratio(self) -> GyromagneticRatio:
-        return GyromagneticRatio(self.gamma_rb)
+@dataclass(frozen=True)
+class GeometrySettings:
+    """Custom NV axis directions: all four, or none for the default basis."""
+
+    axis_a: tuple[float, float, float] | None = None
+    axis_b: tuple[float, float, float] | None = None
+    axis_c: tuple[float, float, float] | None = None
+    axis_d: tuple[float, float, float] | None = None
+
+    def __post_init__(self):
+        missing = [f.name for f in dataclasses.fields(self) if getattr(self, f.name) is None]
+        if 0 < len(missing) < 4:
+            raise ValueError(f"[geometry] requires all four axes; missing {missing}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +75,14 @@ class AngularSettings:
     grid_points: int = 41
     sigma: float = 0.1
 
+    def __post_init__(self):
+        if self.sigma <= 0:
+            raise ValueError("angular sigma must be positive")
+        if self.grid_points < 2:
+            raise ValueError("angular grid_points must be >= 2")
+        if not self.grid_min < self.grid_max:
+            raise ValueError("angular grid_min must be below grid_max")
+
 
 @dataclass(frozen=True)
 class MarginalSettings:
@@ -65,6 +91,14 @@ class MarginalSettings:
     field_max: float = 1.6
     n_points: int = 41
 
+    def __post_init__(self):
+        if self.axis not in ("x", "y", "z"):
+            raise ValueError("marginal axis must be one of x, y, z")
+        if self.n_points < 2:
+            raise ValueError("marginal n_points must be >= 2")
+        if not self.field_min < self.field_max:
+            raise ValueError("marginal field_min must be below field_max")
+
 
 @dataclass(frozen=True)
 class EstimateSettings:
@@ -72,19 +106,27 @@ class EstimateSettings:
     b_0: tuple[float, float, float] = (0.0, 0.0, 0.0)
     b_rb: float | None = None
 
+    def __post_init__(self):
+        if self.b_rb is not None and self.b_rb < 0:
+            raise ValueError("estimate b_rb must be >= 0")
+
 
 @dataclass(frozen=True)
 class CalibrateSettings:
     pairs_csv: str | None = None
     calibration_averages: int = 1
 
+    def __post_init__(self):
+        if self.calibration_averages < 1:
+            raise ValueError("calibration_averages must be >= 1")
+
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Validated configuration for every command."""
+    """Validated configuration for every command, one field per INI section."""
 
     measurement: MeasurementSettings = field(default_factory=MeasurementSettings)
-    geometry_axes: tuple | None = None
+    geometry: GeometrySettings = field(default_factory=GeometrySettings)
     simulation: SimConfig = field(default_factory=SimConfig)
     spatial: SpatialScanConfig = field(default_factory=SpatialScanConfig)
     angular: AngularSettings = field(default_factory=AngularSettings)
@@ -93,9 +135,9 @@ class RunSettings:
     calibrate: CalibrateSettings = field(default_factory=CalibrateSettings)
 
     def basis(self) -> OrientationBasis:
-        if self.geometry_axes is None:
+        if self.geometry.axis_a is None:
             return default_basis()
-        return OrientationBasis.from_axes(np.array(self.geometry_axes))
+        return OrientationBasis.from_axes(np.array(dataclasses.astuple(self.geometry)))
 
     def with_seed(self, seed: int) -> "RunSettings":
         return replace(
@@ -103,18 +145,6 @@ class RunSettings:
             simulation=replace(self.simulation, seed=seed),
             spatial=replace(self.spatial, seed=seed),
         )
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (tuple, list, np.ndarray)):
-        return ",".join(_fmt(v) for v in value)
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
 
 
 def _parse_float(text: str, key: str) -> float:
@@ -141,99 +171,59 @@ def _parse_vector(text: str, key: str) -> tuple[float, float, float]:
     return tuple(_parse_float(p, key) for p in parts)  # type: ignore[return-value]
 
 
-def _parse_optional(text: str, parser, key: str):
-    if text.strip() == "":
-        return None
-    return parser(text, key)
-
-
-# Section -> key -> (kind, target path).  Kinds: float, int, str, vector,
-# optional_float, optional_vector.
-_SCHEMA: dict[str, dict[str, str]] = {
-    "measurement": {
-        "gamma_nv": "float",
-        "gamma_rb": "float",
-        "center_frequency": "float",
-        "contrast": "float",
-        "linewidth": "float",
-        "n_freqs": "int",
-        "scan_span": "float",
-        "exposure_time": "float",
-        "pl_noise": "float",
-        "n_averages": "int",
-        "chirp_min": "float",
-        "chirp_max": "float",
-        "lia_points": "int",
-        "lia_linewidth": "float",
-        "lia_amplitude": "float",
-        "lia_y_noise": "float",
-        "bias_field": "float",
-        "bias_direction": "vector",
-    },
-    "geometry": {
-        "axis_a": "vector",
-        "axis_b": "vector",
-        "axis_c": "vector",
-        "axis_d": "vector",
-    },
-    "simulation": {
-        "grid_min": "float",
-        "grid_max": "float",
-        "grid_points": "int",
-        "n_reps": "int",
-        "sigma_nv": "float",
-        "sigma_rb": "optional_float",
-        "sigma_ratio": "float",
-        "b_0": "vector",
-        "b_0_cal_error": "float",
-        "seed": "int",
-    },
-    "spatial": {
-        "n_positions": "int",
-        "stage_range": "float",
-        "standoff": "float",
-        "perp_offset": "float",
-        "dipole_moment": "float",
-        "source_axis": "optional_vector",
-        "poly_degree": "int",
-        "n_reps": "int",
-        "sigma_nv": "float",
-        "sigma_rb": "float",
-        "b_0": "vector",
-        "b_0_cal_error": "float",
-        "seed": "int",
-    },
-    "angular": {
-        "grid_min": "float",
-        "grid_max": "float",
-        "grid_points": "int",
-        "sigma": "float",
-    },
-    "marginal": {
-        "axis": "str",
-        "field_min": "float",
-        "field_max": "float",
-        "n_points": "int",
-    },
-    "estimate": {
-        "b_nv": "optional_vector",
-        "b_0": "vector",
-        "b_rb": "optional_float",
-    },
-    "calibrate": {
-        "pairs_csv": "str",
-        "calibration_averages": "int",
-    },
+_LEAF_PARSERS = {
+    float: _parse_float,
+    int: _parse_int,
+    str: lambda text, key: text.strip(),
+    tuple[float, float, float]: _parse_vector,
+    FieldVector: lambda text, key: FieldVector(*_parse_vector(text, key)),
 }
 
-_PARSERS = {
-    "float": _parse_float,
-    "int": _parse_int,
-    "vector": _parse_vector,
-    "str": lambda text, key: text.strip(),
-    "optional_float": lambda text, key: _parse_optional(text, _parse_float, key),
-    "optional_vector": lambda text, key: _parse_optional(text, _parse_vector, key),
+
+def _parser(tp):
+    """The INI value parser for a field type; ``X | None`` reads empty as None."""
+    if tp in _LEAF_PARSERS:
+        return _LEAF_PARSERS[tp]
+    (inner,) = [t for t in typing.get_args(tp) if t is not type(None)]
+    parse = _LEAF_PARSERS[inner]
+    return lambda text, key: None if text.strip() == "" else parse(text, key)
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, type]:
+    """Field name -> resolved type, in field order.  Cached: get_type_hints
+    costs far more than parsing a whole config file."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _walk(cls, path=()):
+    """(INI key, field path, parser) for each key a section dataclass declares."""
+    for f in dataclasses.fields(cls):
+        tp = _field_types(cls)[f.name]
+        if dataclasses.is_dataclass(tp) and tp is not FieldVector:
+            yield from _walk(tp, path + (f.name,))
+        else:
+            yield f.metadata.get("ini", f.name), path + (f.name,), _parser(tp)
+
+
+# Section -> INI key -> (field path within the section, value parser).
+_KEYS = {
+    section: {key: (path, parse) for key, path, parse in _walk(cls)}
+    for section, cls in _field_types(RunSettings).items()
 }
+
+
+def _build(cls, values: dict):
+    """cls from {field: value or nested {field: value}}.  Fields are built in
+    declaration order, so the check that fails first does not depend on the
+    order of the file."""
+    kwargs = {}
+    for name, tp in _field_types(cls).items():
+        if name in values:
+            v = values[name]
+            kwargs[name] = _build(tp, v) if isinstance(v, dict) else v
+    return cls(**kwargs)
 
 
 def _suggest(name: str, candidates) -> str:
@@ -249,21 +239,29 @@ def parse_config_text(text: str) -> RunSettings:
     except configparser.Error as err:
         raise ConfigParseError(str(err))
 
-    values: dict[str, dict[str, object]] = {}
+    values: dict[str, dict] = {}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigParseError(
-                f"unknown section [{section}]" + _suggest(section, _SCHEMA)
+                f"unknown section [{section}]" + _suggest(section, _KEYS)
             )
-        keys = _SCHEMA[section]
+        keys = _KEYS[section]
         values[section] = {}
         for key, raw in cp.items(section):
             if key not in keys:
                 raise ConfigParseError(
                     f"unknown key {key!r} in [{section}]" + _suggest(key, keys)
                 )
-            values[section][key] = _PARSERS[keys[key]](raw, key)
-    return _build_settings(values)
+            path, parse = keys[key]
+            target = values[section]
+            for name in path[:-1]:
+                target = target.setdefault(name, {})
+            target[path[-1]] = parse(raw, key)
+    try:
+        return _build(RunSettings, values)
+    except ValueError as err:
+        # Dataclass validators raise ValueError naming the constraint.
+        raise ConfigValidationError(str(err))
 
 
 def parse_config(path: str) -> RunSettings:
@@ -276,256 +274,26 @@ def parse_config(path: str) -> RunSettings:
     return parse_config_text(text)
 
 
-def _take(section: dict, key: str, default):
-    return section.get(key, default)
-
-
-def _build_settings(values: dict) -> RunSettings:
-    try:
-        return _build_settings_inner(values)
-    except ConfigParseError:
-        raise
-    except ConfigValidationError:
-        raise
-    except ValueError as err:
-        # Dataclass validators raise ValueError naming the constraint.
-        raise ConfigValidationError(str(err))
-
-
-def _build_settings_inner(values: dict) -> RunSettings:
-    m = values.get("measurement", {})
-    meas = MeasurementSettings(
-        gamma_nv=_take(m, "gamma_nv", GAMMA_NV_MHZ_PER_G),
-        gamma_rb=_take(m, "gamma_rb", GAMMA_RB_KHZ_PER_G),
-        odmr=OdmrParams(
-            center_frequency=_take(m, "center_frequency", 2870.0),
-            contrast=_take(m, "contrast", 0.02),
-            linewidth=_take(m, "linewidth", 8.0),
-            n_freqs=_take(m, "n_freqs", 60),
-            scan_span=_take(m, "scan_span", 200.0),
-            exposure_time=_take(m, "exposure_time", 0.5),
-            pl_noise=_take(m, "pl_noise", 0.6e-3),
-            n_averages=_take(m, "n_averages", 1),
-        ),
-        lia=LiaParams(
-            chirp_min=_take(m, "chirp_min", 300.0),
-            chirp_max=_take(m, "chirp_max", 1500.0),
-            n_points=_take(m, "lia_points", 1201),
-            linewidth=_take(m, "lia_linewidth", 100.0),
-            amplitude=_take(m, "lia_amplitude", 5.0e-5),
-            y_noise=_take(m, "lia_y_noise", 5.5e-6),
-        ),
-        bias_field=_take(m, "bias_field", 30.0),
-        bias_direction=tuple(_take(m, "bias_direction", (2.0, 1.0, 0.0))),
-    )
-    if meas.gamma_nv <= 0:
-        raise ConfigValidationError("gamma_nv must be positive")
-    if meas.gamma_rb <= 0:
-        raise ConfigValidationError("gamma_rb must be positive")
-
-    g = values.get("geometry", {})
-    geometry_axes = None
-    if g:
-        missing = [k for k in ("axis_a", "axis_b", "axis_c", "axis_d") if k not in g]
-        if missing:
-            raise ConfigValidationError(
-                f"[geometry] requires all four axes; missing {missing}"
-            )
-        geometry_axes = tuple(tuple(g[k]) for k in ("axis_a", "axis_b", "axis_c", "axis_d"))
-
-    s = values.get("simulation", {})
-    sim_defaults = SimConfig()
-    b0 = _take(s, "b_0", (0.0, 0.0, 0.0))
-    sim = SimConfig(
-        grid_min=_take(s, "grid_min", sim_defaults.grid_min),
-        grid_max=_take(s, "grid_max", sim_defaults.grid_max),
-        grid_points=_take(s, "grid_points", sim_defaults.grid_points),
-        n_reps=_take(s, "n_reps", sim_defaults.n_reps),
-        sigma_nv=_take(s, "sigma_nv", sim_defaults.sigma_nv),
-        sigma_rb=_take(s, "sigma_rb", sim_defaults.sigma_rb),
-        sigma_ratio=_take(s, "sigma_ratio", sim_defaults.sigma_ratio),
-        b_0_true=FieldVector(*b0),
-        b_0_cal_error=_take(s, "b_0_cal_error", sim_defaults.b_0_cal_error),
-        seed=_take(s, "seed", sim_defaults.seed),
-    )
-
-    sp = values.get("spatial", {})
-    sp_defaults = SpatialScanConfig()
-    sp_b0 = _take(sp, "b_0", tuple(sp_defaults.b_0.as_array()))
-    src_axis = _take(sp, "source_axis", sp_defaults.source_axis)
-    spatial = SpatialScanConfig(
-        n_positions=_take(sp, "n_positions", sp_defaults.n_positions),
-        stage_range=_take(sp, "stage_range", sp_defaults.stage_range),
-        standoff=_take(sp, "standoff", sp_defaults.standoff),
-        perp_offset=_take(sp, "perp_offset", sp_defaults.perp_offset),
-        dipole_moment=_take(sp, "dipole_moment", sp_defaults.dipole_moment),
-        source_axis=tuple(src_axis) if src_axis is not None else None,
-        poly_degree=_take(sp, "poly_degree", sp_defaults.poly_degree),
-        n_reps=_take(sp, "n_reps", sp_defaults.n_reps),
-        sigma_nv=_take(sp, "sigma_nv", sp_defaults.sigma_nv),
-        sigma_rb=_take(sp, "sigma_rb", sp_defaults.sigma_rb),
-        b_0=FieldVector(*sp_b0),
-        b_0_cal_error=_take(sp, "b_0_cal_error", sp_defaults.b_0_cal_error),
-        seed=_take(sp, "seed", sp_defaults.seed),
-    )
-
-    a = values.get("angular", {})
-    ang = AngularSettings(
-        grid_min=_take(a, "grid_min", -1.5),
-        grid_max=_take(a, "grid_max", 1.5),
-        grid_points=_take(a, "grid_points", 41),
-        sigma=_take(a, "sigma", 0.1),
-    )
-    if ang.sigma <= 0:
-        raise ConfigValidationError("angular sigma must be positive")
-    if ang.grid_points < 2:
-        raise ConfigValidationError("angular grid_points must be >= 2")
-
-    mg = values.get("marginal", {})
-    marg = MarginalSettings(
-        axis=_take(mg, "axis", "x"),
-        field_min=_take(mg, "field_min", 0.0),
-        field_max=_take(mg, "field_max", 1.6),
-        n_points=_take(mg, "n_points", 41),
-    )
-    if marg.axis not in ("x", "y", "z"):
-        raise ConfigValidationError("marginal axis must be one of x, y, z")
-    if marg.n_points < 2:
-        raise ConfigValidationError("marginal n_points must be >= 2")
-    if not marg.field_min < marg.field_max:
-        raise ConfigValidationError("marginal field_min must be below field_max")
-
-    e = values.get("estimate", {})
-    est = EstimateSettings(
-        b_nv=_take(e, "b_nv", None),
-        b_0=tuple(_take(e, "b_0", (0.0, 0.0, 0.0))),
-        b_rb=_take(e, "b_rb", None),
-    )
-    if est.b_rb is not None and est.b_rb < 0:
-        raise ConfigValidationError("estimate b_rb must be >= 0")
-
-    c = values.get("calibrate", {})
-    pairs_csv = _take(c, "pairs_csv", None)
-    cal = CalibrateSettings(
-        pairs_csv=pairs_csv if pairs_csv else None,
-        calibration_averages=_take(c, "calibration_averages", 1),
-    )
-    if cal.calibration_averages < 1:
-        raise ConfigValidationError("calibration_averages must be >= 1")
-
-    return RunSettings(
-        measurement=meas,
-        geometry_axes=geometry_axes,
-        simulation=sim,
-        spatial=spatial,
-        angular=ang,
-        marginal=marg,
-        estimate=est,
-        calibrate=cal,
-    )
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, FieldVector):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def default_config_text() -> str:
-    """Render every documented key with its default value."""
-    st = RunSettings()
-    m, odmr, lia = st.measurement, st.measurement.odmr, st.measurement.lia
-    sim, sp = st.simulation, st.spatial
-
-    out = io.StringIO()
-
-    def section(name: str, pairs: list[tuple[str, object]]):
-        out.write(f"[{name}]\n")
-        for k, v in pairs:
-            out.write(f"{k} = {_fmt(v)}\n")
-        out.write("\n")
-
-    section(
-        "measurement",
-        [
-            ("gamma_nv", m.gamma_nv),
-            ("gamma_rb", m.gamma_rb),
-            ("center_frequency", odmr.center_frequency),
-            ("contrast", odmr.contrast),
-            ("linewidth", odmr.linewidth),
-            ("n_freqs", odmr.n_freqs),
-            ("scan_span", odmr.scan_span),
-            ("exposure_time", odmr.exposure_time),
-            ("pl_noise", odmr.pl_noise),
-            ("n_averages", odmr.n_averages),
-            ("chirp_min", lia.chirp_min),
-            ("chirp_max", lia.chirp_max),
-            ("lia_points", lia.n_points),
-            ("lia_linewidth", lia.linewidth),
-            ("lia_amplitude", lia.amplitude),
-            ("lia_y_noise", lia.y_noise),
-            ("bias_field", m.bias_field),
-            ("bias_direction", m.bias_direction),
-        ],
-    )
-    section(
-        "simulation",
-        [
-            ("grid_min", sim.grid_min),
-            ("grid_max", sim.grid_max),
-            ("grid_points", sim.grid_points),
-            ("n_reps", sim.n_reps),
-            ("sigma_nv", sim.sigma_nv),
-            ("sigma_rb", sim.sigma_rb),
-            ("sigma_ratio", sim.sigma_ratio),
-            ("b_0", tuple(sim.b_0_true.as_array())),
-            ("b_0_cal_error", sim.b_0_cal_error),
-            ("seed", sim.seed),
-        ],
-    )
-    section(
-        "spatial",
-        [
-            ("n_positions", sp.n_positions),
-            ("stage_range", sp.stage_range),
-            ("standoff", sp.standoff),
-            ("perp_offset", sp.perp_offset),
-            ("dipole_moment", sp.dipole_moment),
-            ("source_axis", sp.source_axis),
-            ("poly_degree", sp.poly_degree),
-            ("n_reps", sp.n_reps),
-            ("sigma_nv", sp.sigma_nv),
-            ("sigma_rb", sp.sigma_rb),
-            ("b_0", tuple(sp.b_0.as_array())),
-            ("b_0_cal_error", sp.b_0_cal_error),
-            ("seed", sp.seed),
-        ],
-    )
-    section(
-        "angular",
-        [
-            ("grid_min", st.angular.grid_min),
-            ("grid_max", st.angular.grid_max),
-            ("grid_points", st.angular.grid_points),
-            ("sigma", st.angular.sigma),
-        ],
-    )
-    section(
-        "marginal",
-        [
-            ("axis", st.marginal.axis),
-            ("field_min", st.marginal.field_min),
-            ("field_max", st.marginal.field_max),
-            ("n_points", st.marginal.n_points),
-        ],
-    )
-    section(
-        "estimate",
-        [
-            ("b_nv", st.estimate.b_nv),
-            ("b_0", st.estimate.b_0),
-            ("b_rb", st.estimate.b_rb),
-        ],
-    )
-    section(
-        "calibrate",
-        [
-            ("pairs_csv", st.calibrate.pairs_csv),
-            ("calibration_averages", st.calibrate.calibration_averages),
-        ],
-    )
-    return out.getvalue()
+    """Render every key of every section with its default value."""
+    defaults = RunSettings()
+    out = []
+    for section, keys in _KEYS.items():
+        out.append(f"[{section}]\n")
+        for key, (path, _) in keys.items():
+            value = functools.reduce(getattr, (section, *path), defaults)
+            out.append(f"{key} = {_fmt(value)}\n")
+        out.append("\n")
+    return "".join(out)

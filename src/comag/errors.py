@@ -22,7 +22,7 @@ class NoResonanceError(ComagError):
 
 
 class DegenerateDirectionError(ComagError):
-    """Correction direction undefined because the sphere center is at the origin."""
+    """Correction undefined: the sphere center is at the origin or its norm overflows."""
 
 
 class SingularGeometryError(ComagError):

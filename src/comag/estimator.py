@@ -66,6 +66,8 @@ class CalibrationSet:
         for b_nv, b_rb in self.pairs:
             if not isinstance(b_nv, FieldVector):
                 raise TypeError("calibration NV readings must be FieldVector")
+            if not math.isfinite(b_rb):
+                raise ValueError("calibration Rb readings must be finite")
             if b_rb < 0:
                 raise ValueError("calibration Rb readings must be >= 0")
 
@@ -96,14 +98,17 @@ def correction_vector(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Field
     closed form c = (s/||s||) (||s|| - b_rb).  The expression stays valid
     when b_rb exceeds ||s|| (c flips anti-parallel).  Raises
     :class:`DegenerateDirectionError` when ||s|| = 0, where the direction
-    is undefined.
+    is undefined, or when ||s|| overflows.
     """
     if b_rb < 0:
         raise ValueError("b_rb must be >= 0")
     s = b_nv.as_array() + b_0.as_array()
-    norm_s = float(np.linalg.norm(s))
+    with np.errstate(over="ignore"):
+        norm_s = float(np.linalg.norm(s))
     if norm_s == 0.0:
         raise DegenerateDirectionError("b_nv + b_0 = 0: correction direction undefined")
+    if not math.isfinite(norm_s):
+        raise DegenerateDirectionError("|b_nv + b_0| overflows: correction undefined")
     return FieldVector.from_array(s * ((norm_s - b_rb) / norm_s))
 
 

@@ -73,9 +73,6 @@ class FieldVector:
         return FieldVector(k * self.bx, k * self.by, k * self.bz)
 
 
-ZERO_FIELD = FieldVector(0.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class AxisProjection:
     """Field projections along the four NV axes, Gauss."""

@@ -14,7 +14,7 @@ NV channel, kHz/G for the Rb channel) so the Larmor relation reads
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, least_squares
@@ -145,10 +145,10 @@ class LiaParams:
 
     chirp_min: float = 300.0
     chirp_max: float = 1500.0
-    n_points: int = 1201
-    linewidth: float = 100.0
-    amplitude: float = 5.0e-5
-    y_noise: float = 5.5e-6
+    n_points: int = field(default=1201, metadata={"ini": "lia_points"})
+    linewidth: float = field(default=100.0, metadata={"ini": "lia_linewidth"})
+    amplitude: float = field(default=5.0e-5, metadata={"ini": "lia_amplitude"})
+    y_noise: float = field(default=5.5e-6, metadata={"ini": "lia_y_noise"})
 
     def __post_init__(self):
         if not self.linewidth > 0:

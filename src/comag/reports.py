@@ -1,4 +1,4 @@
-"""CSV, summary, and raw-trace output.
+"""CSV and summary output.
 
 All files are written atomically (temp file in the target directory, then
 rename), so an interrupted run never leaves a truncated artifact.  CSVs
@@ -12,19 +12,9 @@ import io
 import math
 import os
 import tempfile
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
-
-from .estimator import CombinedEstimate
-from .measurement import LiaSignal, OdmrSpectrum
-from .simulation import (
-    AngularErrorMap,
-    ImprovementMap,
-    MarginalProfile,
-    ScalarDemoReport,
-    SpatialScanReport,
-)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -42,11 +32,14 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path: str, columns: Mapping[str, object]) -> None:
+    """One column per entry, named by its key; arrays are flattened in C order
+    and must all hold the same number of values."""
+    values = [np.ravel(v).tolist() for v in columns.values()]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
+    writer.writerow(columns)
+    for row in zip(*values, strict=True):
         writer.writerow([_cell(v) for v in row])
     atomic_write_text(path, buf.getvalue())
 
@@ -65,185 +58,3 @@ def write_summary(path: str, pairs: Mapping[str, object]) -> None:
     """Key-value text file, one ``key=value`` per line."""
     lines = [f"{k}={_cell(v) if not isinstance(v, str) else v}" for k, v in pairs.items()]
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-GRID_HEADER = [
-    "bx",
-    "by",
-    "gain_mag_mse_db",
-    "gain_mag_mae_db",
-    "gain_dir_mse_db",
-    "gain_dir_mae_db",
-    "orthogonality",
-    "valid",
-]
-
-
-def grid_rows(imp: ImprovementMap) -> list[list]:
-    rows = []
-    for iy, y in enumerate(imp.by):
-        for ix, x in enumerate(imp.bx):
-            rows.append(
-                [
-                    float(x),
-                    float(y),
-                    imp.gain_mag_mse_db[iy, ix],
-                    imp.gain_mag_mae_db[iy, ix],
-                    imp.gain_dir_mse_db[iy, ix],
-                    imp.gain_dir_mae_db[iy, ix],
-                    imp.orthogonality[iy, ix],
-                    bool(imp.valid[iy, ix]),
-                ]
-            )
-    return rows
-
-
-ORTHO_HEADER = ["bx", "by", "orthogonality"]
-
-
-def ortho_rows(bx: np.ndarray, by: np.ndarray, ortho: np.ndarray) -> list[list]:
-    return [
-        [float(x), float(y), ortho[iy, ix]]
-        for iy, y in enumerate(by)
-        for ix, x in enumerate(bx)
-    ]
-
-
-MARGINAL_HEADER = [
-    "b_applied",
-    "gain_mag_mse_db",
-    "gain_mag_mae_db",
-    "var_nv",
-    "var_combined",
-    "orthogonality",
-]
-
-
-def marginal_rows(prof: MarginalProfile) -> list[list]:
-    return [
-        [
-            float(prof.b_applied[i]),
-            prof.gain_mag_mse_db[i],
-            prof.gain_mag_mae_db[i],
-            prof.var_nv[i],
-            prof.var_combined[i],
-            prof.orthogonality[i],
-        ]
-        for i in range(len(prof.b_applied))
-    ]
-
-
-SPATIAL_HEADER = [
-    "position_mm",
-    "true_mag",
-    "nv_mag",
-    "rb_mag",
-    "combined_mag",
-    "nv_fit",
-    "rb_fit",
-    "combined_fit",
-]
-
-
-def spatial_rows(rep: SpatialScanReport) -> list[list]:
-    return [
-        [
-            float(rep.positions[i]),
-            rep.true_mag[i],
-            rep.nv_mag[i],
-            rep.rb_mag[i],
-            rep.combined_mag[i],
-            rep.nv_fit[i],
-            rep.rb_fit[i],
-            rep.combined_fit[i],
-        ]
-        for i in range(len(rep.positions))
-    ]
-
-
-DEMO_HEADER = [
-    "position_mm",
-    "true_mag",
-    "combined",
-    "naive",
-    "combined_reversed",
-    "naive_reversed",
-]
-
-
-def demo_rows(rep: ScalarDemoReport) -> list[list]:
-    return [
-        [
-            float(rep.positions[i]),
-            rep.true_mag[i],
-            rep.combined[i],
-            rep.naive[i],
-            rep.combined_reversed[i],
-            rep.naive_reversed[i],
-        ]
-        for i in range(len(rep.positions))
-    ]
-
-
-ANGULAR_HEADER = ["bx", "by", "d_theta_rad", "d_phi_rad", "total_db"]
-
-
-def angular_rows(amap: AngularErrorMap) -> list[list]:
-    return [
-        [
-            float(x),
-            float(y),
-            amap.d_theta[iy, ix],
-            amap.d_phi[iy, ix],
-            amap.total_db[iy, ix],
-        ]
-        for iy, y in enumerate(amap.by)
-        for ix, x in enumerate(amap.bx)
-    ]
-
-
-ESTIMATE_HEADER = [
-    "bhat_x",
-    "bhat_y",
-    "bhat_z",
-    "correction_x",
-    "correction_y",
-    "correction_z",
-    "radial",
-    "tangential",
-    "orthogonality",
-]
-
-
-def estimate_row(est: CombinedEstimate) -> list:
-    return [
-        est.b_hat.bx,
-        est.b_hat.by,
-        est.b_hat.bz,
-        est.correction.bx,
-        est.correction.by,
-        est.correction.bz,
-        est.radial,
-        est.tangential,
-        est.orthogonality,
-    ]
-
-
-SPECTRUM_HEADER = ["freq_mhz", "pl", "pl_sigma"]
-
-
-def spectrum_rows(spec: OdmrSpectrum) -> list[list]:
-    return [
-        [float(spec.freqs[i]), float(spec.pl[i]), float(spec.pl_sigma[i])]
-        for i in range(len(spec.freqs))
-    ]
-
-
-LIA_HEADER = ["freq_khz", "x_v", "y_v", "r_v"]
-
-
-def lia_rows(sig: LiaSignal) -> list[list]:
-    return [
-        [float(sig.mod_freqs[i]), float(sig.x[i]), float(sig.y[i]), float(sig.r[i])]
-        for i in range(len(sig.mod_freqs))
-    ]

@@ -48,7 +48,9 @@ class SimConfig:
     sigma_nv: float = 0.026
     sigma_rb: float | None = None
     sigma_ratio: float = 1000.0
-    b_0_true: FieldVector = field(default_factory=lambda: FieldVector(0.0, 0.0, 0.0))
+    b_0_true: FieldVector = field(
+        default_factory=lambda: FieldVector(0.0, 0.0, 0.0), metadata={"ini": "b_0"}
+    )
     b_0_cal_error: float = 0.0
     seed: int = 20240
 

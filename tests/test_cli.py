@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from comag.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
+from comag.config import parse_config
 from comag.geometry import FieldVector
+from comag.simulation import run_grid_simulation
 
 FAST_SIM = "[simulation]\ngrid_points = 7\nn_reps = 10\n"
 FAST_SPATIAL = "[spatial]\nn_positions = 12\nn_reps = 10\n"
@@ -83,6 +85,13 @@ class TestEstimateCommand:
         assert err.count("\n") == 1 and "finite" in err
         assert not (tmp_path / "o").exists()
 
+    def test_overflowing_reading_is_runtime_error(self, tmp_path, capsys):
+        flags = ["--b-nv", "1e200,0,0", "--b-rb", "1e200"]
+        rc = main(["estimate", *flags, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "overflows" in err
+
     def test_values_from_config_section(self, tmp_path):
         cfg = write_cfg(tmp_path, "[estimate]\nb_nv = 1.1,0,0\nb_rb = 1.0\n")
         rc = main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -104,6 +113,33 @@ class TestSimulationCommands:
         )
         assert summary["grid_points"] == "7"
         assert "median_gain_mag_mse_db" in summary
+
+    def test_grid_csv_round_trips_bit_exactly(self, tmp_path):
+        cfg = write_cfg(tmp_path, FAST_SIM + "b_0 = 0.3,-0.2,0.1\nb_0_cal_error = 0.001\n")
+        out = tmp_path / "grid"
+        assert main(["simulate-grid", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        imp = run_grid_simulation(parse_config(cfg).simulation)
+        lines = (out / "grid.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        col = dict(zip(header, table.T))
+        ny, nx = imp.gain_mag_mse_db.shape
+        np.testing.assert_array_equal(col["bx"].reshape(ny, nx), np.tile(imp.bx, (ny, 1)))
+        np.testing.assert_array_equal(col["by"].reshape(ny, nx), np.tile(imp.by[:, None], (1, nx)))
+        for name in ("gain_mag_mse_db", "gain_mag_mae_db", "gain_dir_mse_db", "gain_dir_mae_db",
+                     "orthogonality", "valid"):
+            # assert_array_equal treats NaN as equal to NaN, so NaN cells must stay NaN.
+            np.testing.assert_array_equal(col[name].reshape(ny, nx), getattr(imp, name))
+        assert np.isnan(col["gain_dir_mse_db"]).any()
+
+    def test_no_valid_gain_writes_nan_summary(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[simulation]\ngrid_points = 3\nn_reps = 2\nsigma_nv = 1e-300\n")
+        out = tmp_path / "grid"
+        assert main(["simulate-grid", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        summary = (out / "grid_summary.txt").read_text().splitlines()
+        assert "median_gain_mag_mse_db=nan" in summary
+        assert "max_gain_mag_mse_db=nan" in summary
+        assert capsys.readouterr().err == ""
 
     def test_no_partial_files_left(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SIM)
@@ -246,6 +282,10 @@ BAD_CONFIGS = [
         "angular grid_points must be >= 2", id="angular-points",
     ),
     pytest.param(
+        "angular-map", "[angular]\ngrid_min = 0\ngrid_max = 0\n", EXIT_VALIDATION,
+        "grid_min must be below grid_max", id="angular-range",
+    ),
+    pytest.param(
         "marginal", "[marginal]\naxis = q\n", EXIT_VALIDATION,
         "marginal axis must be one of x, y, z", id="marginal-axis",
     ),
@@ -325,6 +365,23 @@ class TestCalibrateCommand:
         p.write_text("x,y,z,rb\n1,0,0,1\n")
         rc = main(["calibrate", "--pairs", str(p), "--out", str(tmp_path / "o")])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "row, fragment",
+        [
+            ("0.7,0.7,0,nan", "calibration Rb readings must be finite"),
+            ("0.7,0.7,0,inf", "calibration Rb readings must be finite"),
+            ("nan,0.7,0,0.8", "field components must be finite"),
+        ],
+    )
+    def test_non_finite_reading_is_validation_error(self, tmp_path, capsys, row, fragment):
+        p = tmp_path / "pairs.csv"
+        p.write_text(f"bx,by,bz,b_rb\n1,0,0,1.2\n0,1,0,0.4\n0,0,1,1.6\n{row}\n")
+        rc = main(["calibrate", "--pairs", str(p), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and fragment in err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_row(self, tmp_path):
         p = tmp_path / "pairs.csv"

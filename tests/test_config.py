@@ -1,3 +1,7 @@
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from comag.config import (
@@ -7,6 +11,18 @@ from comag.config import (
     parse_config_text,
 )
 from comag.errors import ConfigParseError, ConfigValidationError
+from comag.geometry import default_basis
+
+
+def ini_keys(text):
+    """Section -> key names, in order, of an INI text (comments ignored)."""
+    keys = {}
+    for line in text.splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = keys.setdefault(m.group(1), [])
+        elif m := re.match(r"(\w+) =", line):
+            section.append(m.group(1))
+    return keys
 
 
 class TestDefaults:
@@ -28,6 +44,11 @@ class TestDefaults:
     def test_round_trip(self):
         text = default_config_text()
         assert parse_config_text(text) == RunSettings()
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        assert list(ini_keys(block).items()) == list(ini_keys(default_config_text()).items())
 
     def test_missing_file(self):
         with pytest.raises(ConfigParseError):
@@ -59,6 +80,10 @@ class TestOverrides:
         )
         basis = st.basis()
         assert basis.axes.shape == (4, 3)
+
+    def test_geometry_empty_axes_mean_default(self):
+        st = parse_config_text("[geometry]\naxis_a =\naxis_b =\naxis_c =\naxis_d =\n")
+        np.testing.assert_array_equal(st.basis().axes, default_basis().axes)
 
     def test_geometry_partial_rejected(self):
         with pytest.raises(ConfigValidationError):

@@ -6,15 +6,12 @@ import pytest
 from comag.geometry import FieldVector, default_basis
 from comag.measurement import GAMMA_NV, GAMMA_RB, LiaParams, OdmrParams, synth_lia, synth_odmr
 from comag.measurement import DEFAULT_BIAS
-from comag.reports import (
-    LIA_HEADER,
-    SPECTRUM_HEADER,
-    atomic_write_text,
-    lia_rows,
-    spectrum_rows,
-    write_csv,
-    write_summary,
-)
+from comag.reports import atomic_write_text, write_csv, write_summary
+
+
+def read_csv(path):
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), [[float(v) for v in line.split(",")] for line in lines[1:]]
 
 
 class TestAtomicWrites:
@@ -38,7 +35,7 @@ class TestAtomicWrites:
 class TestCsvAndSummary:
     def test_csv_format(self, tmp_path):
         p = tmp_path / "data.csv"
-        write_csv(str(p), ["a", "b"], [[1.5, True], [float("nan"), False]])
+        write_csv(str(p), {"a": [1.5, float("nan")], "b": [True, False]})
         lines = p.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[1] == "1.5,1"
@@ -51,18 +48,22 @@ class TestCsvAndSummary:
 
 
 class TestTraceSerialization:
-    def test_spectrum_columns(self):
+    def test_spectrum_columns(self, tmp_path):
         spec = synth_odmr(DEFAULT_BIAS, default_basis(), OdmrParams(), GAMMA_NV, 0)
-        rows = spectrum_rows(spec)
-        assert SPECTRUM_HEADER == ["freq_mhz", "pl", "pl_sigma"]
+        p = tmp_path / "spectrum.csv"
+        write_csv(str(p), {"freq_mhz": spec.freqs, "pl": spec.pl, "pl_sigma": spec.pl_sigma})
+        header, rows = read_csv(p)
+        assert header == ["freq_mhz", "pl", "pl_sigma"]
         assert len(rows) == len(spec.freqs)
         assert rows[0][0] == pytest.approx(float(spec.freqs[0]))
         assert rows[0][2] == pytest.approx(OdmrParams().effective_noise())
 
-    def test_lia_columns(self):
+    def test_lia_columns(self, tmp_path):
         sig = synth_lia(1.0, GAMMA_RB, LiaParams(), 0)
-        rows = lia_rows(sig)
-        assert LIA_HEADER == ["freq_khz", "x_v", "y_v", "r_v"]
+        p = tmp_path / "lia.csv"
+        write_csv(str(p), {"freq_khz": sig.mod_freqs, "x_v": sig.x, "y_v": sig.y, "r_v": sig.r})
+        header, rows = read_csv(p)
+        assert header == ["freq_khz", "x_v", "y_v", "r_v"]
         assert len(rows) == len(sig.mod_freqs)
         row = rows[100]
         assert row[3] == pytest.approx(np.hypot(row[1], row[2]), abs=1e-15)
@@ -70,9 +71,19 @@ class TestTraceSerialization:
     def test_round_trip_through_csv(self, tmp_path):
         sig = synth_lia(1.0, GAMMA_RB, LiaParams(), 5)
         p = tmp_path / "lia.csv"
-        write_csv(str(p), LIA_HEADER, lia_rows(sig))
+        write_csv(str(p), {"freq_khz": sig.mod_freqs, "x_v": sig.x, "y_v": sig.y, "r_v": sig.r})
         lines = p.read_text().splitlines()
         assert lines[0] == "freq_khz,x_v,y_v,r_v"
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == pytest.approx(300.0)
         assert first[1] == pytest.approx(float(sig.x[0]))
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "bad.csv"), {"a": [1.0, 2.0], "b": [1.0]})
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_arrays_flatten_in_c_order(self, tmp_path):
+        p = tmp_path / "grid.csv"
+        write_csv(str(p), {"v": np.array([[1.0, 2.0], [3.0, 4.0]]), "k": np.arange(4)})
+        assert p.read_text() == "v,k\n1.0,0\n2.0,1\n3.0,2\n4.0,3\n"
