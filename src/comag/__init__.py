@@ -3,115 +3,75 @@
 Sensor models for the two magnetometers, the closed-form minimal-correction
 fusion estimator, background-field calibration, and the Monte-Carlo
 improvement studies, with a CLI front end (``comag``).
+
+Exports load on first use (PEP 562), so ``import comag.cli`` stays free of
+scipy, which only :mod:`comag.measurement` needs.
 """
 
-from .estimator import (
-    AngularUncertainty,
-    CalibrationSet,
-    CombinedEstimate,
-    angular_uncertainty,
-    batch_combined,
-    calibrate_background,
-    combined_estimate,
-    correction_vector,
-    working_point_estimate,
-)
-from .geometry import (
-    AxisProjection,
-    FieldVector,
-    OrientationBasis,
-    default_basis,
-    project_field,
-    propagate_axis_uncertainty,
-    recover_field,
-    recovery_matrix,
-    select_best_axes,
-)
-from .measurement import (
-    DEFAULT_BIAS,
-    GAMMA_NV,
-    GAMMA_RB,
-    GyromagneticRatio,
-    LiaParams,
-    LiaSignal,
-    OdmrFit,
-    OdmrParams,
-    OdmrSpectrum,
-    fit_lia,
-    fit_odmr,
-    lia_sensitivity,
-    nv_measure,
-    odmr_sensitivity,
-    rb_measure,
-    synth_lia,
-    synth_odmr,
-)
-from .simulation import (
-    ImprovementMap,
-    MarginalProfile,
-    ScalarDemoReport,
-    SimConfig,
-    SpatialScanConfig,
-    SpatialScanReport,
-    angular_error_map,
-    marginal_improvement,
-    orthogonality_map,
-    run_grid_simulation,
-    scalar_vs_vector_demo,
-    spatial_scan_sim,
-    sweep_calibration_error,
-)
+import importlib
+
+_EXPORTS = {
+    "AngularUncertainty": "estimator",
+    "CalibrationSet": "estimator",
+    "CombinedEstimate": "estimator",
+    "angular_uncertainty": "estimator",
+    "batch_combined": "estimator",
+    "calibrate_background": "estimator",
+    "combined_estimate": "estimator",
+    "correction_vector": "estimator",
+    "working_point_estimate": "estimator",
+    "AxisProjection": "geometry",
+    "FieldVector": "geometry",
+    "OrientationBasis": "geometry",
+    "default_basis": "geometry",
+    "project_field": "geometry",
+    "propagate_axis_uncertainty": "geometry",
+    "recover_field": "geometry",
+    "recovery_matrix": "geometry",
+    "select_best_axes": "geometry",
+    "GAMMA_NV": "params",
+    "GAMMA_RB": "params",
+    "GyromagneticRatio": "params",
+    "LiaParams": "params",
+    "OdmrParams": "params",
+    "DEFAULT_BIAS": "measurement",
+    "LiaSignal": "measurement",
+    "OdmrFit": "measurement",
+    "OdmrSpectrum": "measurement",
+    "fit_lia": "measurement",
+    "fit_odmr": "measurement",
+    "lia_sensitivity": "measurement",
+    "nv_measure": "measurement",
+    "odmr_sensitivity": "measurement",
+    "rb_measure": "measurement",
+    "synth_lia": "measurement",
+    "synth_odmr": "measurement",
+    "ImprovementMap": "simulation",
+    "MarginalProfile": "simulation",
+    "ScalarDemoReport": "simulation",
+    "SimConfig": "simulation",
+    "SpatialScanConfig": "simulation",
+    "SpatialScanReport": "simulation",
+    "angular_error_map": "simulation",
+    "marginal_improvement": "simulation",
+    "orthogonality_map": "simulation",
+    "run_grid_simulation": "simulation",
+    "scalar_vs_vector_demo": "simulation",
+    "spatial_scan_sim": "simulation",
+    "sweep_calibration_error": "simulation",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngularUncertainty",
-    "AxisProjection",
-    "CalibrationSet",
-    "CombinedEstimate",
-    "DEFAULT_BIAS",
-    "FieldVector",
-    "GAMMA_NV",
-    "GAMMA_RB",
-    "GyromagneticRatio",
-    "ImprovementMap",
-    "LiaParams",
-    "LiaSignal",
-    "MarginalProfile",
-    "OdmrFit",
-    "OdmrParams",
-    "OdmrSpectrum",
-    "OrientationBasis",
-    "ScalarDemoReport",
-    "SimConfig",
-    "SpatialScanConfig",
-    "SpatialScanReport",
-    "angular_error_map",
-    "angular_uncertainty",
-    "batch_combined",
-    "calibrate_background",
-    "combined_estimate",
-    "correction_vector",
-    "default_basis",
-    "fit_lia",
-    "fit_odmr",
-    "lia_sensitivity",
-    "marginal_improvement",
-    "nv_measure",
-    "odmr_sensitivity",
-    "orthogonality_map",
-    "project_field",
-    "propagate_axis_uncertainty",
-    "rb_measure",
-    "recover_field",
-    "recovery_matrix",
-    "run_grid_simulation",
-    "scalar_vs_vector_demo",
-    "select_best_axes",
-    "spatial_scan_sim",
-    "sweep_calibration_error",
-    "synth_lia",
-    "synth_odmr",
-    "working_point_estimate",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    # AttributeError for other names lets ``from comag import simulation`` import it.
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

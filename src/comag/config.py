@@ -28,13 +28,20 @@ import numpy as np
 
 from .errors import ConfigParseError, ConfigValidationError
 from .geometry import FieldVector, OrientationBasis, default_basis
-from .measurement import (
+from .params import (
     GAMMA_NV_MHZ_PER_G,
     GAMMA_RB_KHZ_PER_G,
     LiaParams,
     OdmrParams,
 )
 from .simulation import SimConfig, SpatialScanConfig
+
+
+def _require_direction(v, name: str) -> None:
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"{name} must be nonzero, with a finite norm")
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,7 @@ class MeasurementSettings:
             raise ValueError("gamma_nv must be positive")
         if self.gamma_rb <= 0:
             raise ValueError("gamma_rb must be positive")
+        _require_direction(self.bias_direction, "bias_direction")
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,9 @@ class GeometrySettings:
         missing = [f.name for f in dataclasses.fields(self) if getattr(self, f.name) is None]
         if 0 < len(missing) < 4:
             raise ValueError(f"[geometry] requires all four axes; missing {missing}")
+        for f in dataclasses.fields(self):
+            if f.name not in missing:
+                _require_direction(getattr(self, f.name), f"[geometry] {f.name}")
 
 
 @dataclass(frozen=True)
@@ -227,13 +238,14 @@ def _build(cls, values: dict):
 
 
 def _suggest(name: str, candidates) -> str:
-    close = difflib.get_close_matches(name, list(candidates), n=1, cutoff=0.5)
+    close = difflib.get_close_matches(name.lower(), list(candidates), n=1, cutoff=0.5)
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
 def parse_config_text(text: str) -> RunSettings:
     """Parse and validate configuration text; empty text gives all defaults."""
-    cp = configparser.ConfigParser(interpolation=None)
+    # No default section: a [DEFAULT] in the file is an unknown section like any other.
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as err:

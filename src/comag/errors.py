@@ -34,7 +34,7 @@ class NonConvergenceError(ComagError):
 
 
 class ZeroFieldError(ComagError):
-    """Angles are undefined for a zero field vector."""
+    """Angles are undefined for a zero field vector, or one too small to resolve."""
 
 
 class ConfigError(ComagError):

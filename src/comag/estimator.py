@@ -326,9 +326,12 @@ def angular_uncertainty(
         rho2 = x * x + y * y
         rho = math.sqrt(rho2)
         if rho > 0.0:
-            d_theta = math.sqrt(
-                (x * z * sig[0]) ** 2 + (y * z * sig[1]) ** 2 + (rho2 * sig[2]) ** 2
-            ) / (rho * r2)
+            try:
+                d_theta = math.sqrt(
+                    (x * z * sig[0]) ** 2 + (y * z * sig[1]) ** 2 + (rho2 * sig[2]) ** 2
+                ) / (rho * r2)
+            except ZeroDivisionError:
+                raise ZeroFieldError("angles undefined at an underflowing field") from None
             d_phi = math.sqrt((y * sig[0]) ** 2 + (x * sig[1]) ** 2) / rho2
         else:
             # On the pole the transverse displacement sets the polar error;

@@ -349,13 +349,20 @@ class SpatialScanConfig:
             raise ValueError("poly_degree must be >= 1")
         if self.stage_range <= 0 or self.standoff <= 0:
             raise ValueError("stage geometry must be positive")
+        # Keep the fit's sum of position**(2 * poly_degree) and the distance**3 finite.
+        half = self.stage_range / 2.0
+        fit_log = math.log(self.n_positions) + 2 * self.poly_degree * math.log(max(half, 1.0))
+        reach_log = 3 * math.log(self.standoff + half + abs(self.perp_offset))
+        if max(fit_log, reach_log) >= math.log(np.finfo(float).max):
+            raise ValueError("stage geometry overflows the dipole field or the scan's fit")
         if self.sigma_nv <= 0 or self.sigma_rb <= 0:
             raise ValueError("sensor noise must be positive")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        self.axis_unit()
+        with np.errstate(over="ignore"):  # axis_unit rejects an overflowing norm
+            self.axis_unit()
 
     def axis_unit(self) -> np.ndarray:
         if self.source_axis is not None:
@@ -363,8 +370,9 @@ class SpatialScanConfig:
         else:
             v = self.b_0.as_array()
         n = np.linalg.norm(v)
-        if n == 0.0:
-            raise ValueError("source_axis, or b_0 when source_axis is unset, must be nonzero")
+        if not 0.0 < n < math.inf:
+            axis = "source_axis, or b_0 when source_axis is unset,"
+            raise ValueError(f"{axis} must be nonzero, with a finite norm")
         return v / n
 
     def positions(self) -> np.ndarray:

@@ -1,9 +1,13 @@
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from comag.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
+import comag
+from comag.cli import COMMANDS, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from comag.config import parse_config
 from comag.geometry import FieldVector
 from comag.simulation import run_grid_simulation
@@ -319,6 +323,47 @@ BAD_CONFIGS = [
         "simulate-grid", "[simulation]\nseed = -1\n", EXIT_VALIDATION,
         "seed must be >= 0", id="negative-seed",
     ),
+    pytest.param(
+        "simulate-grid", "[DEFAULT]\nseed = 3\n[simulation]\n", EXIT_PARSE,
+        "unknown section [DEFAULT]", id="default-section",
+    ),
+    pytest.param(
+        "angular-map", "[DEFAULT]\nseed = 3\n[angular]\n", EXIT_PARSE,
+        "unknown section [DEFAULT]", id="default-section-beside-angular",
+    ),
+    pytest.param(
+        "simulate-grid", "[SIMULATION]\n", EXIT_PARSE,
+        "unknown section [SIMULATION]; did you mean 'simulation'?", id="upper-case-section",
+    ),
+    pytest.param(
+        "simulate-grid",
+        "[geometry]\naxis_a = 0,0,0\naxis_b = 1,-1,-1\naxis_c = -1,1,-1\naxis_d = -1,-1,1\n",
+        EXIT_VALIDATION, "[geometry] axis_a must be nonzero, with a finite norm",
+        id="zero-geometry-axis",
+    ),
+    pytest.param(
+        "simulate-grid", "[measurement]\nbias_direction = 0,0,0\n", EXIT_VALIDATION,
+        "bias_direction must be nonzero, with a finite norm", id="zero-bias-direction",
+    ),
+    pytest.param(
+        "scalar-demo", "[spatial]\nsource_axis = -1e200,1e200,0\n", EXIT_VALIDATION,
+        "source_axis, or b_0 when source_axis is unset, must be nonzero, with a finite norm",
+        id="overflowing-source-axis",
+    ),
+    pytest.param(
+        "spatial-scan", "[spatial]\nb_0 = 1e308,0,0\n", EXIT_VALIDATION,
+        "source_axis, or b_0 when source_axis is unset, must be nonzero, with a finite norm",
+        id="overflowing-b0",
+    ),
+    pytest.param(
+        "angular-map", FAST_ANGULAR + "grid_min = 1e-160\n", EXIT_RUNTIME,
+        "angles undefined at an underflowing field", id="underflowing-angular-field",
+    ),
+    pytest.param(
+        "spatial-scan", "[spatial]\nstage_range = 1e308\n", EXIT_VALIDATION,
+        "stage geometry overflows the dipole field or the scan's fit",
+        id="overflowing-stage-range",
+    ),
 ]
 
 
@@ -415,3 +460,56 @@ class TestPlotScripts:
         out = str(tmp_path / "grid")
         main(["simulate-grid", "--config", cfg, "--out", out])
         py_compile.compile(os.path.join(out, "plot_grid.py"), doraise=True)
+
+
+class TestImportPath:
+    def test_commands_never_import_scipy(self, tmp_path):
+        # A fresh process: this one has scipy loaded by the other tests.
+        cfg = write_cfg(tmp_path, FAST_SIM + FAST_SPATIAL + FAST_ANGULAR + FAST_MARGINAL)
+        b_0 = FieldVector(0.004, -0.7454, 0.6451)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("bx,by,bz,b_rb\n" + "".join(
+            f"{c.bx},{c.by},{c.bz},{(b_0 + c).magnitude()!r}\n"
+            for c in (FieldVector(1, 0, 0), FieldVector(0, 1, 0), FieldVector(0, 0, 1))
+        ))
+        extra = {
+            "calibrate": ["--pairs", str(pairs)],
+            "estimate": ["--b-nv=0.1,0.2,0.3", "--b-0=0.004,-0.7454,0.6451", "--b-rb=1.0"],
+        }
+        runs = [
+            [c, "--config", cfg, "--out", str(tmp_path / c), *extra.get(c, [])]
+            for c in COMMANDS
+        ]
+        script = (
+            "import json, sys\n"
+            "from comag.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([codes, scipy]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(comag.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [EXIT_OK] * len(COMMANDS)
+        assert scipy_modules == []
+
+    def test_package_exports_resolve_on_first_use(self):
+        assert set(comag.__all__) <= set(dir(comag))
+        for name in comag.__all__:
+            getattr(comag, name)
+        with pytest.raises(AttributeError):
+            getattr(comag, "nope")
+
+    def test_measurement_keeps_its_solver_attributes(self):
+        # The benchmark's tracer wraps these two as attributes of the module.
+        from comag import measurement
+
+        assert callable(measurement.least_squares)
+        assert callable(measurement.brentq)

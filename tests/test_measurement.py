@@ -9,6 +9,7 @@ from comag.errors import (
     UnresolvedPeaksError,
 )
 from comag.geometry import FieldVector, default_basis, project_field
+from comag.params import GAMMA_RB_IMPLIED_KHZ_PER_G
 from comag.measurement import (
     _dispersive,
     _dispersive_jac,
@@ -17,7 +18,6 @@ from comag.measurement import (
     DEFAULT_BIAS,
     GAMMA_NV,
     GAMMA_RB,
-    GAMMA_RB_IMPLIED_KHZ_PER_G,
     GyromagneticRatio,
     LiaParams,
     OdmrParams,
