@@ -19,7 +19,6 @@ _EXPORTS = {
     "calibrate_background": "estimator",
     "combined_estimate": "estimator",
     "correction_vector": "estimator",
-    "working_point_estimate": "estimator",
     "AxisProjection": "geometry",
     "FieldVector": "geometry",
     "OrientationBasis": "geometry",

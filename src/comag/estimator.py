@@ -155,22 +155,6 @@ def combined_estimate(
     )
 
 
-def working_point_estimate(
-    b_nv: FieldVector,
-    b_0_hat: FieldVector,
-    b_rb_with_wp: float,
-    b_wp: FieldVector,
-    reference: FieldVector | None = None,
-) -> CombinedEstimate:
-    """Combined estimate with a known working-point field applied.
-
-    The controlled field ``b_wp`` is on during the Rb measurement only, so
-    the constraint sphere is centered at b_nv + b_0_hat + b_wp while the
-    reported estimate remains b_hat = b_nv - c.
-    """
-    return combined_estimate(b_nv, b_0_hat + b_wp, b_rb_with_wp, reference)
-
-
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis of a (..., 3) array.
 

@@ -3,13 +3,18 @@
 Grid simulations perturb the vector (NV) and scalar (Rb) readings directly
 with Gaussian noise at the configured sensor uncertainties; spectral-level
 simulation through the full synthetic scans is available separately in
-:mod:`comag.measurement`.  Every harness derives one RNG stream per grid
-cell (or scan position) from (seed, cell index), so results are
-deterministic and independent of evaluation order.
+:mod:`comag.measurement`.  Determinism contract: each grid cell (or scan
+position) draws from its own stream ``np.random.default_rng([seed, tag,
+*key])`` (tag per harness, key the cell's indices), so for a given version
+and seed results are bit-identical in any evaluation order.  A grid or
+marginal cell draws one standard-normal block: NV (n_reps, 3), Rb
+(n_reps,), then calibration error (n_reps, 3) if b_0_cal_error > 0, each
+scaled as ``Generator.normal(0.0, sigma)`` scales it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -105,8 +110,59 @@ class ImprovementMap:
     config: SimConfig
 
 
-def _cell_rng(seed: int, tag: int, i: int, j: int = 0) -> np.random.Generator:
-    return np.random.default_rng([seed, tag, i, j])
+# numpy.random.SeedSequence's hash constants (its entropy pool is 4 words).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays; its multiplier advances per call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _cell_rngs(seed: int, tag: int, keys):
+    """Lazily built generators equal to ``np.random.default_rng([seed, tag, *key])``.
+
+    SeedSequence's pool mixing and ``generate_state(4, np.uint64)`` run once
+    on uint32 arrays over all keys (parts below 2**32; the seed enters as its
+    little-endian 32-bit words); each PCG64 is built when its rng is taken.
+    """
+    from numpy.random.bit_generator import ISeedSequence  # off the CLI's import path
+
+    class PresetState(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    keys = np.asarray(keys, dtype=np.uint32)
+    seed_words = [seed >> s & _MASK32 for s in range(0, max(int(seed).bit_length(), 1), 32)]
+    entropy = [np.full(len(keys), w, np.uint32) for w in (*seed_words, tag)] + list(keys.T)
+    entropy += [np.zeros(len(keys), np.uint32)] * (4 - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word, dst in itertools.product(entropy[4:], range(4)):
+        pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = np.stack([hashmix(pool[k % 4]) for k in range(8)], axis=1)
+    states = words.astype("<u4").view("<u8").astype(np.uint64)
+    return (np.random.Generator(np.random.PCG64(PresetState(row))) for row in states)
 
 
 def _db(ratio: float) -> float:
@@ -163,38 +219,38 @@ def _masked_mean(x: np.ndarray, ok: np.ndarray) -> np.ndarray:
 def _simulate_cells(deltas, cfg: SimConfig, tag: int, keys) -> dict[str, np.ndarray]:
     """Error statistics of both estimators for many cells, fused in batches.
 
-    Cell k (true small field deltas[k]) draws from its own stream
-    ``_cell_rng(cfg.seed, tag, *keys[k])``, in the order NV (n_reps, 3),
-    Rb (n_reps,), calibration error (n_reps, 3) if b_0_cal_error > 0, so
-    its numbers do not depend on the cells batched with it.  Returns
-    per-cell ``valid``, ``dir_valid`` and the NV/combined mean squared and
-    absolute errors ``{mse,mae}_{mag,dir}_{nv,comb}``; combined errors
-    average the fused repetitions only, NaN if there are none.
+    Cell k (true small field deltas[k]) draws one standard-normal block from
+    ``np.random.default_rng([cfg.seed, tag, *keys[k]])``: NV, Rb, then
+    calibration error, as the module docstring says, so its numbers do not
+    depend on the cells batched with it.  Returns per-cell ``valid``,
+    ``dir_valid`` and the NV/combined mean squared and absolute errors
+    ``{mse,mae}_{mag,dir}_{nv,comb}``; combined errors average the fused
+    repetitions only, NaN if there are none.
     """
+    rngs = _cell_rngs(cfg.seed, tag, keys)
     per_chunk = max(1, _CHUNK_ROWS // cfg.n_reps)
     chunks = [
-        _simulate_chunk(deltas[k : k + per_chunk], cfg, tag, keys[k : k + per_chunk])
+        _simulate_chunk(deltas[k : k + per_chunk], cfg, rngs)
         for k in range(0, len(deltas), per_chunk)
     ]
     return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
 
 
-def _simulate_chunk(deltas, cfg, tag, keys) -> dict[str, np.ndarray]:
+def _simulate_chunk(deltas, cfg, rngs) -> dict[str, np.ndarray]:
     m, n = len(deltas), cfg.n_reps
     b_0 = cfg.b_0_true.as_array()
     cal = cfg.b_0_cal_error > 0
-    nv, rb = np.empty((m, n, 3)), np.empty((m, n))
-    b_0_hat = np.empty((m, n, 3)) if cal else b_0
-    for c, key in enumerate(keys):
-        rng = _cell_rng(cfg.seed, tag, *key)
-        nv[c] = rng.normal(0.0, cfg.sigma_nv, size=(n, 3))
-        rb[c] = rng.normal(0.0, cfg.resolved_sigma_rb(), size=n)
-        if cal:
-            b_0_hat[c] = rng.normal(0.0, cfg.b_0_cal_error, size=(n, 3))
-    nv += deltas[:, None, :]
-    rb = np.clip(rb + _norms(deltas + b_0)[:, None], 0.0, None)
-    if cal:
-        b_0_hat = (b_0_hat + b_0).reshape(-1, 3)
+    z = np.empty((m, (7 if cal else 4) * n))
+    for c, rng in zip(range(m), rngs):  # range first: the next chunk's rng stays untaken
+        rng.standard_normal(out=z[c])
+    z[:, : 3 * n] *= cfg.sigma_nv
+    z[:, 3 * n : 4 * n] *= cfg.resolved_sigma_rb()
+    z[:, 4 * n :] *= cfg.b_0_cal_error  # empty without calibration error
+    z += 0.0  # normal(0.0, s) is 0.0 + s * z: a -0.0 draw becomes +0.0
+    nv = z[:, : 3 * n].reshape(m, n, 3) + deltas[:, None, :]
+    rb = np.clip(z[:, 3 * n : 4 * n] + _norms(deltas + b_0)[:, None], 0.0, None)
+    b_0_hat = (z[:, 4 * n :].reshape(m, n, 3) + b_0).reshape(-1, 3) if cal else b_0
+    del z  # the draws now live in nv, rb and b_0_hat
     b_hat, ok = batch_combined(nv.reshape(-1, 3), b_0_hat, rb.reshape(-1))
     b_hat, ok = b_hat.reshape(m, n, 3), ok.reshape(m, n)
 
@@ -345,8 +401,8 @@ class SpatialScanConfig:
     def __post_init__(self):
         if self.n_positions < 3:
             raise ValueError("n_positions must be >= 3")
-        if self.poly_degree < 1:
-            raise ValueError("poly_degree must be >= 1")
+        if not 1 <= self.poly_degree < self.n_positions:
+            raise ValueError("poly_degree must be >= 1 and below n_positions")
         if self.stage_range <= 0 or self.standoff <= 0:
             raise ValueError("stage geometry must be positive")
         # Keep the fit's sum of position**(2 * poly_degree) and the distance**3 finite.
@@ -443,14 +499,11 @@ def spatial_scan_sim(cfg: SpatialScanConfig) -> SpatialScanReport:
     b_0 = cfg.b_0.as_array()
     n = cfg.n_reps
 
-    true_mag = np.zeros(cfg.n_positions)
-    nv_mag = np.zeros(cfg.n_positions)
-    rb_mag = np.zeros(cfg.n_positions)
-    comb_mag = np.zeros(cfg.n_positions)
-    for i, pos in enumerate(positions):
+    true_mag, nv_mag, rb_mag, comb_mag = np.zeros((4, cfg.n_positions))
+    rngs = _cell_rngs(cfg.seed, _TAG_SPATIAL, [(i, 0) for i in range(cfg.n_positions)])
+    for i, (pos, rng) in enumerate(zip(positions, rngs)):
         src = source_field_at_sensor(cfg, float(pos))
         true_mag[i] = np.linalg.norm(src)
-        rng = _cell_rng(cfg.seed, _TAG_SPATIAL, i)
         nv_mean = src + rng.normal(0.0, cfg.sigma_nv / math.sqrt(n), size=3)
         rb_mean = float(
             np.linalg.norm(src + b_0) + rng.normal(0.0, cfg.sigma_rb / math.sqrt(n))
@@ -515,15 +568,11 @@ def scalar_vs_vector_demo(cfg: SpatialScanConfig) -> ScalarDemoReport:
     b_0_mag = float(np.linalg.norm(b_0))
     n = cfg.n_reps
 
-    true_mag = np.zeros(cfg.n_positions)
-    combined = np.zeros(cfg.n_positions)
-    naive = np.zeros(cfg.n_positions)
-    combined_rev = np.zeros(cfg.n_positions)
-    naive_rev = np.zeros(cfg.n_positions)
-    for i, pos in enumerate(positions):
+    true_mag, combined, naive, combined_rev, naive_rev = np.zeros((5, cfg.n_positions))
+    rngs = _cell_rngs(cfg.seed, _TAG_DEMO, [(i, 0) for i in range(cfg.n_positions)])
+    for i, (pos, rng) in enumerate(zip(positions, rngs)):
         src = source_field_at_sensor(cfg, float(pos))
         true_mag[i] = np.linalg.norm(src)
-        rng = _cell_rng(cfg.seed, _TAG_DEMO, i)
         nv_mean = src + rng.normal(0.0, cfg.sigma_nv / math.sqrt(n), size=3)
         noise_rb = float(rng.normal(0.0, cfg.sigma_rb / math.sqrt(n)))
 

@@ -364,6 +364,10 @@ BAD_CONFIGS = [
         "stage geometry overflows the dipole field or the scan's fit",
         id="overflowing-stage-range",
     ),
+    pytest.param(
+        "spatial-scan", "[spatial]\nn_positions = 5\npoly_degree = 10\n", EXIT_VALIDATION,
+        "poly_degree must be >= 1 and below n_positions", id="poly-degree-above-positions",
+    ),
 ]
 
 

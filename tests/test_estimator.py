@@ -11,7 +11,6 @@ from comag.estimator import (
     batch_combined,
     combined_estimate,
     correction_vector,
-    working_point_estimate,
 )
 from comag.geometry import FieldVector
 
@@ -187,11 +186,15 @@ class TestCombinedEstimate:
 
 
 class TestWorkingPoint:
+    # A working-point field b_wp, on during the Rb reading only, centers the
+    # constraint sphere at b_nv + b_0_hat + b_wp, so the estimate is
+    # combined_estimate(b_nv, b_0_hat + b_wp, rb).
+
     def test_zero_wp_reduces_to_combined(self):
         b_nv = FieldVector(0.4, 0.1, -0.2)
         b_0 = FieldVector(0.0, 0.7, 0.1)
         rb = 0.9
-        wp = working_point_estimate(b_nv, b_0, rb, FieldVector(0, 0, 0))
+        wp = combined_estimate(b_nv, b_0 + FieldVector(0, 0, 0), rb)
         plain = combined_estimate(b_nv, b_0, rb)
         assert wp.b_hat.as_array() == pytest.approx(plain.b_hat.as_array(), abs=1e-14)
         assert wp.correction.as_array() == pytest.approx(
@@ -203,7 +206,7 @@ class TestWorkingPoint:
         b_0 = FieldVector(0.0, 0.4, 0.0)
         b_wp = FieldVector(0.0, 2.0, 0.0)
         rb_w = (b_nv + b_0 + b_wp).magnitude() - 0.1
-        est = working_point_estimate(b_nv, b_0, rb_w, b_wp)
+        est = combined_estimate(b_nv, b_0 + b_wp, rb_w)
         center = b_nv.as_array() + b_0.as_array() + b_wp.as_array()
         assert np.linalg.norm(center - est.correction.as_array()) == pytest.approx(
             rb_w, abs=1e-10
@@ -216,7 +219,7 @@ class TestWorkingPoint:
         b_0 = FieldVector(0.0, 0.3, 0.0)
         b_wp = FieldVector(2.0, -0.3, 0.0)  # center becomes (2.5, 0, 0)
         rb_w = 2.2
-        est = working_point_estimate(b_nv, b_0, rb_w, b_wp)
+        est = combined_estimate(b_nv, b_0 + b_wp, rb_w)
         assert est.tangential == pytest.approx(0.0, abs=1e-12)
         assert abs(est.radial) == pytest.approx(est.correction.magnitude(), abs=1e-12)
         assert est.orthogonality == pytest.approx(1.0, abs=1e-12)

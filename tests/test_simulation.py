@@ -322,7 +322,7 @@ def _oracle_grid(cfg):
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
             delta = np.array([x, y, 0.0])
-            cell = _oracle_cell(delta, cfg, simulation._cell_rng(cfg.seed, 1, ix, iy))
+            cell = _oracle_cell(delta, cfg, np.random.default_rng([cfg.seed, 1, ix, iy]))
             out["orthogonality"][iy, ix] = _oracle_orthogonality(delta, cfg.b_0_true.as_array())
             if not cell["valid"]:
                 continue
@@ -345,7 +345,7 @@ def _oracle_marginal(cfg, axis_i, values):
     for i, v in enumerate(values):
         delta = np.zeros(3)
         delta[axis_i] = v
-        cell = _oracle_cell(delta, cfg, simulation._cell_rng(cfg.seed, 2, i, axis_i))
+        cell = _oracle_cell(delta, cfg, np.random.default_rng([cfg.seed, 2, i, axis_i]))
         out["orthogonality"][i] = _oracle_orthogonality(delta, cfg.b_0_true.as_array())
         if not cell["valid"]:
             continue
@@ -425,3 +425,20 @@ class TestCellBatchKernel:
             monkeypatch.setattr(simulation, "_CHUNK_ROWS", rows)
             _assert_same(run_grid_simulation(cfg), reference_map, MAP_ARRAYS)
             _assert_same(marginal_improvement(cfg, n_points=13), reference_profile, PROFILE_ARRAYS)
+
+
+STREAM_SEEDS = (
+    0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**100 + 12345, np.int64(2**40 + 7)
+)
+STREAM_KEYS = [(0, 0), (1, 0), (7, 3), (40, 40), (2**32 - 1, 0), (0, 2**32 - 1), (2**32 - 1,) * 2]
+
+
+class TestCellStreams:
+    @pytest.mark.parametrize("tag", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_matches_default_rng(self, seed, tag):
+        rngs = simulation._cell_rngs(seed, tag, STREAM_KEYS)
+        for key, rng in zip(STREAM_KEYS, rngs, strict=True):
+            expected = np.random.default_rng([seed, tag, *key])
+            assert rng.bit_generator.state == expected.bit_generator.state, key
+            assert np.array_equal(rng.standard_normal(9), expected.standard_normal(9)), key
