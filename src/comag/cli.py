@@ -1,10 +1,9 @@
 """Command-line front end: ``comag <command> --config <path> [--out DIR] [--seed N]``.
 
-Commands cover the simulation harnesses (simulate-grid, orthogonality,
-marginal, spatial-scan, scalar-demo, angular-map), background calibration
-from a CSV of paired readings, and a one-shot combined estimate.  Each
-command writes CSV data, a key-value summary, and a plot script into the
-output directory.
+Commands, declared once in ``_COMMANDS``, cover the simulation reports
+(each writes ``<stem>.csv``, a key-value ``<stem>_summary.txt`` and a
+``plot_<stem>.py`` script), background calibration from a CSV of paired
+readings, and a one-shot combined estimate.
 
 Exit codes: 0 success, 2 config/usage parse error, 3 validation error,
 4 runtime failure.
@@ -15,18 +14,15 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .config import RunSettings, parse_config
-from .errors import (
-    ComagError,
-    ConfigParseError,
-    ConfigValidationError,
-)
+from .config import RunSettings, parse_config, parse_vector
+from .errors import ComagError, ConfigParseError, ConfigValidationError
 from .estimator import CalibrationSet, calibrate_background, combined_estimate
 from .geometry import FieldVector
 from .plots import emit_plot_script
@@ -46,17 +42,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 
-COMMANDS = (
-    "simulate-grid",
-    "orthogonality",
-    "marginal",
-    "spatial-scan",
-    "scalar-demo",
-    "angular-map",
-    "calibrate",
-    "estimate",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -65,46 +50,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"comag {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, _, *flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="INI config file (defaults apply if omitted)")
         p.add_argument("--out", default="comag-results", help="output directory")
         p.add_argument("--seed", type=int, help="override the configured RNG seed")
         p.add_argument("-v", "--verbose", action="store_true")
-
-    for name, desc in (
-        ("simulate-grid", "Monte-Carlo improvement map over a field grid"),
-        ("orthogonality", "noiseless correction-orthogonality map"),
-        ("marginal", "single-axis improvement profile"),
-        ("spatial-scan", "dipole scan measured by Rb, NV, and combined"),
-        ("scalar-demo", "vector vs naive scalar background subtraction"),
-        ("angular-map", "angular uncertainty of a vector reading"),
-    ):
-        common(sub.add_parser(name, help=desc))
-
-    cal = sub.add_parser("calibrate", help="solve the background field from paired readings")
-    common(cal)
-    cal.add_argument("--pairs", help="CSV of calibration pairs (bx,by,bz,b_rb)")
-
-    est = sub.add_parser("estimate", help="one combined estimate from a reading pair")
-    common(est)
-    est.add_argument("--b-nv", help="NV vector reading, comma separated (G)")
-    est.add_argument("--b-0", help="background field vector, comma separated (G)")
-    est.add_argument("--b-rb", type=float, help="Rb scalar reading (G)")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return parser
-
-
-def _parse_vector_flag(text: str, name: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigParseError(f"flag {name}: expected three comma-separated numbers")
-    try:
-        values = tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigParseError(f"flag {name}: expected numbers, got {text!r}")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigValidationError(f"flag {name}: values must be finite, got {text!r}")
-    return values  # type: ignore[return-value]
 
 
 def _load_settings(args) -> RunSettings:
@@ -118,8 +72,6 @@ def _load_settings(args) -> RunSettings:
 
 
 def _out(args, name: str) -> str:
-    import os
-
     return os.path.join(args.out, name)
 
 
@@ -144,52 +96,69 @@ def _grid_xy(bx: np.ndarray, by: np.ndarray) -> dict[str, np.ndarray]:
     return {"bx": np.tile(bx, len(by)), "by": np.repeat(by, len(bx))}
 
 
-def _cmd_simulate_grid(args, settings: RunSettings) -> int:
+def _or_nan(reduce, values: np.ndarray) -> float:
+    """reduce(values), or nan when there are none (numpy warns on an empty reduction)."""
+    return float(reduce(values)) if values.size else math.nan
+
+
+Report = tuple[dict, dict, "str | None"]  # CSV columns, summary, the line -v prints
+
+
+def _report(stem: str):
+    """Decorate a compute function, settings -> Report, into the handler that
+    writes <stem>.csv, <stem>_summary.txt and plot_<stem>.py.  The writers and
+    harnesses are looked up here when called, so a tracer can wrap them."""
+
+    def decorate(compute):
+        def handler(args, settings: RunSettings) -> int:
+            columns, summary, line = compute(settings)
+            write_csv(_out(args, f"{stem}.csv"), columns)
+            write_summary(_out(args, f"{stem}_summary.txt"), summary)
+            emit_plot_script(stem, _out(args, f"plot_{stem}.py"))
+            if args.verbose and line:
+                print(line)
+            return EXIT_OK
+
+        return handler
+
+    return decorate
+
+
+@_report("grid")
+def _grid(settings: RunSettings) -> Report:
     imp = run_grid_simulation(settings.simulation)
-    write_csv(
-        _out(args, "grid.csv"),
-        {
-            **_grid_xy(imp.bx, imp.by),
-            "gain_mag_mse_db": imp.gain_mag_mse_db,
-            "gain_mag_mae_db": imp.gain_mag_mae_db,
-            "gain_dir_mse_db": imp.gain_dir_mse_db,
-            "gain_dir_mae_db": imp.gain_dir_mae_db,
-            "orthogonality": imp.orthogonality,
-            "valid": imp.valid,
-        },
-    )
     gains = imp.gain_mag_mse_db[imp.valid & np.isfinite(imp.gain_mag_mse_db)]
-    summary = _config_echo(settings)
-    summary.update(
-        {
-            "cells": int(imp.valid.size),
-            "valid_cells": int(np.count_nonzero(imp.valid)),
-            "median_gain_mag_mse_db": float(np.median(gains)) if gains.size else math.nan,
-            "max_gain_mag_mse_db": float(np.max(gains)) if gains.size else math.nan,
-        }
-    )
-    write_summary(_out(args, "grid_summary.txt"), summary)
-    emit_plot_script("grid", "grid.csv", _out(args, "plot_grid.py"))
-    if args.verbose:
-        print(f"median magnitude gain {summary['median_gain_mag_mse_db']:.2f} dB")
-    return EXIT_OK
+    median = _or_nan(np.median, gains)
+    columns = {
+        **_grid_xy(imp.bx, imp.by),
+        "gain_mag_mse_db": imp.gain_mag_mse_db,
+        "gain_mag_mae_db": imp.gain_mag_mae_db,
+        "gain_dir_mse_db": imp.gain_dir_mse_db,
+        "gain_dir_mae_db": imp.gain_dir_mae_db,
+        "orthogonality": imp.orthogonality,
+        "valid": imp.valid,
+    }
+    summary = {
+        **_config_echo(settings),
+        "cells": int(imp.valid.size),
+        "valid_cells": int(np.count_nonzero(imp.valid)),
+        "median_gain_mag_mse_db": median,
+        "max_gain_mag_mse_db": _or_nan(np.max, gains),
+    }
+    return columns, summary, f"median magnitude gain {median:.2f} dB"
 
 
-def _cmd_orthogonality(args, settings: RunSettings) -> int:
+@_report("orthogonality")
+def _orthogonality(settings: RunSettings) -> Report:
     cfg = settings.simulation
     ortho = orthogonality_map(cfg)
-    write_csv(
-        _out(args, "orthogonality.csv"),
-        {**_grid_xy(cfg.axis_values(), cfg.axis_values()), "orthogonality": ortho},
-    )
-    summary = _config_echo(settings)
-    summary["median_orthogonality"] = float(np.nanmedian(ortho))
-    write_summary(_out(args, "orthogonality_summary.txt"), summary)
-    emit_plot_script("orthogonality", "orthogonality.csv", _out(args, "plot_orthogonality.py"))
-    return EXIT_OK
+    columns = {**_grid_xy(cfg.axis_values(), cfg.axis_values()), "orthogonality": ortho}
+    summary = {**_config_echo(settings), "median_orthogonality": float(np.nanmedian(ortho))}
+    return columns, summary, None
 
 
-def _cmd_marginal(args, settings: RunSettings) -> int:
+@_report("marginal")
+def _marginal(settings: RunSettings) -> Report:
     mg = settings.marginal
     prof = marginal_improvement(
         settings.simulation,
@@ -198,125 +167,96 @@ def _cmd_marginal(args, settings: RunSettings) -> int:
         field_max=mg.field_max,
         n_points=mg.n_points,
     )
-    write_csv(
-        _out(args, "marginal.csv"),
-        {
-            "b_applied": prof.b_applied,
-            "gain_mag_mse_db": prof.gain_mag_mse_db,
-            "gain_mag_mae_db": prof.gain_mag_mae_db,
-            "var_nv": prof.var_nv,
-            "var_combined": prof.var_combined,
-            "orthogonality": prof.orthogonality,
-        },
-    )
-    summary = _config_echo(settings)
-    ok = np.isfinite(prof.gain_mag_mse_db)
-    summary.update(
-        {
-            "axis": mg.axis,
-            "points": mg.n_points,
-            "median_gain_mag_mse_db": float(np.median(prof.gain_mag_mse_db[ok])),
-            "frac_points_above_0db": float(np.mean(prof.gain_mag_mse_db[ok] > 0.0)),
-        }
-    )
-    write_summary(_out(args, "marginal_summary.txt"), summary)
-    emit_plot_script("marginal", "marginal.csv", _out(args, "plot_marginal.py"))
-    return EXIT_OK
+    columns = {
+        "b_applied": prof.b_applied,
+        "gain_mag_mse_db": prof.gain_mag_mse_db,
+        "gain_mag_mae_db": prof.gain_mag_mae_db,
+        "var_nv": prof.var_nv,
+        "var_combined": prof.var_combined,
+        "orthogonality": prof.orthogonality,
+    }
+    gains = prof.gain_mag_mse_db[np.isfinite(prof.gain_mag_mse_db)]
+    summary = {
+        **_config_echo(settings),
+        "axis": mg.axis,
+        "points": mg.n_points,
+        "median_gain_mag_mse_db": _or_nan(np.median, gains),
+        "frac_points_above_0db": _or_nan(np.mean, gains > 0.0),
+    }
+    return columns, summary, None
 
 
-def _cmd_spatial(args, settings: RunSettings) -> int:
+@_report("spatial_scan")
+def _spatial_scan(settings: RunSettings) -> Report:
     rep = spatial_scan_sim(settings.spatial)
-    write_csv(
-        _out(args, "spatial_scan.csv"),
-        {
-            "position_mm": rep.positions,
-            "true_mag": rep.true_mag,
-            "nv_mag": rep.nv_mag,
-            "rb_mag": rep.rb_mag,
-            "combined_mag": rep.combined_mag,
-            "nv_fit": rep.nv_fit,
-            "rb_fit": rep.rb_fit,
-            "combined_fit": rep.combined_fit,
-        },
-    )
-    write_summary(
-        _out(args, "spatial_scan_summary.txt"),
-        {
-            "n_positions": rep.config.n_positions,
-            "stage_range_mm": rep.config.stage_range,
-            "sigma_nv": rep.config.sigma_nv,
-            "sigma_rb": rep.config.sigma_rb,
-            "seed": rep.config.seed,
-            "rmse_nv": rep.rmse_nv,
-            "rmse_rb": rep.rmse_rb,
-            "rmse_combined": rep.rmse_combined,
-            "gain_db": rep.gain_db,
-        },
-    )
-    emit_plot_script("spatial", "spatial_scan.csv", _out(args, "plot_spatial_scan.py"))
-    if args.verbose:
-        print(f"NV RMSE {rep.rmse_nv:.4f} G, combined RMSE {rep.rmse_combined:.4f} G")
-    return EXIT_OK
+    columns = {
+        "position_mm": rep.positions,
+        "true_mag": rep.true_mag,
+        "nv_mag": rep.nv_mag,
+        "rb_mag": rep.rb_mag,
+        "combined_mag": rep.combined_mag,
+        "nv_fit": rep.nv_fit,
+        "rb_fit": rep.rb_fit,
+        "combined_fit": rep.combined_fit,
+    }
+    summary = {
+        "n_positions": rep.config.n_positions,
+        "stage_range_mm": rep.config.stage_range,
+        "sigma_nv": rep.config.sigma_nv,
+        "sigma_rb": rep.config.sigma_rb,
+        "seed": rep.config.seed,
+        "rmse_nv": rep.rmse_nv,
+        "rmse_rb": rep.rmse_rb,
+        "rmse_combined": rep.rmse_combined,
+        "gain_db": rep.gain_db,
+    }
+    line = f"NV RMSE {rep.rmse_nv:.4f} G, combined RMSE {rep.rmse_combined:.4f} G"
+    return columns, summary, line
 
 
-def _cmd_demo(args, settings: RunSettings) -> int:
+@_report("scalar_demo")
+def _scalar_demo(settings: RunSettings) -> Report:
     cfg = settings.spatial
     if cfg.source_axis is None:
         # A source collinear with the background hides the distortion the
         # demo exists to show; default to a clearly non-collinear axis.
         cfg = replace(cfg, source_axis=(0.0, 0.0, 1.0))
     rep = scalar_vs_vector_demo(cfg)
-    write_csv(
-        _out(args, "scalar_demo.csv"),
-        {
-            "position_mm": rep.positions,
-            "true_mag": rep.true_mag,
-            "combined": rep.combined,
-            "naive": rep.naive,
-            "combined_reversed": rep.combined_reversed,
-            "naive_reversed": rep.naive_reversed,
-        },
-    )
-    write_summary(
-        _out(args, "scalar_demo_summary.txt"),
-        {
-            "n_positions": cfg.n_positions,
-            "seed": cfg.seed,
-            "rms_combined_error": float(
-                np.sqrt(np.nanmean((rep.combined - rep.true_mag) ** 2))
-            ),
-            "rms_naive_error": float(
-                np.sqrt(np.nanmean((rep.naive - rep.true_mag) ** 2))
-            ),
-        },
-    )
-    emit_plot_script("demo", "scalar_demo.csv", _out(args, "plot_scalar_demo.py"))
-    return EXIT_OK
+    columns = {
+        "position_mm": rep.positions,
+        "true_mag": rep.true_mag,
+        "combined": rep.combined,
+        "naive": rep.naive,
+        "combined_reversed": rep.combined_reversed,
+        "naive_reversed": rep.naive_reversed,
+    }
+    summary = {
+        "n_positions": cfg.n_positions,
+        "seed": cfg.seed,
+        "rms_combined_error": float(np.sqrt(np.nanmean((rep.combined - rep.true_mag) ** 2))),
+        "rms_naive_error": float(np.sqrt(np.nanmean((rep.naive - rep.true_mag) ** 2))),
+    }
+    return columns, summary, None
 
 
-def _cmd_angular(args, settings: RunSettings) -> int:
+@_report("angular_map")
+def _angular_map(settings: RunSettings) -> Report:
     a = settings.angular
     amap = angular_error_map(a.grid_min, a.grid_max, a.grid_points, a.sigma)
-    write_csv(
-        _out(args, "angular_map.csv"),
-        {
-            **_grid_xy(amap.bx, amap.by),
-            "d_theta_rad": amap.d_theta,
-            "d_phi_rad": amap.d_phi,
-            "total_db": amap.total_db,
-        },
-    )
-    write_summary(
-        _out(args, "angular_map_summary.txt"),
-        {
-            "sigma": a.sigma,
-            "grid_points": a.grid_points,
-            "min_total_db": float(np.nanmin(amap.total_db)),
-            "max_total_db": float(np.nanmax(amap.total_db)),
-        },
-    )
-    emit_plot_script("angular", "angular_map.csv", _out(args, "plot_angular_map.py"))
-    return EXIT_OK
+    columns = {
+        **_grid_xy(amap.bx, amap.by),
+        "d_theta_rad": amap.d_theta,
+        "d_phi_rad": amap.d_phi,
+        "total_db": amap.total_db,
+    }
+    total_db = amap.total_db[np.isfinite(amap.total_db)]
+    summary = {
+        "sigma": a.sigma,
+        "grid_points": a.grid_points,
+        "min_total_db": _or_nan(np.min, total_db),
+        "max_total_db": _or_nan(np.max, total_db),
+    }
+    return columns, summary, None
 
 
 def _read_pairs_csv(path: str) -> CalibrationSet:
@@ -378,8 +318,8 @@ def _cmd_calibrate(args, settings: RunSettings) -> int:
 
 def _cmd_estimate(args, settings: RunSettings) -> int:
     est_cfg = settings.estimate
-    b_nv = _parse_vector_flag(args.b_nv, "--b-nv") if args.b_nv else est_cfg.b_nv
-    b_0 = _parse_vector_flag(args.b_0, "--b-0") if args.b_0 else est_cfg.b_0
+    b_nv = parse_vector(args.b_nv, "flag --b-nv") if args.b_nv else est_cfg.b_nv
+    b_0 = parse_vector(args.b_0, "flag --b-0") if args.b_0 else est_cfg.b_0
     b_rb = args.b_rb if args.b_rb is not None else est_cfg.b_rb
     if b_nv is None or b_rb is None:
         raise ConfigValidationError(
@@ -416,24 +356,38 @@ def _cmd_estimate(args, settings: RunSettings) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "simulate-grid": _cmd_simulate_grid,
-    "orthogonality": _cmd_orthogonality,
-    "marginal": _cmd_marginal,
-    "spatial-scan": _cmd_spatial,
-    "scalar-demo": _cmd_demo,
-    "angular-map": _cmd_angular,
-    "calibrate": _cmd_calibrate,
-    "estimate": _cmd_estimate,
+# Each command, declared once: name -> (help text, handler, *its own flags as
+# (flag, add_argument keywords) pairs).
+_COMMANDS = {
+    "simulate-grid": ("Monte-Carlo improvement map over a field grid", _grid),
+    "orthogonality": ("noiseless correction-orthogonality map", _orthogonality),
+    "marginal": ("single-axis improvement profile", _marginal),
+    "spatial-scan": ("dipole scan measured by Rb, NV, and combined", _spatial_scan),
+    "scalar-demo": ("vector vs naive scalar background subtraction", _scalar_demo),
+    "angular-map": ("angular uncertainty of a vector reading", _angular_map),
+    "calibrate": (
+        "solve the background field from paired readings",
+        _cmd_calibrate,
+        ("--pairs", dict(help="CSV of calibration pairs (bx,by,bz,b_rb)")),
+    ),
+    "estimate": (
+        "one combined estimate from a reading pair",
+        _cmd_estimate,
+        ("--b-nv", dict(help="NV vector reading, comma separated (G)")),
+        ("--b-0", dict(help="background field vector, comma separated (G)")),
+        ("--b-rb", dict(type=float, help="Rb scalar reading (G)")),
+    ),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         settings = _load_settings(args)
-        return _HANDLERS[args.command](args, settings)
+        # Extreme inputs can overflow a computation: exit 4, never warn.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command][1](args, settings)
     except ConfigParseError as err:
         print(f"comag: config error: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -442,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except ComagError as err:
         print(f"comag: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except FloatingPointError as err:
+        print(f"comag: inputs too extreme to compute ({err})", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as err:
         print(f"comag: i/o error: {err}", file=sys.stderr)

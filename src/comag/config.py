@@ -158,36 +158,37 @@ class RunSettings:
         )
 
 
-def _parse_float(text: str, key: str) -> float:
+def _parse_float(text: str, name: str) -> float:
     try:
         v = float(text)
     except ValueError:
-        raise ConfigParseError(f"key {key!r}: expected a number, got {text!r}")
+        raise ConfigParseError(f"{name}: expected a number, got {text!r}")
     if not math.isfinite(v):
-        raise ConfigValidationError(f"key {key!r}: value must be finite")
+        raise ConfigValidationError(f"{name}: value must be finite")
     return v
 
 
-def _parse_int(text: str, key: str) -> int:
+def _parse_int(text: str, name: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigParseError(f"key {key!r}: expected an integer, got {text!r}")
+        raise ConfigParseError(f"{name}: expected an integer, got {text!r}")
 
 
-def _parse_vector(text: str, key: str) -> tuple[float, float, float]:
+def parse_vector(text: str, name: str) -> tuple[float, float, float]:
+    """Three comma-separated finite numbers; ``name`` labels the error messages."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
-        raise ConfigParseError(f"key {key!r}: expected three comma-separated numbers")
-    return tuple(_parse_float(p, key) for p in parts)  # type: ignore[return-value]
+        raise ConfigParseError(f"{name}: expected three comma-separated numbers")
+    return tuple(_parse_float(p, name) for p in parts)  # type: ignore[return-value]
 
 
 _LEAF_PARSERS = {
     float: _parse_float,
     int: _parse_int,
-    str: lambda text, key: text.strip(),
-    tuple[float, float, float]: _parse_vector,
-    FieldVector: lambda text, key: FieldVector(*_parse_vector(text, key)),
+    str: lambda text, name: text.strip(),
+    tuple[float, float, float]: parse_vector,
+    FieldVector: lambda text, name: FieldVector(*parse_vector(text, name)),
 }
 
 
@@ -197,7 +198,7 @@ def _parser(tp):
         return _LEAF_PARSERS[tp]
     (inner,) = [t for t in typing.get_args(tp) if t is not type(None)]
     parse = _LEAF_PARSERS[inner]
-    return lambda text, key: None if text.strip() == "" else parse(text, key)
+    return lambda text, name: None if text.strip() == "" else parse(text, name)
 
 
 @functools.cache
@@ -268,7 +269,7 @@ def parse_config_text(text: str) -> RunSettings:
             target = values[section]
             for name in path[:-1]:
                 target = target.setdefault(name, {})
-            target[path[-1]] = parse(raw, key)
+            target[path[-1]] = parse(raw, f"key {key!r}")
     try:
         return _build(RunSettings, values)
     except ValueError as err:

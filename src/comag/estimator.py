@@ -98,7 +98,7 @@ def correction_vector(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Field
     closed form c = (s/||s||) (||s|| - b_rb).  The expression stays valid
     when b_rb exceeds ||s|| (c flips anti-parallel).  Raises
     :class:`DegenerateDirectionError` when ||s|| = 0, where the direction
-    is undefined, or when ||s|| overflows.
+    is undefined, or when ||s|| or the correction overflows.
     """
     if b_rb < 0:
         raise ValueError("b_rb must be >= 0")
@@ -109,7 +109,10 @@ def correction_vector(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Field
         raise DegenerateDirectionError("b_nv + b_0 = 0: correction direction undefined")
     if not math.isfinite(norm_s):
         raise DegenerateDirectionError("|b_nv + b_0| overflows: correction undefined")
-    return FieldVector.from_array(s * ((norm_s - b_rb) / norm_s))
+    c = s * ((norm_s - b_rb) / norm_s)
+    if not np.isfinite(c).all():
+        raise DegenerateDirectionError("b_rb / |b_nv + b_0| overflows: correction undefined")
+    return FieldVector.from_array(c)
 
 
 def _decompose(correction: np.ndarray, s: np.ndarray, reference: np.ndarray):

@@ -1,8 +1,9 @@
 """Plot-script emission.
 
 Each report gets a self-contained matplotlib script referencing the CSV in
-the same directory.  Running the scripts is optional and never part of
-the test suite; the tool only writes them.
+the same directory; one stem names the report's CSV, its plot and its kind.
+Running the scripts is optional and never part of the test suite; the tool
+only writes them.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from .reports import atomic_write_text
 
 _PREAMBLE = '''#!/usr/bin/env python3
-"""Generated by comag; run in the directory containing {csv_name}."""
+"""Generated by comag; run in the directory containing {stem}.csv."""
 import csv
 import math
 import sys
@@ -27,9 +28,9 @@ def load_csv(path):
     return header, rows
 
 
-header, rows = load_csv("{csv_name}")
+header, rows = load_csv("{stem}.csv")
 if not rows:
-    print("no data in {csv_name}")
+    print("no data in {stem}.csv")
     sys.exit(0)
 data = {{name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)}}
 '''
@@ -45,8 +46,8 @@ ax.set_xlabel("{xlabel}")
 ax.set_ylabel("{ylabel}")
 ax.set_title("{title}")
 fig.tight_layout()
-fig.savefig("{png_name}", dpi=160)
-print("wrote {png_name}")
+fig.savefig("{stem}.png", dpi=160)
+print("wrote {stem}.png")
 '''
 
 _CURVES_BODY = '''
@@ -58,8 +59,8 @@ ax.set_ylabel("{ylabel}")
 ax.set_title("{title}")
 ax.legend()
 fig.tight_layout()
-fig.savefig("{png_name}", dpi=160)
-print("wrote {png_name}")
+fig.savefig("{stem}.png", dpi=160)
+print("wrote {stem}.png")
 '''
 
 _KINDS = {
@@ -83,7 +84,7 @@ _KINDS = {
         ylabel="By (G)",
         title="Correction orthogonality diagnostic",
     ),
-    "angular": dict(
+    "angular_map": dict(
         body=_HEATMAP_BODY,
         xcol="bx",
         ycol="by",
@@ -104,7 +105,7 @@ _KINDS = {
         ylabel="gain (dB)",
         title="Single-axis improvement profile",
     ),
-    "spatial": dict(
+    "spatial_scan": dict(
         body=_CURVES_BODY,
         xcol="position_mm",
         series=[
@@ -118,7 +119,7 @@ _KINDS = {
         ylabel="field magnitude (G)",
         title="Spatial scan: Rb, NV, and combined",
     ),
-    "demo": dict(
+    "scalar_demo": dict(
         body=_CURVES_BODY,
         xcol="position_mm",
         series=[
@@ -135,14 +136,8 @@ _KINDS = {
 }
 
 
-def emit_plot_script(kind: str, csv_name: str, out_path: str) -> None:
-    """Write a standalone plotting script for an emitted CSV."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown plot kind {kind!r}")
-    spec = dict(_KINDS[kind])
+def emit_plot_script(stem: str, out_path: str) -> None:
+    """Write a standalone script that plots <stem>.csv into <stem>.png."""
+    spec = dict(_KINDS[stem])
     body = spec.pop("body")
-    png_name = csv_name.rsplit(".", 1)[0] + ".png"
-    text = _PREAMBLE.format(csv_name=csv_name) + body.format(
-        csv_name=csv_name, png_name=png_name, **spec
-    )
-    atomic_write_text(out_path, text)
+    atomic_write_text(out_path, _PREAMBLE.format(stem=stem) + body.format(stem=stem, **spec))

@@ -411,6 +411,13 @@ class SpatialScanConfig:
         reach_log = 3 * math.log(self.standoff + half + abs(self.perp_offset))
         if max(fit_log, reach_log) >= math.log(np.finfo(float).max):
             raise ValueError("stage geometry overflows the dipole field or the scan's fit")
+        # Keep half**(2 * poly_degree) a normal float too, or the fit loses rank.
+        log_half = math.log(self.stage_range) - math.log(2.0)
+        if 2 * self.poly_degree * log_half <= math.log(np.finfo(float).tiny):
+            raise ValueError("stage_range underflows the scan's polynomial fit")
+        closest = math.hypot(max(self.standoff - half, 0.0), self.perp_offset)
+        if closest**3 < np.finfo(float).tiny:
+            raise ValueError("the stage brings the source onto the sensor")
         if self.sigma_nv <= 0 or self.sigma_rb <= 0:
             raise ValueError("sensor noise must be positive")
         if self.n_reps < 1:

@@ -1,7 +1,10 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import comag
 from comag.cli import COMMANDS, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from comag.config import parse_config
 from comag.geometry import FieldVector
+from comag.plots import _KINDS
 from comag.simulation import run_grid_simulation
 
 FAST_SIM = "[simulation]\ngrid_points = 7\nn_reps = 10\n"
@@ -137,13 +141,28 @@ class TestSimulationCommands:
         assert np.isnan(col["gain_dir_mse_db"]).any()
 
     def test_no_valid_gain_writes_nan_summary(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "[simulation]\ngrid_points = 3\nn_reps = 2\nsigma_nv = 1e-300\n")
-        out = tmp_path / "grid"
-        assert main(["simulate-grid", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        summary = (out / "grid_summary.txt").read_text().splitlines()
-        assert "median_gain_mag_mse_db=nan" in summary
-        assert "max_gain_mag_mse_db=nan" in summary
-        assert capsys.readouterr().err == ""
+        text = "[simulation]\ngrid_points = 3\nn_reps = 2\nsigma_nv = 1e-300\n"
+        cfg = write_cfg(tmp_path, text + "[marginal]\nn_points = 3\n")
+        for command, stem, other in [
+            ("simulate-grid", "grid", "max_gain_mag_mse_db"),
+            ("marginal", "marginal", "frac_points_above_0db"),
+        ]:
+            out = tmp_path / stem
+            # pytest records warnings, so stderr alone would not show them.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+            summary = (out / f"{stem}_summary.txt").read_text().splitlines()
+            assert "median_gain_mag_mse_db=nan" in summary
+            assert f"{other}=nan" in summary
+            assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("spatial", ["", "stage_range = 1e-30\n"], ids=["default", "short"])
+    def test_spatial_scan_fit_does_not_warn(self, tmp_path, spatial):
+        cfg = write_cfg(tmp_path, "[spatial]\n" + spatial)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spatial-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
 
     def test_no_partial_files_left(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SIM)
@@ -365,6 +384,22 @@ BAD_CONFIGS = [
         id="overflowing-stage-range",
     ),
     pytest.param(
+        "spatial-scan", "[spatial]\nstage_range = 1e-300\n", EXIT_VALIDATION,
+        "stage_range underflows the scan's polynomial fit", id="underflowing-stage-range",
+    ),
+    pytest.param(
+        "spatial-scan", "[spatial]\nstandoff = 10\n", EXIT_VALIDATION,
+        "the stage brings the source onto the sensor", id="source-onto-sensor",
+    ),
+    pytest.param(
+        "estimate", "[estimate]\nb_nv = 0.1,0.2,0.3\nb_rb = 1e308\n", EXIT_RUNTIME,
+        "b_rb / |b_nv + b_0| overflows: correction undefined", id="overflowing-correction",
+    ),
+    pytest.param(
+        "simulate-grid", FAST_SIM + "b_0 = 0,-1e308,0\n", EXIT_RUNTIME,
+        "inputs too extreme to compute (overflow encountered", id="overflowing-grid-field",
+    ),
+    pytest.param(
         "spatial-scan", "[spatial]\nn_positions = 5\npoly_degree = 10\n", EXIT_VALIDATION,
         "poly_degree must be >= 1 and below n_positions", id="poly-degree-above-positions",
     ),
@@ -458,12 +493,24 @@ class TestPlotScripts:
             assert label in script
 
     def test_scripts_compile(self, tmp_path):
-        import py_compile
-
-        cfg = write_cfg(tmp_path, FAST_SIM)
-        out = str(tmp_path / "grid")
-        main(["simulate-grid", "--config", cfg, "--out", out])
-        py_compile.compile(os.path.join(out, "plot_grid.py"), doraise=True)
+        # matplotlib is not a dependency, so the scripts are compiled, not run.
+        cfg = write_cfg(tmp_path, FAST_SIM + FAST_SPATIAL + FAST_ANGULAR + FAST_MARGINAL)
+        stems = []
+        for command in set(COMMANDS) - {"calibrate", "estimate"}:
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+            (script,) = out.glob("plot_*.py")
+            stem = script.stem.removeprefix("plot_")
+            text = script.read_text()
+            compile(text, str(script), "exec")
+            assert f'load_csv("{stem}.csv")' in text
+            read = set(re.findall(r'data\["(\w+)"\]', text))
+            for series in re.findall(r"for col, label, style in (\[.*?\]):", text):
+                read |= {col for col, _, _ in ast.literal_eval(series)}
+            header = (out / f"{stem}.csv").read_text().splitlines()[0].split(",")
+            assert read and read <= set(header), (stem, read - set(header))
+            stems.append(stem)
+        assert sorted(stems) == sorted(_KINDS)
 
 
 class TestImportPath:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from comag.cli import COMMANDS
 from comag.config import (
     RunSettings,
     default_config_text,
@@ -12,6 +13,7 @@ from comag.config import (
 )
 from comag.errors import ConfigParseError, ConfigValidationError
 from comag.geometry import default_basis
+from comag.plots import _KINDS
 
 
 def ini_keys(text):
@@ -49,6 +51,15 @@ class TestDefaults:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
         assert list(ini_keys(block).items()) == list(ini_keys(default_config_text()).items())
+
+    def test_readme_lists_every_command(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| ([a-z-]+) +\| (.*?) *\|$", readme, re.M))
+        assert set(COMMANDS) <= set(rows)
+        listed = " ".join(rows.values())
+        for stem in _KINDS:
+            for name in (f"{stem}.csv", f"{stem}_summary.txt", f"plot_{stem}.py"):
+                assert f"`{name}`" in listed
 
     def test_missing_file(self):
         with pytest.raises(ConfigParseError):
