@@ -314,12 +314,11 @@ def angular_uncertainty(
         rho = math.sqrt(rho2)
         if rho > 0.0:
             try:
-                d_theta = math.sqrt(
-                    (x * z * sig[0]) ** 2 + (y * z * sig[1]) ** 2 + (rho2 * sig[2]) ** 2
-                ) / (rho * r2)
+                num = _root_sum_squares(x * z * sig[0], y * z * sig[1], rho2 * sig[2])
+                d_theta = num / (rho * r2)
             except ZeroDivisionError:
                 raise ZeroFieldError("angles undefined at an underflowing field") from None
-            d_phi = math.sqrt((y * sig[0]) ** 2 + (x * sig[1]) ** 2) / rho2
+            d_phi = _root_sum_squares(y * sig[0], x * sig[1]) / rho2
         else:
             # On the pole the transverse displacement sets the polar error;
             # the azimuth is undefined, so it saturates at the cap.
@@ -338,6 +337,12 @@ def angular_uncertainty(
     d_theta = float(np.std(_wrap_angle(theta - theta0)))
     d_phi = float(np.std(_wrap_angle(phi - phi0)))
     return AngularUncertainty(min(d_theta, math.pi), min(d_phi, math.pi))
+
+
+def _root_sum_squares(a, b, c=0.0) -> float:
+    """sqrt(a^2 + b^2 + c^2), by ``math.hypot`` below the smallest normal float 2**-1022."""
+    total = a**2 + b**2 + c**2
+    return math.sqrt(total) if total >= 2.0**-1022 else math.hypot(a, b, c)
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, least_squares
-from scipy.signal import find_peaks
 
 from .errors import (
     NoResonanceError,
@@ -23,10 +22,12 @@ from .errors import (
     UnresolvedPeaksError,
 )
 from .geometry import (
+    AxisProjection,
     FieldVector,
     OrientationBasis,
     project_field,
-    recovery_matrix,
+    propagate_axis_uncertainty,
+    recover_field,
     select_best_axes,
 )
 from .params import (
@@ -166,14 +167,41 @@ def synth_odmr(
     freqs = params.frequencies()
     proj = project_field(basis, b_total).as_array()
     centers = params.center_frequency + gamma.value * proj
-    pl = _lorentzian_dips(
-        freqs, 1.0, [params.contrast] * 4, centers, [params.linewidth] * 4
-    )
+    pl = _lorentzian_dips(freqs, 1.0, [params.contrast] * 4, centers, [params.linewidth] * 4)
     noise = params.effective_noise()
     if noise > 0:
         rng = np.random.default_rng(rng_seed)
         pl = pl + rng.normal(0.0, noise, size=freqs.shape)
     return OdmrSpectrum(freqs=freqs, pl=pl, pl_sigma=np.full_like(freqs, noise))
+
+
+def _find_peaks(x: np.ndarray, prominence: float, distance: int):
+    """``scipy.signal.find_peaks(x, prominence=prominence, distance=distance)`` for
+    finite ``x``: peaks at the midpoints of plateaus above both neighbours, thinned by
+    distance from the highest down in ``np.argsort`` order, and their ``prominences``
+    (height above the higher minimum before a strictly higher sample on each side)."""
+    dx = np.diff(x)
+    steps = np.flatnonzero(dx)
+    top = np.flatnonzero((dx[steps[:-1]] > 0) & (dx[steps[1:]] < 0))
+    peaks = (steps[top] + 1 + steps[top + 1]) // 2
+    if distance > 1:
+        keep = np.ones(len(peaks), dtype=bool)
+        for j in np.argsort(x[peaks])[::-1]:
+            if keep[j]:
+                keep[np.abs(peaks - peaks[j]) < distance] = False
+                keep[j] = True
+        peaks = peaks[keep]
+    xs, prominences = x.tolist(), []
+    for p in peaks.tolist():
+        h, lo, hi = xs[p], p, p
+        while lo > 0 and xs[lo - 1] <= h:
+            lo -= 1
+        while hi < len(xs) - 1 and xs[hi + 1] <= h:
+            hi += 1
+        prominences.append(h - max(min(xs[lo : p + 1]), min(xs[p : hi + 1])))
+    prominences = np.array(prominences)
+    keep = prominences >= prominence
+    return peaks[keep], prominences[keep]
 
 
 def _find_dips(spectrum: OdmrSpectrum, params: OdmrParams, n_peaks: int):
@@ -193,13 +221,13 @@ def _find_dips(spectrum: OdmrSpectrum, params: OdmrParams, n_peaks: int):
         noise_est = float(np.median(np.abs(diffs - np.median(diffs)))) / 0.6745 / math.sqrt(2)
     prominence = max(0.12 * max_depth, 4.0 * noise_est, 1e-12)
     distance = max(1, int(0.6 * params.linewidth / spacing))
-    idx, props = find_peaks(depth, prominence=prominence, distance=distance)
+    idx, prominences = _find_peaks(depth, prominence, distance)
     if len(idx) < n_peaks:
         raise UnresolvedPeaksError(
             f"found {len(idx)} dips, expected {n_peaks}; peaks likely overlap"
         )
     if len(idx) > n_peaks:
-        keep = np.argsort(props["prominences"])[-n_peaks:]
+        keep = np.argsort(prominences)[-n_peaks:]
         idx = np.sort(idx[keep])
     return idx, depth, prominence, baseline0
 
@@ -255,9 +283,7 @@ def fit_odmr(
     m_nv = _MAX_SLOPE_FACTOR * contrasts / widths
     f_max = centers + _MAX_SLOPE_OFFSET * widths
     if delta_pl > 0:
-        sigma_axis = np.array(
-            [odmr_sensitivity(delta_pl, m, gamma) for m in m_nv]
-        )
+        sigma_axis = np.array([odmr_sensitivity(delta_pl, m, gamma) for m in m_nv])
     else:
         sigma_axis = np.zeros_like(m_nv)
     return OdmrFit(
@@ -291,9 +317,11 @@ def nv_measure(
     then read out at the maximum-slope working point of each reference
     dip: the PL difference between the scans at that frequency, divided by
     the fitted local slope (iteratively refined with the finite-shift
-    average slope, which removes the lineshape-curvature bias).  Bias and
-    background cancel in the difference, so the expectation depends only
-    on delta_b.
+    average slope, which removes the lineshape-curvature bias).  A dip whose
+    shift noise carries past the right flank's monotone range is read at the
+    working point of its left flank instead, with that point's slope.  Bias
+    and background cancel in the difference, so the expectation depends
+    only on delta_b.
 
     ``axes_used`` selects how many orientations feed the lab-frame
     recovery (the 3 with the smallest per-axis uncertainty, or all 4).
@@ -320,20 +348,26 @@ def nv_measure(
 
     freqs = spec_ref.freqs
     readout_idx = [_working_point_index(freqs, fit_ref, i) for i in range(n_dips)]
-    dpl_obs = np.array([float(spec_ref.pl[j] - spec_sig.pl[j]) for j in readout_idx])
+    dpl, df_dips = spec_ref.pl - spec_sig.pl, np.zeros(n_dips)
+
+    def invert(dip_i):
+        j = readout_idx[dip_i]
+        return _invert_working_point(float(dpl[j]), freqs[j], dip_i, fit_ref, df_dips)
 
     # Invert each dip's shift, then re-sweep with the other dips' estimated
     # shifts in the signal model: the tails of neighbouring dips move with
     # their own shifts, and ignoring that leaves a few-mG systematic.
-    df_dips = np.zeros(n_dips)
     for _ in range(3):
         for dip_i in range(n_dips):
-            df_dips[dip_i] = _invert_working_point(
-                dpl_obs[dip_i], freqs[readout_idx[dip_i]], dip_i, fit_ref, df_dips
-            )
+            try:
+                df_dips[dip_i] = invert(dip_i)
+            except UnresolvedPeaksError:
+                if freqs[readout_idx[dip_i]] < fit_ref.peak_freqs[dip_i]:  # left flank too
+                    raise
+                readout_idx[dip_i] = _working_point_index(freqs, fit_ref, dip_i, side=-1)
+                df_dips[dip_i] = invert(dip_i)
 
-    delta_f = np.zeros(4)
-    sigma_axis = np.zeros(4)
+    delta_f, sigma_axis = np.zeros(4), np.zeros(4)
     slopes = _lorentzian_dips_slope(
         freqs[readout_idx], fit_ref.contrasts, fit_ref.peak_freqs, fit_ref.linewidths
     )
@@ -347,32 +381,29 @@ def nv_measure(
             )
 
     b_axis = delta_f / gamma.value
-    if axes_used == 3:
-        selected = select_best_axes(np.where(sigma_axis > 0, sigma_axis, np.inf), 3)
-    else:
-        selected = (0, 1, 2, 3)
-    w = recovery_matrix(basis, selected)
-    b_lab = w @ b_axis[list(selected)]
-    sigma_lab = np.sqrt((w**2) @ (sigma_axis[list(selected)] ** 2))
-    return FieldVector.from_array(b_lab), sigma_lab
+    selected = select_best_axes(np.where(sigma_axis > 0, sigma_axis, np.inf), axes_used)
+    b_lab = recover_field(basis, AxisProjection(*b_axis), selected)
+    return b_lab, propagate_axis_uncertainty(basis, sigma_axis, selected)
 
 
-def _working_point_index(freqs: np.ndarray, fit_ref: OdmrFit, dip_i: int) -> int:
+def _working_point_index(freqs: np.ndarray, fit_ref: OdmrFit, dip_i: int, side: int = 1) -> int:
     """Grid index of the readout point for one dip.
 
     Picks the sampled frequency with the largest model slope among points
-    at or right of the dip's inflection (f_max), so the monotone inversion
-    headroom is at least linewidth/(2*sqrt(3)) regardless of how the scan
-    grid happens to align with the dip.
+    at or beyond the dip's inflection on its right (``side=1``) or left
+    (``side=-1``) flank, so the monotone inversion headroom is at least
+    linewidth/(2*sqrt(3)) regardless of how the scan grid happens to align
+    with the dip.
     """
     center = fit_ref.peak_freqs[dip_i]
     width = fit_ref.linewidths[dip_i]
-    lo = center + _MAX_SLOPE_OFFSET * width * 0.99
-    hi = center + 2.5 * width
-    candidates = np.nonzero((freqs >= lo) & (freqs <= hi))[0]
+    near = center + side * _MAX_SLOPE_OFFSET * width * 0.99
+    far = center + side * 2.5 * width
+    candidates = np.nonzero((freqs >= min(near, far)) & (freqs <= max(near, far)))[0]
     if len(candidates) == 0:
         raise UnresolvedPeaksError(
-            "no scan point on the right flank of a dip; scan grid too coarse"
+            f"no scan point on the {'right' if side > 0 else 'left'} flank of a dip;"
+            " scan grid too coarse"
         )
     slopes = _lorentzian_dips_slope(
         freqs[candidates], fit_ref.contrasts, fit_ref.peak_freqs, fit_ref.linewidths
@@ -391,9 +422,9 @@ def _invert_working_point(
 
     Solves model_ref(f_j) - model_shifted(f_j) = dpl for the shift of the
     targeted dip, with the other dips displaced by their current estimates
-    ``df_others``.  Single-valued on the monotone right flank: the usable
-    shift is bounded by (f_j - center) on the positive side and ~1.5
-    linewidths on the negative side.
+    ``df_others``.  Single-valued on the monotone flank that holds f_j: the
+    usable shift is bounded by (f_j - center) toward f_j and ~1.5 linewidths
+    away from it.
     """
     center = fit_ref.peak_freqs[dip_i]
     width = fit_ref.linewidths[dip_i]
@@ -416,8 +447,7 @@ def _invert_working_point(
         shifts[dip_i] = df
         return (ref_at - pl_at(shifts)) - dpl
 
-    df_hi = 0.95 * (f_j - center)
-    df_lo = -1.5 * width
+    df_lo, df_hi = sorted((0.95 * (f_j - center), math.copysign(1.5 * width, center - f_j)))
     t_lo, t_hi = transfer(df_lo), transfer(df_hi)
     if t_lo == 0.0:
         return df_lo
@@ -553,10 +583,7 @@ def fit_lia(signal: LiaSignal, gamma_rb: GyromagneticRatio = GAMMA_RB) -> LiaFit
     delta_y = float(math.sqrt(np.sum(fit_resid**2) / dof))
 
     b_rb = f_res / gamma_rb.value
-    if delta_y > 0:
-        sigma_rb = lia_sensitivity(delta_y, slope, gamma_rb)
-    else:
-        sigma_rb = 0.0
+    sigma_rb = lia_sensitivity(delta_y, slope, gamma_rb) if delta_y > 0 else 0.0
     return LiaFit(b_rb=b_rb, sigma_rb=sigma_rb, f_res=f_res, m_rb=slope, delta_y=delta_y)
 
 

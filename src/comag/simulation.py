@@ -625,7 +625,8 @@ def angular_error_map(
 
     Per cell, the first-order angle uncertainties for an isotropic
     per-axis noise ``sigma``; ``total_db`` is 10*log10(d_theta^2 +
-    d_phi^2).  The error falls off as 1/|B| along every ray, so larger
+    d_phi^2), or 20*log10(hypot(d_theta, d_phi)) where that sum is not a
+    normal float.  The error falls off as 1/|B| along every ray, so larger
     working fields give better angular accuracy.  The origin is NaN.
     """
     from .estimator import angular_uncertainty
@@ -642,7 +643,11 @@ def angular_error_map(
             au = angular_uncertainty(FieldVector(x, y, 0.0), sigma)
             d_theta[iy, ix] = au.d_theta
             d_phi[iy, ix] = au.d_phi
-            total_db[iy, ix] = _db(au.d_theta**2 + au.d_phi**2)
+            total = au.d_theta**2 + au.d_phi**2
+            if total >= 2.0**-1022:  # the smallest normal float
+                total_db[iy, ix] = _db(total)
+            else:  # the squares underflow; 20*log10 of the norm does not
+                total_db[iy, ix] = 2.0 * _db(math.hypot(au.d_theta, au.d_phi))
     return AngularErrorMap(
         bx=xs, by=ys, d_theta=d_theta, d_phi=d_phi, total_db=total_db, sigma=sigma
     )

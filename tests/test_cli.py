@@ -558,6 +558,30 @@ class TestImportPath:
         with pytest.raises(AttributeError):
             getattr(comag, "nope")
 
+    def test_measurement_loads_only_scipy_optimize(self):
+        # The ODMR dip search is numpy; scipy.signal (and the scipy.stats it
+        # pulls in) stays out of any process that fits a spectrum.
+        script = (
+            "import json, sys\n"
+            "import comag.measurement as m\n"
+            "scipy = sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([scipy, callable(m.least_squares), callable(m.brentq)]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(comag.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        scipy_modules, has_lsq, has_brentq = json.loads(proc.stdout.splitlines()[-1])
+        assert "scipy.optimize" in scipy_modules
+        loaded = [m for m in scipy_modules if m.split(".")[1:2] in (["signal"], ["stats"])]
+        assert loaded == []
+        assert has_lsq and has_brentq
+
     def test_measurement_keeps_its_solver_attributes(self):
         # The benchmark's tracer wraps these two as attributes of the module.
         from comag import measurement

@@ -13,8 +13,11 @@ from comag.params import GAMMA_RB_IMPLIED_KHZ_PER_G
 from comag.measurement import (
     _dispersive,
     _dispersive_jac,
+    _find_peaks,
+    _invert_working_point,
     _lorentzian_dips,
     _lorentzian_dips_jac,
+    _working_point_index,
     DEFAULT_BIAS,
     GAMMA_NV,
     GAMMA_RB,
@@ -172,6 +175,42 @@ class TestFitOdmr:
         assert np.mean(s4) == pytest.approx(0.5 * np.mean(s1), rel=0.10)
 
 
+class TestFindPeaks:
+    """The numpy dip search returns exactly what scipy.signal.find_peaks returns."""
+
+    @staticmethod
+    def arrays(rng, count):
+        for k in range(count):
+            n = int(rng.integers(5, 201))
+            if k % 4 == 0:
+                yield rng.normal(size=n)
+            elif k % 4 == 1:  # rounded: short plateaus and equal peak heights
+                yield np.round(rng.normal(size=n), 1)
+            elif k % 4 == 2:  # small integers: ties everywhere
+                yield rng.integers(0, 4, n).astype(float)
+            else:  # every sample repeated: wide plateaus, also at the ends
+                yield np.repeat(rng.integers(0, 5, n), 3)[:n].astype(float)
+
+    @pytest.mark.parametrize("distance", [1, 2, 3, 4, 5])
+    def test_matches_scipy_exactly(self, distance):
+        from scipy.signal import find_peaks
+
+        rng = np.random.default_rng(distance)
+        for x in self.arrays(rng, 400):
+            for prominence in (1e-12, 0.3, 1.0):
+                want, props = find_peaks(x, prominence=prominence, distance=distance)
+                got, prominences = _find_peaks(x, prominence, distance)
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(prominences, props["prominences"])
+
+    def test_plateau_midpoint_and_edges(self):
+        x = np.array([0.0, 2.0, 2.0, 2.0, 2.0, 1.0, 3.0, 3.0, 0.0, 5.0, 5.0])
+        peaks, prominences = _find_peaks(x, 0.0, 1)
+        # The plateau at the right end is no peak; the others peak at midpoints.
+        np.testing.assert_array_equal(peaks, [2, 6])
+        np.testing.assert_array_equal(prominences, [1.0, 3.0])
+
+
 class TestJacobians:
     def test_lorentzian_dips(self):
         freqs = OdmrParams().frequencies()
@@ -289,6 +328,31 @@ class TestNvMeasure:
             nv_measure(
                 delta, DEFAULT_BIAS, FieldVector(0, 0, 0), basis, params, GAMMA_NV, 0
             )
+
+    def test_shift_past_the_right_flank_reads_the_left_flank(self, basis):
+        # Spectral workload seed 37, reading 63: noise carries one dip's
+        # required PL difference past the top of its right flank, where no
+        # shift solves the inversion; the left flank still reads it.
+        delta = FieldVector(-0.2770858959292151, 0.2147534938300351, -0.2873014752744147)
+        b_nv, sigma = nv_measure(
+            delta, DEFAULT_BIAS, B0_MEASURED, basis, OdmrParams(), GAMMA_NV, 1796154004
+        )
+        assert np.all(np.abs(b_nv.as_array() - delta.as_array()) <= 5.0 * sigma)
+
+    @pytest.mark.parametrize("shift", [-2.0, -0.5, 1.0, 6.0])
+    def test_left_flank_inversion_is_exact_without_noise(self, basis, shift):
+        params = OdmrParams(pl_noise=0.0)
+        fit = fit_odmr(synth_odmr(DEFAULT_BIAS, basis, params, GAMMA_NV, 0), params, GAMMA_NV)
+        freqs = params.frequencies()
+        j = _working_point_index(freqs, fit, 1, side=-1)
+        center = fit.peak_freqs[1]
+        assert center - 2.5 * fit.linewidths[1] <= freqs[j] < center
+        def pl_at(centers):
+            return _lorentzian_dips(freqs[j], fit.baseline, fit.contrasts, centers, fit.linewidths)
+
+        dpl = float(pl_at(fit.peak_freqs) - pl_at(fit.peak_freqs + np.array([0.0, shift, 0.0, 0.0])))
+        df = _invert_working_point(dpl, freqs[j], 1, fit, np.zeros(4))
+        assert df == pytest.approx(shift, abs=1e-9)
 
     def test_unresolved_bias_raises(self, basis):
         params = OdmrParams(pl_noise=0.0)

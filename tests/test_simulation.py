@@ -237,6 +237,28 @@ class TestAngularErrorMap:
         on_y = amap.total_db[i_y, mid]
         assert on_x == pytest.approx(on_y, abs=1e-9)
 
+    def test_default_total_db_is_the_log_of_the_squares(self):
+        amap = angular_error_map(grid_points=9)
+        for t, p, db in zip(amap.d_theta.ravel(), amap.d_phi.ravel(), amap.total_db.ravel()):
+            if math.isfinite(t):
+                assert db == 10.0 * math.log10(t**2 + p**2)
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-170, 1e-320])
+    def test_underflowing_sigma_keeps_total_db(self, sigma):
+        # The squares of the angles (at 1e-320 the angles' own terms too)
+        # underflow; the dB figure follows 20*log10(sigma) down instead.
+        unit = angular_error_map(grid_points=9, sigma=1.0)
+        tiny = angular_error_map(grid_points=9, sigma=sigma)
+        finite = np.isfinite(unit.total_db)
+        assert np.array_equal(np.isfinite(tiny.total_db), finite)
+        expected = unit.total_db[finite] + 20.0 * math.log10(sigma)
+        # A subnormal angle near 1e-320 keeps about 3 significant digits.
+        assert tiny.total_db[finite] == pytest.approx(expected, abs=0.02)
+        lin = angular_uncertainty(FieldVector(0.3, -1.2, 0.5), sigma)
+        ref = angular_uncertainty(FieldVector(0.3, -1.2, 0.5), 1.0)
+        assert lin.d_theta / sigma == pytest.approx(ref.d_theta, rel=2e-3)
+        assert lin.d_phi / sigma == pytest.approx(ref.d_phi, rel=2e-3)
+
     def test_matches_monte_carlo_at_unit_field(self):
         lin = angular_uncertainty(FieldVector(1.0, 0, 0), 0.1)
         mc = angular_uncertainty(
