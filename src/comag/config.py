@@ -29,8 +29,8 @@ import numpy as np
 from .errors import ConfigParseError, ConfigValidationError
 from .geometry import FieldVector, OrientationBasis, default_basis
 from .params import (
-    GAMMA_NV_MHZ_PER_G,
-    GAMMA_RB_KHZ_PER_G,
+    GAMMA_NV,
+    GAMMA_RB,
     LiaParams,
     OdmrParams,
 )
@@ -46,8 +46,8 @@ def _require_direction(v, name: str) -> None:
 
 @dataclass(frozen=True)
 class MeasurementSettings:
-    gamma_nv: float = GAMMA_NV_MHZ_PER_G
-    gamma_rb: float = GAMMA_RB_KHZ_PER_G
+    gamma_nv: float = GAMMA_NV
+    gamma_rb: float = GAMMA_RB
     odmr: OdmrParams = field(default_factory=OdmrParams)
     lia: LiaParams = field(default_factory=LiaParams)
     bias_field: float = 30.0

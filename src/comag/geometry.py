@@ -53,53 +53,22 @@ class FieldVector:
     def magnitude(self) -> float:
         return float(math.sqrt(self.bx**2 + self.by**2 + self.bz**2))
 
-    def unit(self) -> np.ndarray:
-        """Unit direction; raises on zero field."""
-        m = self.magnitude()
-        if m == 0.0:
-            raise ValueError("zero field has no direction")
-        return self.as_array() / m
-
     def __add__(self, other: "FieldVector") -> "FieldVector":
         return FieldVector(self.bx + other.bx, self.by + other.by, self.bz + other.bz)
 
     def __sub__(self, other: "FieldVector") -> "FieldVector":
         return FieldVector(self.bx - other.bx, self.by - other.by, self.bz - other.bz)
 
-    def __neg__(self) -> "FieldVector":
-        return FieldVector(-self.bx, -self.by, -self.bz)
-
-    def scaled(self, k: float) -> "FieldVector":
-        return FieldVector(k * self.bx, k * self.by, k * self.bz)
-
-
-@dataclass(frozen=True)
-class AxisProjection:
-    """Field projections along the four NV axes, Gauss."""
-
-    ba: float
-    bb: float
-    bc: float
-    bd: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.ba, self.bb, self.bc, self.bd])
-
 
 @dataclass(frozen=True)
 class OrientationBasis:
-    """The four NV axis directions with projection and recovery matrices.
+    """The four NV axis directions, as read-only unit rows of ``axes`` (4x3).
 
-    ``projection`` (4x3) has the unit axis vectors as rows, so that
-    ``projection @ b`` gives the per-axis field components.  ``recovery``
-    (3x4) is its Moore-Penrose pseudo-inverse; for full-rank subsets of
-    three axes the exact inverse is used instead (see
-    :func:`recovery_matrix`).
+    ``axes @ b`` gives the per-axis components of the lab-frame field ``b``;
+    :func:`recovery_matrix` maps them back.
     """
 
     axes: np.ndarray
-    projection: np.ndarray
-    recovery: np.ndarray
 
     @classmethod
     def from_axes(cls, axes) -> "OrientationBasis":
@@ -110,15 +79,8 @@ class OrientationBasis:
         if np.any(norms == 0.0):
             raise ValueError("axis vectors must be nonzero")
         axes = axes / norms[:, None]
-        projection = axes.copy()
-        recovery = np.linalg.pinv(projection)
-        for arr in (axes, projection, recovery):
-            arr.setflags(write=False)
-        return cls(axes=axes, projection=projection, recovery=recovery)
-
-    def rotated(self, rotation: np.ndarray) -> "OrientationBasis":
-        """Basis with every axis rotated by the 3x3 matrix ``rotation``."""
-        return OrientationBasis.from_axes(self.axes @ np.asarray(rotation, float).T)
+        axes.setflags(write=False)
+        return cls(axes=axes)
 
 
 def default_basis() -> OrientationBasis:
@@ -145,10 +107,9 @@ def _axis_indices(selected_axes: Iterable | None) -> list[int]:
     return idx
 
 
-def project_field(basis: OrientationBasis, b: FieldVector) -> AxisProjection:
-    """Dot product of each NV axis with the lab-frame field."""
-    comps = basis.projection @ b.as_array()
-    return AxisProjection(*map(float, comps))
+def project_field(basis: OrientationBasis, b: FieldVector) -> np.ndarray:
+    """Dot product of each NV axis with the lab-frame field: a (4,) array, Gauss."""
+    return basis.axes @ b.as_array()
 
 
 def recovery_matrix(basis: OrientationBasis, selected_axes: Iterable | None = None) -> np.ndarray:
@@ -161,7 +122,7 @@ def recovery_matrix(basis: OrientationBasis, selected_axes: Iterable | None = No
     idx = _axis_indices(selected_axes)
     if len(idx) < 3:
         raise ValueError("need at least three axes to recover a lab-frame vector")
-    rows = basis.projection[idx]
+    rows = basis.axes[idx]
     if np.linalg.matrix_rank(rows, tol=1e-10) < 3:
         raise RankDeficientError("selected axis rows are singular")
     if len(idx) == 3:
@@ -171,13 +132,13 @@ def recovery_matrix(basis: OrientationBasis, selected_axes: Iterable | None = No
 
 def recover_field(
     basis: OrientationBasis,
-    proj: AxisProjection,
+    proj: np.ndarray,
     selected_axes: Iterable | None = None,
 ) -> FieldVector:
-    """Least-squares lab-frame solution from the selected axis projections."""
+    """Least-squares lab-frame field from the selected axes of a (4,) projection array."""
     idx = _axis_indices(selected_axes)
     w = recovery_matrix(basis, idx)
-    return FieldVector.from_array(w @ proj.as_array()[idx])
+    return FieldVector.from_array(w @ proj[idx])
 
 
 def propagate_axis_uncertainty(

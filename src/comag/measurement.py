@@ -22,7 +22,6 @@ from .errors import (
     UnresolvedPeaksError,
 )
 from .geometry import (
-    AxisProjection,
     FieldVector,
     OrientationBasis,
     project_field,
@@ -33,7 +32,6 @@ from .geometry import (
 from .params import (
     GAMMA_NV,
     GAMMA_RB,
-    GyromagneticRatio,
     LiaParams,
     OdmrParams,
 )
@@ -99,7 +97,7 @@ class LiaFit:
     delta_y: float
 
 
-def odmr_sensitivity(delta_pl: float, slope: float, gamma: GyromagneticRatio) -> float:
+def odmr_sensitivity(delta_pl: float, slope: float, gamma: float) -> float:
     """Per-axis field sensitivity from PL scatter and ODMR slope, Gauss.
 
     sigma = dPL / (gamma * m): the field equivalent of one PL sample read
@@ -107,17 +105,17 @@ def odmr_sensitivity(delta_pl: float, slope: float, gamma: GyromagneticRatio) ->
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
-    return delta_pl / (gamma.value * slope)
+    return delta_pl / (gamma * slope)
 
 
-def lia_sensitivity(delta_y: float, slope: float, gamma: GyromagneticRatio) -> float:
+def lia_sensitivity(delta_y: float, slope: float, gamma: float) -> float:
     """Scalar field sensitivity from Y scatter and LIA slope, Gauss.
 
     sigma = dY / (gamma * m), with the slope in V per frequency unit.
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
-    return delta_y / (gamma.value * slope)
+    return delta_y / (gamma * slope)
 
 
 def _lorentzian_dips(freqs, baseline, contrasts, centers, widths):
@@ -154,7 +152,7 @@ def synth_odmr(
     b_total: FieldVector,
     basis: OrientationBasis,
     params: OdmrParams,
-    gamma: GyromagneticRatio = GAMMA_NV,
+    gamma: float = GAMMA_NV,
     rng_seed: int | None = 0,
 ) -> OdmrSpectrum:
     """Forward model of an ODMR scan of the total field.
@@ -165,8 +163,8 @@ def synth_odmr(
     Deterministic for a fixed seed.
     """
     freqs = params.frequencies()
-    proj = project_field(basis, b_total).as_array()
-    centers = params.center_frequency + gamma.value * proj
+    proj = project_field(basis, b_total)
+    centers = params.center_frequency + gamma * proj
     pl = _lorentzian_dips(freqs, 1.0, [params.contrast] * 4, centers, [params.linewidth] * 4)
     noise = params.effective_noise()
     if noise > 0:
@@ -235,7 +233,7 @@ def _find_dips(spectrum: OdmrSpectrum, params: OdmrParams, n_peaks: int):
 def fit_odmr(
     spectrum: OdmrSpectrum,
     params: OdmrParams,
-    gamma: GyromagneticRatio = GAMMA_NV,
+    gamma: float = GAMMA_NV,
     n_peaks: int = 4,
 ) -> OdmrFit:
     """Least-squares multi-Lorentzian fit of an ODMR spectrum.
@@ -304,7 +302,7 @@ def nv_measure(
     b_0: FieldVector,
     basis: OrientationBasis,
     params: OdmrParams,
-    gamma: GyromagneticRatio = GAMMA_NV,
+    gamma: float = GAMMA_NV,
     rng_seed: int | None = 0,
     axes_used: int = 3,
 ) -> tuple[FieldVector, np.ndarray]:
@@ -343,7 +341,7 @@ def nv_measure(
     # Dips are reported in ascending frequency; the bias field dominates
     # the shifts, so the frequency order of the bias projections maps dips
     # back to axes.
-    bias_proj = project_field(basis, b_bias).as_array()
+    bias_proj = project_field(basis, b_bias)
     axis_order = np.argsort(bias_proj)
 
     freqs = spec_ref.freqs
@@ -380,9 +378,9 @@ def nv_measure(
                 fit_ref.delta_pl, abs(slopes[dip_i]), gamma
             )
 
-    b_axis = delta_f / gamma.value
+    b_axis = delta_f / gamma
     selected = select_best_axes(np.where(sigma_axis > 0, sigma_axis, np.inf), axes_used)
-    b_lab = recover_field(basis, AxisProjection(*b_axis), selected)
+    b_lab = recover_field(basis, b_axis, selected)
     return b_lab, propagate_axis_uncertainty(basis, sigma_axis, selected)
 
 
@@ -462,7 +460,7 @@ def _invert_working_point(
 
 def synth_lia(
     b_scalar: float,
-    gamma_rb: GyromagneticRatio = GAMMA_RB,
+    gamma_rb: float = GAMMA_RB,
     params: LiaParams = LiaParams(),
     rng_seed: int | None = 0,
 ) -> LiaSignal:
@@ -474,7 +472,7 @@ def synth_lia(
     Gaussian noise of std y_noise is added to both; R is the pointwise
     magnitude of the noisy quadratures.
     """
-    f_res = gamma_rb.value * b_scalar
+    f_res = gamma_rb * b_scalar
     if not params.chirp_min <= f_res <= params.chirp_max:
         raise ResonanceOutOfRangeError(
             f"resonance at {f_res:.1f} kHz outside chirp "
@@ -509,7 +507,7 @@ def _dispersive_jac(freqs, amp, f0, gam):
     return np.column_stack([u / q, dy_du * (-2.0 / abs(gam)), dy_du * (-u / gam)])
 
 
-def fit_lia(signal: LiaSignal, gamma_rb: GyromagneticRatio = GAMMA_RB) -> LiaFit:
+def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:
     """Resonance readout of an LIA trace.
 
     The resonance is located from the in-phase peak, confirmed by the Y
@@ -582,7 +580,7 @@ def fit_lia(signal: LiaSignal, gamma_rb: GyromagneticRatio = GAMMA_RB) -> LiaFit
     dof = max(len(fw) - 2, 1)
     delta_y = float(math.sqrt(np.sum(fit_resid**2) / dof))
 
-    b_rb = f_res / gamma_rb.value
+    b_rb = f_res / gamma_rb
     sigma_rb = lia_sensitivity(delta_y, slope, gamma_rb) if delta_y > 0 else 0.0
     return LiaFit(b_rb=b_rb, sigma_rb=sigma_rb, f_res=f_res, m_rb=slope, delta_y=delta_y)
 
@@ -590,7 +588,7 @@ def fit_lia(signal: LiaSignal, gamma_rb: GyromagneticRatio = GAMMA_RB) -> LiaFit
 def rb_measure(
     delta_b: FieldVector,
     b_0: FieldVector,
-    gamma_rb: GyromagneticRatio = GAMMA_RB,
+    gamma_rb: float = GAMMA_RB,
     params: LiaParams = LiaParams(),
     rng_seed: int | None = 0,
 ) -> tuple[float, float]:

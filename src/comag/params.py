@@ -13,27 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Back-computed from the reported ODMR numbers: 0.6e-3 / (1.4e-3 * 0.150).
-GAMMA_NV_MHZ_PER_G = 2.857
+GAMMA_NV = 2.857
 # Round-number scalar ratio for the Rb vapor channel, kHz/G.
-GAMMA_RB_KHZ_PER_G = 700.0
+GAMMA_RB = 700.0
 # Value implied by the reported LIA trio (delta_y, slope, sensitivity);
 # about 10x the physical ratio, kept only to reproduce that arithmetic.
 GAMMA_RB_IMPLIED_KHZ_PER_G = 6962.0
-
-
-@dataclass(frozen=True)
-class GyromagneticRatio:
-    """Larmor frequency per unit field (MHz/G for NV, kHz/G for Rb)."""
-
-    value: float
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("gyromagnetic ratio must be positive")
-
-
-GAMMA_NV = GyromagneticRatio(GAMMA_NV_MHZ_PER_G)
-GAMMA_RB = GyromagneticRatio(GAMMA_RB_KHZ_PER_G)
 
 
 @dataclass(frozen=True)

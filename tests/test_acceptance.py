@@ -23,11 +23,7 @@ from comag.geometry import (
     default_basis,
     propagate_axis_uncertainty,
 )
-from comag.measurement import (
-    GyromagneticRatio,
-    lia_sensitivity,
-    odmr_sensitivity,
-)
+from comag.measurement import lia_sensitivity, odmr_sensitivity
 from comag.simulation import (
     SimConfig,
     SpatialScanConfig,
@@ -104,7 +100,7 @@ def test_criterion_2_unshielded_improvement():
 
 
 def test_criterion_3_sensitivity_arithmetic():
-    gamma_nv = GyromagneticRatio(2.857)
+    gamma_nv = 2.857
     sigma_axis = odmr_sensitivity(0.6e-3, 1.4e-3, gamma_nv)
     ok_odmr = round(sigma_axis, 3) == 0.150
 
@@ -120,7 +116,7 @@ def test_criterion_3_sensitivity_arithmetic():
     )
     ok_diff = np.all(np.abs(lab_diff - 0.26) <= 0.010)
 
-    gamma_rb = GyromagneticRatio(6962.0)  # ratio implied by the reported trio
+    gamma_rb = 6962.0  # ratio implied by the reported trio
     sigma_rb = lia_sensitivity(5.5e-6, 1.0e-6, gamma_rb)
     ok_lia = round(sigma_rb * 1e6) == 790 and abs(sigma_rb - 7.90e-4) / 7.90e-4 < 5e-4
 

@@ -551,12 +551,25 @@ class TestImportPath:
         assert codes == [EXIT_OK] * len(COMMANDS)
         assert scipy_modules == []
 
-    def test_package_exports_resolve_on_first_use(self):
-        assert set(comag.__all__) <= set(dir(comag))
-        for name in comag.__all__:
-            getattr(comag, name)
-        with pytest.raises(AttributeError):
-            getattr(comag, "nope")
+    def test_bare_package_import_loads_no_submodule(self):
+        script = (
+            "import json, sys\n"
+            "import comag\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('comag', 'numpy'))\n"
+            "print(json.dumps([loaded, comag.__version__]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(comag.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, version = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == ["comag"]
+        assert version == "0.1.0"
 
     def test_measurement_loads_only_scipy_optimize(self):
         # The ODMR dip search is numpy; scipy.signal (and the scipy.stats it

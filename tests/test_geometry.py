@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from comag.errors import RankDeficientError
 from comag.geometry import (
-    AxisProjection,
     FieldVector,
     OrientationBasis,
     default_basis,
@@ -48,7 +47,7 @@ class TestBasis:
                 assert basis.axes[i] @ basis.axes[j] == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
     def test_recovery_times_projection_identity(self, basis):
-        assert np.allclose(basis.recovery @ basis.projection, np.eye(3), atol=1e-10)
+        assert np.allclose(recovery_matrix(basis) @ basis.axes, np.eye(3), atol=1e-10)
 
     def test_from_axes_normalizes(self):
         b = OrientationBasis.from_axes(np.array(default_basis().axes) * 7.5)
@@ -64,21 +63,21 @@ class TestBasis:
 class TestProjection:
     def test_zero_field(self, basis):
         proj = project_field(basis, FieldVector(0, 0, 0))
-        assert proj.as_array() == pytest.approx(np.zeros(4))
+        assert proj == pytest.approx(np.zeros(4))
 
     def test_projection_of_first_axis(self, basis):
         # One gauss along axis a projects as (1, -1/3, -1/3, -1/3).
         b = FieldVector.from_array(basis.axes[0])
         proj = project_field(basis, b)
-        assert proj.as_array() == pytest.approx([1.0, -1 / 3, -1 / 3, -1 / 3], abs=1e-12)
+        assert proj == pytest.approx([1.0, -1 / 3, -1 / 3, -1 / 3], abs=1e-12)
 
     def test_matrix_multiply_example(self, basis):
-        got = basis.projection @ (np.ones(3) / SQRT3)
+        got = basis.axes @ (np.ones(3) / SQRT3)
         assert got == pytest.approx([1.0, -1 / 3, -1 / 3, -1 / 3], abs=1e-12)
 
     def test_unit_x_field(self, basis):
         proj = project_field(basis, FieldVector(1, 0, 0))
-        assert np.abs(proj.as_array()) == pytest.approx(np.full(4, 1 / SQRT3), abs=1e-12)
+        assert np.abs(proj) == pytest.approx(np.full(4, 1 / SQRT3), abs=1e-12)
 
 
 class TestRecovery:
@@ -93,7 +92,7 @@ class TestRecovery:
         assert back.as_array() == pytest.approx(b.as_array(), abs=1e-10)
 
     def test_zero_projection(self, basis):
-        assert recover_field(basis, AxisProjection(0, 0, 0, 0)).as_array() == pytest.approx(
+        assert recover_field(basis, np.zeros(4)).as_array() == pytest.approx(
             np.zeros(3)
         )
 
@@ -129,7 +128,7 @@ class TestRecovery:
         rng = np.random.default_rng(5)
         for _ in range(10):
             rot = random_rotation(rng)
-            rotated = basis.rotated(rot)
+            rotated = OrientationBasis.from_axes(basis.axes @ rot.T)
             b = FieldVector.from_array(rng.normal(0, 2, 3))
             b_rot = FieldVector.from_array(rot @ b.as_array())
             back = recover_field(rotated, project_field(rotated, b_rot))
@@ -169,7 +168,7 @@ class TestUncertainty:
         rng = np.random.default_rng(3)
         sigma = np.array([0.12, 0.2, 0.05, 0.3])
         true = FieldVector(0.4, -0.2, 0.9)
-        proj = project_field(basis, true).as_array()
+        proj = project_field(basis, true)
         noisy = proj[None, :] + rng.normal(0, 1, (100_000, 4)) * sigma[None, :]
         w = recovery_matrix(basis)
         emp = (noisy @ w.T).std(axis=0)
@@ -184,7 +183,7 @@ class TestUncertainty:
         rot = random_rotation(rng)
         sigma = [0.1, 0.2, 0.3, 0.4]
         w = recovery_matrix(basis)
-        w_rot = recovery_matrix(basis.rotated(rot))
+        w_rot = recovery_matrix(OrientationBasis.from_axes(basis.axes @ rot.T))
         cov = w @ np.diag(np.square(sigma)) @ w.T
         cov_rot = w_rot @ np.diag(np.square(sigma)) @ w_rot.T
         assert cov_rot == pytest.approx(rot @ cov @ rot.T, abs=1e-9)
@@ -222,5 +221,3 @@ class TestFieldVector:
         b = FieldVector(0.5, -1.0, 2.0)
         assert (a + b).as_array() == pytest.approx([1.5, 1.0, 5.0])
         assert (a - b).as_array() == pytest.approx([0.5, 3.0, 1.0])
-        assert (-a).as_array() == pytest.approx([-1.0, -2.0, -3.0])
-        assert a.scaled(2.0).as_array() == pytest.approx([2.0, 4.0, 6.0])

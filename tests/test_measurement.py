@@ -21,7 +21,6 @@ from comag.measurement import (
     DEFAULT_BIAS,
     GAMMA_NV,
     GAMMA_RB,
-    GyromagneticRatio,
     LiaParams,
     OdmrParams,
     fit_lia,
@@ -56,7 +55,7 @@ def assert_jacobian(model, jac, p, step=1e-4):
 class TestLarmorAndSensitivity:
     def test_odmr_sensitivity_reported_arithmetic(self):
         # dPL = 0.6e-3, slope 1.4e-3 /MHz, gamma 2.857 MHz/G -> 150 mG.
-        s = odmr_sensitivity(0.6e-3, 1.4e-3, GyromagneticRatio(2.857))
+        s = odmr_sensitivity(0.6e-3, 1.4e-3, 2.857)
         assert s == pytest.approx(0.150, rel=5e-4)
 
     def test_odmr_sensitivity_linearity(self):
@@ -67,12 +66,8 @@ class TestLarmorAndSensitivity:
     def test_lia_sensitivity_reported_arithmetic(self):
         # dY = 5.5e-6 V, slope 1e-6 V/kHz and the ratio implied by the
         # reported trio -> 790 uG.
-        s = lia_sensitivity(5.5e-6, 1e-6, GyromagneticRatio(GAMMA_RB_IMPLIED_KHZ_PER_G))
+        s = lia_sensitivity(5.5e-6, 1e-6, GAMMA_RB_IMPLIED_KHZ_PER_G)
         assert s == pytest.approx(7.90e-4, rel=5e-4)
-
-    def test_gamma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            GyromagneticRatio(0.0)
 
 
 class TestSynthOdmr:
@@ -93,8 +88,8 @@ class TestSynthOdmr:
         params = OdmrParams(pl_noise=0.0)
         b = DEFAULT_BIAS + FieldVector(0.2, -0.1, 0.3)
         spec = synth_odmr(b, basis, params, GAMMA_NV, 0)
-        proj = project_field(basis, b).as_array()
-        expected = np.sort(params.center_frequency + GAMMA_NV.value * proj)
+        proj = project_field(basis, b)
+        expected = np.sort(params.center_frequency + GAMMA_NV * proj)
         fit = fit_odmr(spec, params, GAMMA_NV)
         assert fit.peak_freqs == pytest.approx(expected, abs=1e-6)
 
@@ -125,8 +120,8 @@ class TestFitOdmr:
         params = OdmrParams(pl_noise=0.0)
         spec = synth_odmr(DEFAULT_BIAS, basis, params, GAMMA_NV, 0)
         fit = fit_odmr(spec, params, GAMMA_NV)
-        proj = project_field(basis, DEFAULT_BIAS).as_array()
-        expected = np.sort(params.center_frequency + GAMMA_NV.value * proj)
+        proj = project_field(basis, DEFAULT_BIAS)
+        expected = np.sort(params.center_frequency + GAMMA_NV * proj)
         assert fit.peak_freqs == pytest.approx(expected, abs=1e-6)
         assert fit.delta_pl == pytest.approx(0.0, abs=1e-9)
 
@@ -311,7 +306,7 @@ class TestNvMeasure:
         delta = FieldVector(0.3, -0.2, 0.1)
         v1, _ = nv_measure(delta, DEFAULT_BIAS, B0_MEASURED, basis, params, GAMMA_NV, 0)
         v2, _ = nv_measure(
-            delta, DEFAULT_BIAS.scaled(1.7), B0_MEASURED, basis, params, GAMMA_NV, 0
+            delta, FieldVector.from_array(1.7 * DEFAULT_BIAS.as_array()), B0_MEASURED, basis, params, GAMMA_NV, 0
         )
         assert v1.as_array() == pytest.approx(delta.as_array(), abs=1e-6)
         assert v2.as_array() == pytest.approx(delta.as_array(), abs=1e-6)
@@ -320,7 +315,7 @@ class TestNvMeasure:
         # The reference dips are resolved (the default bias); delta_b along the
         # axis of the second-highest dip moves it onto its lower neighbour.
         params = OdmrParams(pl_noise=0.0)
-        proj = project_field(basis, DEFAULT_BIAS).as_array()
+        proj = project_field(basis, DEFAULT_BIAS)
         order = np.argsort(proj)
         gap = proj[order[2]] - proj[order[1]]
         delta = FieldVector.from_array(-0.75 * gap * basis.axes[order[2]])
@@ -366,7 +361,7 @@ class TestNvMeasure:
 class TestSynthLia:
     def test_resonance_in_band(self):
         sig = synth_lia(1.0, GAMMA_RB, LiaParams(y_noise=0.0), 0)
-        f_res = GAMMA_RB.value * 1.0
+        f_res = GAMMA_RB * 1.0
         assert f_res == pytest.approx(700.0)
         # Dispersive quadrature crosses zero at the resonance.
         below = sig.y[sig.mod_freqs < f_res - 1.0]
@@ -436,7 +431,7 @@ class TestFitLia:
 class TestRbMeasure:
     def test_cancellation_goes_out_of_range(self):
         with pytest.raises(ResonanceOutOfRangeError):
-            rb_measure(-B0_MEASURED, B0_MEASURED, GAMMA_RB, LiaParams(), 0)
+            rb_measure(FieldVector.from_array(-B0_MEASURED.as_array()), B0_MEASURED, GAMMA_RB, LiaParams(), 0)
 
     def test_perpendicular_fields(self):
         delta = FieldVector(1.0, 0.0, 0.0)
