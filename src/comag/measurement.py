@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .errors import (
     NoResonanceError,
@@ -25,8 +25,7 @@ from .geometry import (
     FieldVector,
     OrientationBasis,
     project_field,
-    propagate_axis_uncertainty,
-    recover_field,
+    recovery_matrix,
     select_best_axes,
 )
 from .params import (
@@ -40,6 +39,98 @@ from .params import (
 # where the slope magnitude is (3*sqrt(3)/4) * contrast / linewidth.
 _MAX_SLOPE_OFFSET = 1.0 / (2.0 * math.sqrt(3.0))
 _MAX_SLOPE_FACTOR = 3.0 * math.sqrt(3.0) / 4.0
+
+_FIT_TOL = 1e-14  # of least_squares' scaled-gradient, cost-decrease and step tests
+
+
+class LeastSquaresResult(NamedTuple):
+    """Solution, residual vector there, and evaluations of the residual function."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+
+
+def least_squares(fun, x0, jac) -> LeastSquaresResult:
+    """Levenberg-Marquardt minimum of ``sum(fun(x)**2)`` from ``x0``, with Jacobian ``jac``.
+
+    Each trial step solves ``(J^T J + lam * diag(J^T J)) dx = -J^T r`` (Marquardt's
+    scaling, as in Moré 1978); lam shrinks after a step that lowers the cost and
+    grows after one that does not.  Stops when the scaled gradient, the relative
+    actual and predicted cost decrease, or the scaled step falls to 1e-14, or after
+    MINPACK's default of 100 * (n + 1) evaluations of ``fun``.
+    """
+    x = np.array(x0, dtype=float)
+    r = fun(x)
+    cost, nfev, lam, nu, moved = float(r @ r), 1, 1e-3, 2.0, True
+    while nfev < 100 * (len(x) + 1):
+        if moved:
+            j = jac(x)
+            a, g = j.T @ j, j.T @ r
+            d = np.diag(a).copy()
+            d[d == 0.0] = 1.0
+            if np.max(np.abs(g) / np.sqrt(d)) <= _FIT_TOL * math.sqrt(cost):
+                break
+        step = np.linalg.solve(a + lam * np.diag(d), -g)
+        r_new = fun(x + step)
+        nfev += 1
+        cost_new = float(r_new @ r_new)
+        actual = cost - cost_new
+        predicted = float(np.sum((j @ step) ** 2) + 2.0 * lam * (d @ step**2))
+        flat = actual <= _FIT_TOL * cost and predicted <= _FIT_TOL * cost
+        moved = actual > 0.0
+        if moved:
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * actual / predicted - 1.0) ** 3)
+            x, r, cost, nu = x + step, r_new, cost_new, 2.0
+        else:
+            lam, nu = lam * nu, 2.0 * nu
+        if flat or math.sqrt(d @ step**2) <= _FIT_TOL * math.sqrt(d @ x**2):
+            break
+    return LeastSquaresResult(x, r, nfev)
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` bracketed by ``[a, b]`` by Brent's (1973) method, at most 100 iterations.
+
+    A line-for-line port of scipy's ``brentq.c``, so it returns the same root.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur}")
 
 
 @dataclass(frozen=True)
@@ -239,8 +330,9 @@ def fit_odmr(
     """Least-squares multi-Lorentzian fit of an ODMR spectrum.
 
     Dips are seeded from a prominence-based peak search and refined by a
-    joint Levenberg-Marquardt fit of baseline, contrasts, centers and
-    widths with the analytic Jacobian of the lineshape.  Raises
+    joint Levenberg-Marquardt fit (:func:`least_squares`, numpy only) of
+    baseline, contrasts, centers and widths with the analytic Jacobian of
+    the lineshape.  Raises
     :class:`UnresolvedPeaksError` when fewer dips than requested can be
     located (overlapping orientations, insufficient bias field).
     """
@@ -265,9 +357,7 @@ def fit_odmr(
     def jac(p):
         return _lorentzian_dips_jac(freqs, *unpack(p)[1:])
 
-    sol = least_squares(
-        resid, p0, jac=jac, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14
-    )
+    sol = least_squares(resid, p0, jac)
     base, contrasts, centers, widths = unpack(sol.x)
     widths = np.abs(widths)
     contrasts = np.abs(contrasts)
@@ -378,10 +468,11 @@ def nv_measure(
                 fit_ref.delta_pl, abs(slopes[dip_i]), gamma
             )
 
-    b_axis = delta_f / gamma
-    selected = select_best_axes(np.where(sigma_axis > 0, sigma_axis, np.inf), axes_used)
-    b_lab = recover_field(basis, b_axis, selected)
-    return b_lab, propagate_axis_uncertainty(basis, sigma_axis, selected)
+    # recover_field and propagate_axis_uncertainty, sharing one recovery matrix.
+    idx = list(select_best_axes(np.where(sigma_axis > 0, sigma_axis, np.inf), axes_used))
+    w = recovery_matrix(basis, idx)
+    b_lab = FieldVector.from_array(w @ (delta_f / gamma)[idx])
+    return b_lab, np.sqrt(w**2 @ sigma_axis[idx] ** 2)
 
 
 def _working_point_index(freqs: np.ndarray, fit_ref: OdmrFit, dip_i: int, side: int = 1) -> int:
@@ -512,7 +603,8 @@ def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:
 
     The resonance is located from the in-phase peak, confirmed by the Y
     sign change, and refined by a least-squares fit of the dispersive
-    model with its analytic Jacobian (exact at zero noise).  The
+    model with its analytic Jacobian (:func:`least_squares`, numpy only;
+    exact at zero noise).  The
     uncertainty follows the slope method: a linear fit to Y over the region
     around the zero crossing where the fitted lineshape stays within half
     its peak value gives the slope m and the RMSE dY, and
@@ -555,11 +647,7 @@ def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:
     sol = least_squares(
         lambda p: _dispersive(ff, *p) - yf,
         [amp_guess, f0_guess, width_guess],
-        jac=lambda p: _dispersive_jac(ff, *p),
-        method="lm",
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
+        lambda p: _dispersive_jac(ff, *p),
     )
     f_res = float(sol.x[1])
     width_fit = abs(float(sol.x[2]))

@@ -1,8 +1,9 @@
 """Sensor parameters: gyromagnetic ratios and the ODMR and LIA scan settings.
 
 They need only numpy, so the config schema holds them without importing
-:mod:`comag.measurement` and scipy.  Gyromagnetic ratios are in frequency
-units (MHz/G for NV, kHz/G for Rb), so ``f = gamma * B`` with no 2*pi.
+the spectral pipeline, :mod:`comag.measurement`.  Gyromagnetic ratios are
+in frequency units (MHz/G for NV, kHz/G for Rb), so ``f = gamma * B`` with
+no 2*pi.
 """
 
 from __future__ import annotations

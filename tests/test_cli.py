@@ -571,14 +571,20 @@ class TestImportPath:
         assert loaded == ["comag"]
         assert version == "0.1.0"
 
-    def test_measurement_loads_only_scipy_optimize(self):
-        # The ODMR dip search is numpy; scipy.signal (and the scipy.stats it
-        # pulls in) stays out of any process that fits a spectrum.
+    def test_measurement_imports_no_scipy(self):
+        # Both fits and the working-point root finder are numpy and Python; a
+        # reading must not pull scipy in lazily either.
         script = (
             "import json, sys\n"
             "import comag.measurement as m\n"
-            "scipy = sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')\n"
-            "print(json.dumps([scipy, callable(m.least_squares), callable(m.brentq)]))\n"
+            "from comag.geometry import FieldVector, default_basis\n"
+            "def scipy():\n"
+            "    return sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')\n"
+            "on_import = scipy()\n"
+            "b_0, delta = FieldVector(0.004, -0.7454, 0.6451), FieldVector(0.1, -0.2, 0.05)\n"
+            "m.nv_measure(delta, m.DEFAULT_BIAS, b_0, default_basis(), m.OdmrParams(), rng_seed=3)\n"
+            "m.rb_measure(delta, b_0, rng_seed=4)\n"
+            "print(json.dumps([on_import, scipy()]))\n"
         )
         src = os.path.dirname(os.path.dirname(comag.__file__))
         proc = subprocess.run(
@@ -589,11 +595,9 @@ class TestImportPath:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        scipy_modules, has_lsq, has_brentq = json.loads(proc.stdout.splitlines()[-1])
-        assert "scipy.optimize" in scipy_modules
-        loaded = [m for m in scipy_modules if m.split(".")[1:2] in (["signal"], ["stats"])]
-        assert loaded == []
-        assert has_lsq and has_brentq
+        on_import, after_reading = json.loads(proc.stdout.splitlines()[-1])
+        assert on_import == []
+        assert after_reading == []
 
     def test_measurement_keeps_its_solver_attributes(self):
         # The benchmark's tracer wraps these two as attributes of the module.
@@ -601,3 +605,8 @@ class TestImportPath:
 
         assert callable(measurement.least_squares)
         assert callable(measurement.brentq)
+        # ...and reads the evaluation count off each least_squares result.
+        sol = measurement.least_squares(
+            lambda x: x - 2.0, [0.0], lambda x: np.ones((1, 1))
+        )
+        assert isinstance(sol.nfev, int) and sol.nfev >= 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from comag import measurement
 from comag.errors import (
     NoResonanceError,
     ResonanceOutOfRangeError,
@@ -18,6 +19,7 @@ from comag.measurement import (
     _lorentzian_dips,
     _lorentzian_dips_jac,
     _working_point_index,
+    brentq,
     DEFAULT_BIAS,
     GAMMA_NV,
     GAMMA_RB,
@@ -25,6 +27,7 @@ from comag.measurement import (
     OdmrParams,
     fit_lia,
     fit_odmr,
+    least_squares,
     lia_sensitivity,
     nv_measure,
     odmr_sensitivity,
@@ -245,6 +248,151 @@ class TestJacobians:
             assert_jacobian(
                 lambda q: _dispersive(freqs, *q), lambda q: _dispersive_jac(freqs, *q), p
             )
+
+
+def recorded_calls(monkeypatch, name, run):
+    """Run ``run()`` with ``comag.measurement.<name>`` wrapped; the arguments and
+    result of each call."""
+    solver, calls = getattr(measurement, name), []
+
+    def record(*args, **kwargs):
+        out = solver(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(measurement, name, record)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return calls
+
+
+class TestSolvers:
+    """The numpy Levenberg-Marquardt against MINPACK, and the Brent port against scipy."""
+
+    MINPACK = dict(method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    # Largest solution change against MINPACK, in standard errors of each
+    # parameter: a reading may move by at most 1e-5 of its own sigma.
+    SE_TOL = 1e-5
+
+    @pytest.mark.parametrize("kind", ["odmr", "lia"])
+    def test_least_squares_matches_minpack(self, basis, monkeypatch, kind):
+        from scipy.optimize import least_squares as minpack
+
+        if kind == "odmr":  # the spectral workload's fields: +-0.3 G on B_0 and the bias
+            rng = np.random.default_rng(17)
+            spectra = [
+                synth_odmr(
+                    DEFAULT_BIAS + B0_MEASURED + FieldVector(*rng.uniform(-0.3, 0.3, 3)),
+                    basis,
+                    OdmrParams(),
+                    GAMMA_NV,
+                    int(rng.integers(2**31)),
+                )
+                for _ in range(50)
+            ]
+            calls = recorded_calls(
+                monkeypatch, "least_squares", lambda: [fit_odmr(s, OdmrParams()) for s in spectra]
+            )
+        else:
+            rng = np.random.default_rng(18)
+            signals = [
+                synth_lia(rng.uniform(0.6, 2.0), GAMMA_RB, LiaParams(), int(rng.integers(2**31)))
+                for _ in range(50)
+            ]
+            calls = recorded_calls(monkeypatch, "least_squares", lambda: [fit_lia(s) for s in signals])
+        assert len(calls) == 50
+        nfev, minpack_nfev = 0, 0
+        for (fun, x0, jac), _, sol in calls:
+            ref = minpack(fun, x0, jac=jac, **self.MINPACK)
+            j = jac(ref.x)
+            s2 = ref.fun @ ref.fun / (len(ref.fun) - len(ref.x))
+            se = np.sqrt(np.diag(np.linalg.inv(j.T @ j)) * s2)
+            np.testing.assert_array_less(np.abs(sol.x - ref.x), self.SE_TOL * se)
+            np.testing.assert_array_equal(sol.fun, fun(sol.x))
+            nfev, minpack_nfev = nfev + sol.nfev, minpack_nfev + ref.nfev
+        # The cost-decrease test ends a fit in no more evaluations than MINPACK's tests.
+        assert nfev <= minpack_nfev
+
+    def test_noiseless_spectrum_returns_exact_parameters(self, basis, monkeypatch):
+        from scipy.optimize import least_squares as minpack
+
+        params = OdmrParams(pl_noise=0.0)
+        fields = [DEFAULT_BIAS + FieldVector(0.1 * k, -0.05 * k, 0.02) for k in range(5)]
+        fits = []
+        calls = recorded_calls(
+            monkeypatch,
+            "least_squares",
+            lambda: fits.extend(fit_odmr(synth_odmr(b, basis, params), params) for b in fields),
+        )
+        for b, fit, ((fun, x0, jac), _, sol) in zip(fields, fits, calls):
+            centers = np.sort(params.center_frequency + GAMMA_NV * project_field(basis, b))
+            np.testing.assert_allclose(fit.peak_freqs, centers, rtol=1e-12)
+            np.testing.assert_allclose(fit.contrasts, params.contrast, rtol=1e-9)
+            np.testing.assert_allclose(fit.linewidths, params.linewidth, rtol=1e-9)
+            assert fit.baseline == pytest.approx(1.0, abs=1e-12)
+            # At the exact solution the scaled-step test stops the fit.
+            assert sol.nfev <= minpack(fun, x0, jac=jac, **self.MINPACK).nfev + 1
+
+    def test_starting_at_the_minimum_costs_one_evaluation(self):
+        a = np.vander(np.linspace(0.0, 1.0, 9), 3)
+        b = np.cos(np.linspace(0.0, 3.0, 9))
+        x0 = np.linalg.lstsq(a, b, rcond=None)[0]
+        sol = least_squares(lambda x: a @ x - b, x0, lambda x: a)
+        assert sol.nfev == 1
+        np.testing.assert_array_equal(sol.x, x0)
+
+    def test_stops_at_minpack_evaluation_cap(self):
+        # r = x**2 converges linearly to 0, where no relative test can fire.
+        sol = least_squares(lambda x: x**2, [1.0], lambda x: np.diag(2.0 * x))
+        assert sol.nfev == 100 * (1 + 1)
+        assert 0.0 < sol.x[0] < 1e-50
+
+    def test_brentq_matches_scipy_on_readout_transfers(self, basis, monkeypatch):
+        from scipy.optimize import brentq as scipy_brentq
+
+        rng = np.random.default_rng(19)
+
+        def readings():
+            for _ in range(90):
+                delta = FieldVector(*rng.uniform(-0.3, 0.3, 3))
+                seed = int(rng.integers(2**31))
+                nv_measure(delta, DEFAULT_BIAS, B0_MEASURED, basis, OdmrParams(), GAMMA_NV, seed)
+
+        calls = recorded_calls(monkeypatch, "brentq", readings)
+        assert len(calls) >= 1000
+        for (f, a, b), tols, root in calls:
+            assert root == scipy_brentq(f, a, b, **tols)
+
+    @pytest.mark.parametrize("xtol, rtol", [(1e-12, 1e-14), (2e-12, 4 * 2.0**-52), (1e-6, 1e-10)])
+    def test_brentq_matches_scipy_on_analytic_functions(self, xtol, rtol):
+        from scipy.optimize import brentq as scipy_brentq
+
+        def outcome(solver, *args, **kwargs):
+            try:
+                return solver(*args, **kwargs)
+            except RuntimeError:  # no convergence in 100 iterations
+                return RuntimeError
+
+        cases = [
+            (lambda x: x * x - 2.0, 0.0, 2.0),
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: x**3, -1.0, 2.0),  # at the tighter tolerances, neither converges
+            (lambda x: math.exp(x) - 5.0, -3.0, 4.0),
+            (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
+            (lambda x: (x - 1e-3) ** 5 + 1e-16, -2.0, 3.0),
+        ]
+        for f, a, b in cases:
+            for lo, hi in ((a, b), (b, a)):
+                want = outcome(scipy_brentq, f, lo, hi, xtol=xtol, rtol=rtol)
+                assert outcome(brentq, f, lo, hi, xtol, rtol) == want
+
+    def test_brentq_returns_a_root_endpoint(self):
+        assert brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-12, 1e-14) == 1.0
+        assert brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-12, 1e-14) == 3.0
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x + 5.0, 1.0, 3.0, 1e-12, 1e-14)
 
 
 class TestNvMeasure:
