@@ -158,6 +158,11 @@ def combined_estimate(
     )
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a[k] @ b[k] of two (m, 3) arrays, as the 1-D ``@`` computes it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis of a (..., 3) array.
 
@@ -296,35 +301,11 @@ def angular_uncertainty(
     Both results are capped at pi.  Angular error shrinks as 1/||b|| at
     fixed sigma.
     """
-    sig = np.asarray(sigma, dtype=float)
-    if sig.ndim == 0:
-        sig = np.full(3, float(sig))
-    if sig.shape != (3,):
-        raise ValueError("sigma must be a scalar or three per-axis values")
-    if np.any(sig < 0):
-        raise ValueError("sigma must be >= 0")
-
+    sig = _axis_sigmas(sigma)
     v = b.as_array()
-    r2 = float(v @ v)
     if method == "linearized":
-        if r2 == 0.0:
-            raise ZeroFieldError("angles undefined at zero field")
-        x, y, z = v
-        rho2 = x * x + y * y
-        rho = math.sqrt(rho2)
-        if rho > 0.0:
-            try:
-                num = _root_sum_squares(x * z * sig[0], y * z * sig[1], rho2 * sig[2])
-                d_theta = num / (rho * r2)
-            except ZeroDivisionError:
-                raise ZeroFieldError("angles undefined at an underflowing field") from None
-            d_phi = _root_sum_squares(y * sig[0], x * sig[1]) / rho2
-        else:
-            # On the pole the transverse displacement sets the polar error;
-            # the azimuth is undefined, so it saturates at the cap.
-            d_theta = math.sqrt((sig[0] ** 2 + sig[1] ** 2) / 2.0) / math.sqrt(r2)
-            d_phi = math.pi
-        return AngularUncertainty(float(min(d_theta, math.pi)), float(min(d_phi, math.pi)))
+        d_theta, d_phi = linearized_angles(v[None, :], sig)
+        return AngularUncertainty(float(d_theta[0]), float(d_phi[0]))
 
     if method != "monte_carlo":
         raise ValueError("method must be 'linearized' or 'monte_carlo'")
@@ -332,17 +313,80 @@ def angular_uncertainty(
     samples = v[None, :] + rng.normal(0.0, 1.0, size=(n, 3)) * sig[None, :]
     theta = np.arctan2(np.hypot(samples[:, 0], samples[:, 1]), samples[:, 2])
     phi = np.arctan2(samples[:, 1], samples[:, 0])
-    theta0 = math.atan2(math.hypot(v[0], v[1]), v[2]) if r2 > 0 else 0.0
+    theta0 = math.atan2(math.hypot(v[0], v[1]), v[2]) if v @ v > 0 else 0.0
     phi0 = math.atan2(v[1], v[0]) if (v[0] != 0 or v[1] != 0) else 0.0
     d_theta = float(np.std(_wrap_angle(theta - theta0)))
     d_phi = float(np.std(_wrap_angle(phi - phi0)))
     return AngularUncertainty(min(d_theta, math.pi), min(d_phi, math.pi))
 
 
-def _root_sum_squares(a, b, c=0.0) -> float:
-    """sqrt(a^2 + b^2 + c^2), by ``math.hypot`` below the smallest normal float 2**-1022."""
-    total = a**2 + b**2 + c**2
-    return math.sqrt(total) if total >= 2.0**-1022 else math.hypot(a, b, c)
+def _axis_sigmas(sigma: Sequence[float] | float) -> np.ndarray:
+    """The three per-axis deviations of a scalar or a three-value ``sigma``."""
+    sig = np.asarray(sigma, dtype=float)
+    if sig.ndim == 0:
+        sig = np.full(3, float(sig))
+    if sig.shape != (3,):
+        raise ValueError("sigma must be a scalar or three per-axis values")
+    if np.any(sig < 0):
+        raise ValueError("sigma must be >= 0")
+    return sig
+
+
+def linearized_angles(
+    v: np.ndarray, sigma: Sequence[float] | float
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-order (d_theta, d_phi) of each field row of ``v`` (m, 3) at the
+    per-axis deviations ``sigma`` (a scalar or three values, as for
+    :func:`angular_uncertainty`), each capped at pi.
+
+    d_theta = |(xz sx, yz sy, rho^2 sz)| / (rho |v|^2), d_phi = |(y sx, x sy)|
+    / rho^2.  Raises :class:`ZeroFieldError` if |v|^2 or rho |v|^2 is 0 in
+    any row.  rho |v|^2 and d_theta's quotients overflow to inf or nan
+    quietly, as Python floats do; every other step raises or warns as the
+    caller's ``np.errstate`` says.
+    """
+    sig = _axis_sigmas(sigma)
+    v = np.asarray(v, dtype=float)
+    r2 = row_dots(v, v)
+    x, y, z = v.T
+    rho2 = x * x + y * y
+    rho = np.sqrt(rho2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = rho * r2
+    undefined = (r2 == 0.0) | ((rho > 0.0) & (denom == 0.0))
+    if undefined.any():
+        if r2[np.argmax(undefined)] == 0.0:
+            raise ZeroFieldError("angles undefined at zero field")
+        raise ZeroFieldError("angles undefined at an underflowing field")
+
+    d_theta, d_phi = np.empty((2, len(v)))
+    pole = rho == 0.0
+    if pole.any():
+        # On the pole the transverse displacement sets the polar error;
+        # the azimuth is undefined, so it saturates at the cap.
+        transverse = math.sqrt((sig[0] ** 2 + sig[1] ** 2) / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_theta[pole] = transverse / np.sqrt(r2[pole])
+        d_phi[pole] = math.pi
+    off = ~pole
+    x, y, z, rho2, denom = x[off], y[off], z[off], rho2[off], denom[off]
+    num = _root_sum_squares(x * z * sig[0], y * z * sig[1], rho2 * sig[2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_theta[off] = num / denom
+    d_phi[off] = _root_sum_squares(y * sig[0], x * sig[1]) / rho2
+    return np.minimum(d_theta, math.pi), np.minimum(d_phi, math.pi)
+
+
+def _root_sum_squares(*terms: np.ndarray) -> np.ndarray:
+    """Elementwise sqrt(a^2 + b^2 + ...), by ``math.hypot`` where the sum is
+    below the smallest normal float 2**-1022.  ``np.float_power`` squares
+    as a scalar ``**2`` does (``pow``), where ``a * a`` may differ in the
+    last bit."""
+    total = sum(np.float_power(t, 2.0) for t in terms)
+    root = np.sqrt(total)
+    low = ~(total >= 2.0**-1022)
+    root[low] = [math.hypot(*cell) for cell in zip(*(t[low].tolist() for t in terms))]
+    return root
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:

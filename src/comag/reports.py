@@ -35,13 +35,31 @@ def atomic_write_text(path: str, text: str) -> None:
 def write_csv(path: str, columns: Mapping[str, object]) -> None:
     """One column per entry, named by its key; arrays are flattened in C order
     and must all hold the same number of values."""
-    values = [np.ravel(v).tolist() for v in columns.values()]
+    flat = [np.ravel(v) for v in columns.values()]
+    rows = zip(*map(_column_cells, flat), strict=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in zip(*values, strict=True):
-        writer.writerow([_cell(v) for v in row])
+    if all(v.dtype.kind in "biuf" for v in flat):  # no cell of these needs quoting
+        buf.writelines(",".join(row) + "\n" for row in rows)
+    else:
+        writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
+
+
+def _column_cells(values: np.ndarray) -> list[str]:
+    """Each value's text as ``_cell`` writes it.  A float column runs ``repr``
+    once per distinct bit pattern, so -0.0 stays apart from 0.0."""
+    if values.dtype == np.bool_:
+        return ["1" if v else "0" for v in values.tolist()]
+    if values.dtype.kind == "f":
+        floats = values.astype(np.float64)
+        if floats.size < 32:  # np.unique costs about as much as 30 reprs
+            return [repr(v) for v in floats.tolist()]
+        distinct, index = np.unique(floats.view(np.uint64), return_inverse=True)
+        text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+        return text[index].tolist()
+    return [_cell(v) for v in values.tolist()]
 
 
 def _cell(value) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimator import batch_combined, row_norms
+from .estimator import batch_combined, linearized_angles, row_dots, row_norms
 from .geometry import FieldVector
 
 # Stream tags keep the per-cell RNG keys of different harnesses disjoint.
@@ -166,7 +166,8 @@ def _cell_rngs(seed: int, tag: int, keys):
 
 
 def _db(ratio: float) -> float:
-    if ratio <= 0 or not math.isfinite(ratio):
+    # isfinite first: ordering a NaN sets the invalid flag that _db_cells checks.
+    if not math.isfinite(ratio) or ratio <= 0:
         return math.nan
     return 10.0 * math.log10(ratio)
 
@@ -179,14 +180,9 @@ _db_cells = np.vectorize(_db, otypes=[float])
 _CHUNK_ROWS = 8192
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a[k] @ b[k] of two (m, 3) arrays, as the 1-D ``@`` computes it."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _norms(a: np.ndarray) -> np.ndarray:
     """Row-wise np.linalg.norm(a[k]) of an (m, 3) array, to the last bit."""
-    return np.sqrt(_dots(a, a))
+    return np.sqrt(row_dots(a, a))
 
 
 def _angles(v: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -201,7 +197,7 @@ def _orthogonality(deltas: np.ndarray, b_0: np.ndarray) -> np.ndarray:
     s = deltas + b_0
     ns, nd = _norms(s), _norms(deltas)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ortho = np.abs(_dots(s, deltas)) / (ns * nd)
+        ortho = np.abs(row_dots(s, deltas)) / (ns * nd)
     return np.where((ns == 0.0) | (nd == 0.0), math.nan, ortho)
 
 
@@ -629,25 +625,24 @@ def angular_error_map(
     normal float.  The error falls off as 1/|B| along every ray, so larger
     working fields give better angular accuracy.  The origin is NaN.
     """
-    from .estimator import angular_uncertainty
-
     xs = np.linspace(grid_min, grid_max, grid_points)
     ys = np.linspace(grid_min, grid_max, grid_points)
-    d_theta = np.full((len(ys), len(xs)), math.nan)
-    d_phi = np.full((len(ys), len(xs)), math.nan)
-    total_db = np.full((len(ys), len(xs)), math.nan)
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            if x == 0.0 and y == 0.0:
-                continue
-            au = angular_uncertainty(FieldVector(x, y, 0.0), sigma)
-            d_theta[iy, ix] = au.d_theta
-            d_phi[iy, ix] = au.d_phi
-            total = au.d_theta**2 + au.d_phi**2
-            if total >= 2.0**-1022:  # the smallest normal float
-                total_db[iy, ix] = _db(total)
-            else:  # the squares underflow; 20*log10 of the norm does not
-                total_db[iy, ix] = 2.0 * _db(math.hypot(au.d_theta, au.d_phi))
+    if not np.isfinite(xs).all():
+        raise ValueError("field components must be finite")
+    x, y = np.meshgrid(xs, ys)
+    cells = (x != 0.0) | (y != 0.0)
+    fields = np.stack([x[cells], y[cells], np.zeros(np.count_nonzero(cells))], axis=1)
+    d_theta_cells, d_phi_cells = linearized_angles(fields, sigma)
+    total = np.float_power(d_theta_cells, 2.0) + np.float_power(d_phi_cells, 2.0)
+    normal = total >= 2.0**-1022  # the smallest normal float
+    db_cells = np.empty_like(total)
+    db_cells[normal] = _db_cells(total[normal])
+    # Where the squares underflow, 20*log10 of the norm does not.
+    low = zip(d_theta_cells[~normal].tolist(), d_phi_cells[~normal].tolist())
+    db_cells[~normal] = 2.0 * _db_cells([math.hypot(t, p) for t, p in low])
+
+    d_theta, d_phi, total_db = np.full((3, *x.shape), math.nan)
+    d_theta[cells], d_phi[cells], total_db[cells] = d_theta_cells, d_phi_cells, db_cells
     return AngularErrorMap(
         bx=xs, by=ys, d_theta=d_theta, d_phi=d_phi, total_db=total_db, sigma=sigma
     )

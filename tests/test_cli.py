@@ -379,6 +379,14 @@ BAD_CONFIGS = [
         "angles undefined at an underflowing field", id="underflowing-angular-field",
     ),
     pytest.param(
+        "angular-map", FAST_ANGULAR + "sigma = 1e308\n", EXIT_RUNTIME,
+        "inputs too extreme to compute (overflow encountered", id="overflowing-angular-sigma",
+    ),
+    pytest.param(
+        "angular-map", FAST_ANGULAR + "grid_min = -1e200\ngrid_max = 1e200\n", EXIT_RUNTIME,
+        "inputs too extreme to compute (overflow encountered", id="overflowing-angular-field",
+    ),
+    pytest.param(
         "spatial-scan", "[spatial]\nstage_range = 1e308\n", EXIT_VALIDATION,
         "stage geometry overflows the dipole field or the scan's fit",
         id="overflowing-stage-range",

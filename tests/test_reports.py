@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from comag.geometry import FieldVector, default_basis
 from comag.measurement import GAMMA_NV, GAMMA_RB, LiaParams, OdmrParams, synth_lia, synth_odmr
 from comag.measurement import DEFAULT_BIAS
-from comag.reports import atomic_write_text, write_csv, write_summary
+from comag.reports import _cell, atomic_write_text, write_csv, write_summary
 
 
 def read_csv(path):
@@ -87,3 +89,82 @@ class TestTraceSerialization:
         p = tmp_path / "grid.csv"
         write_csv(str(p), {"v": np.array([[1.0, 2.0], [3.0, 4.0]]), "k": np.arange(4)})
         assert p.read_text() == "v,k\n1.0,0\n2.0,1\n3.0,2\n4.0,3\n"
+
+
+def per_cell_csv(columns) -> str:
+    """The CSV text of the per-cell writer that write_csv replaced: every
+    value through ``_cell`` and csv.writer, one row at a time."""
+    values = [np.ravel(v).tolist() for v in columns.values()]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in zip(*values, strict=True):
+        writer.writerow([_cell(v) for v in row])
+    return buf.getvalue()
+
+
+EDGE_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1.5]
+
+
+class TestCsvBytes:
+    """write_csv formats whole columns; its bytes are the per-cell writer's."""
+
+    @pytest.mark.parametrize("n", [1, 12, 31, 32, 200])
+    def test_edge_floats_repeated(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        floats = np.array(EDGE_FLOATS)[rng.integers(0, len(EDGE_FLOATS), n)]
+        columns = {
+            "f64": floats,
+            "f32": floats.astype(np.float32),
+            "flag": floats > 0.5,
+            "count": np.arange(n) - n // 2,
+            "grid": np.tile(np.linspace(-1.5, 1.5, 41), 5)[:n],
+        }
+        p = tmp_path / "edge.csv"
+        write_csv(str(p), columns)
+        assert p.read_text() == per_cell_csv(columns)
+
+    def test_zero_and_negative_zero_stay_apart(self, tmp_path):
+        p = tmp_path / "zeros.csv"
+        write_csv(str(p), {"z": np.array([0.0, -0.0] * 20)})
+        assert p.read_text() == "z\n" + "0.0\n-0.0\n" * 20
+
+    def test_scalar_columns(self, tmp_path):
+        columns = {
+            "py_float": 0.1 + 0.2,
+            "np_float": np.float64(-0.0),
+            "f32": np.float32(1e-5),
+            "nan": float("nan"),
+            "flag": True,
+            "np_flag": np.bool_(False),
+            "count": 7,
+            "big": np.int64(2**62),
+        }
+        p = tmp_path / "scalars.csv"
+        write_csv(str(p), columns)
+        assert p.read_text() == per_cell_csv(columns)
+
+    def test_zero_rows(self, tmp_path):
+        columns = {"a": np.array([]), "b": np.array([], dtype=bool), "c": np.zeros((0, 3))}
+        p = tmp_path / "empty.csv"
+        write_csv(str(p), columns)
+        assert p.read_text() == per_cell_csv(columns) == "a,b,c\n"
+
+    def test_random_columns_with_repeats(self, tmp_path):
+        rng = np.random.default_rng(7)
+        columns = {
+            "coarse": np.round(rng.normal(size=(41, 41)), 2),
+            "fine": rng.normal(size=1681) * 10.0 ** rng.integers(-300, 300, 1681),
+            "f32": rng.normal(size=1681).astype(np.float32),
+            "few": rng.choice([0.0, -0.0, 1.0 / 3.0, np.nan], 1681),
+        }
+        p = tmp_path / "random.csv"
+        write_csv(str(p), columns)
+        assert p.read_text() == per_cell_csv(columns)
+
+    def test_text_columns_keep_csv_quoting(self, tmp_path):
+        columns = {"label": np.array(["a,b", 'say "hi"', "plain"]), "v": [1.0, -0.0, np.nan]}
+        p = tmp_path / "text.csv"
+        write_csv(str(p), columns)
+        assert p.read_text() == per_cell_csv(columns)
+        assert p.read_text().splitlines()[1] == '"a,b",1.0'

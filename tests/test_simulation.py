@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from comag.estimator import angular_uncertainty
+from comag.estimator import angular_uncertainty, linearized_angles
 from comag import simulation
 from comag.geometry import FieldVector
 from comag.simulation import (
@@ -265,6 +265,103 @@ class TestAngularErrorMap:
             FieldVector(1.0, 0, 0), 0.1, method="monte_carlo", n=100_000, seed=9
         )
         assert mc.d_phi == pytest.approx(lin.d_phi, rel=0.05)
+
+
+def _root_sum_squares(a, b, c=0.0):
+    total = a**2 + b**2 + c**2
+    return math.sqrt(total) if total >= 2.0**-1022 else math.hypot(a, b, c)
+
+
+def per_vector_angles(v: np.ndarray, sig: np.ndarray) -> tuple[float, float]:
+    """The linearized angles of one field, in the numpy-scalar and Python
+    float arithmetic of the per-vector form the array kernel replaced."""
+    r2 = float(v @ v)
+    x, y, z = v
+    rho2 = x * x + y * y
+    rho = math.sqrt(rho2)
+    if rho > 0.0:
+        d_theta = _root_sum_squares(x * z * sig[0], y * z * sig[1], rho2 * sig[2]) / (rho * r2)
+        d_phi = _root_sum_squares(y * sig[0], x * sig[1]) / rho2
+    else:
+        d_theta = math.sqrt((sig[0] ** 2 + sig[1] ** 2) / 2.0) / math.sqrt(r2)
+        d_phi = math.pi
+    return min(d_theta, math.pi), min(d_phi, math.pi)
+
+
+def per_cell_angular_map(grid_min, grid_max, grid_points, sigma):
+    """The cell-by-cell loop angular_error_map replaced, on per_vector_angles."""
+    xs = np.linspace(grid_min, grid_max, grid_points)
+    sig = np.full(3, float(sigma))
+    d_theta, d_phi, total_db = np.full((3, grid_points, grid_points), math.nan)
+    for iy, y in enumerate(xs):
+        for ix, x in enumerate(xs):
+            if x == 0.0 and y == 0.0:
+                continue
+            t, p = per_vector_angles(np.array([x, y, 0.0]), sig)
+            d_theta[iy, ix], d_phi[iy, ix] = t, p
+            total = t**2 + p**2
+            if total >= 2.0**-1022:
+                total_db[iy, ix] = _db(total)
+            else:
+                total_db[iy, ix] = 2.0 * _db(math.hypot(t, p))
+    return d_theta, d_phi, total_db
+
+
+def _db(ratio: float) -> float:
+    return 10.0 * math.log10(ratio) if 0.0 < ratio < math.inf else math.nan
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit, any NaN equal to any NaN."""
+    return a.shape == b.shape and bool(
+        np.all((a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b)))
+    )
+
+
+def _random_grids(n: int, seed: int) -> list[tuple[float, float, int, float]]:
+    rng = np.random.default_rng(seed)
+    grids = []
+    for i in range(n):
+        half = 10.0 ** rng.uniform(-3, 2)
+        lo, hi = (-half, half) if i % 2 else (-half, 10.0 ** rng.uniform(-3, 2))
+        grids.append((lo, hi, int(rng.integers(35, 48)), 10.0 ** rng.uniform(-8, 2)))
+    return grids
+
+
+class TestAngularErrorMapBits:
+    """The grid form gives the per-cell form's bits in every column."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        _random_grids(50, seed=18)
+        + [(-1.5, 1.5, 41, sigma) for sigma in (1e-160, 1e-170, 1e-320)],
+    )
+    def test_matches_per_cell_form(self, grid):
+        amap = angular_error_map(*grid)
+        for got, want in zip((amap.d_theta, amap.d_phi, amap.total_db), per_cell_angular_map(*grid)):
+            assert same_bits(got, want)
+
+    def test_kernel_rows_match_per_vector_form(self):
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(-4, 4, size=(20_000, 3))
+        v[::4, :2] = 0.0  # on the pole
+        for sig in (np.full(3, 0.1), 10.0 ** rng.uniform(-8, 1, size=3)):
+            d_theta, d_phi = linearized_angles(v, sig)
+            want = np.array([per_vector_angles(row, sig) for row in v])
+            assert same_bits(d_theta, want[:, 0]) and same_bits(d_phi, want[:, 1])
+            for row in v[:40]:
+                au = angular_uncertainty(FieldVector(*row.tolist()), sig)
+                assert same_bits(np.array([au.d_theta, au.d_phi]), np.array(per_vector_angles(row, sig)))
+
+    @pytest.mark.parametrize("sigma", [-0.1, [0.1, -0.1, 0.1], [0.1, 0.1]])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            angular_error_map(-1.5, 1.5, 5, sigma)
+
+    def test_pole_sigma_squares_overflow_loudly(self):
+        # Only rho |v|^2 and the d_theta quotients may overflow quietly.
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            angular_uncertainty(FieldVector(0.0, 0.0, 1.0), 1e200)
 
 
 class TestSweep:
