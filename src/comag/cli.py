@@ -282,7 +282,7 @@ def _read_pairs_csv(path: str) -> CalibrationSet:
                         f"{path}:{line_no}: expected four numbers, got {row!r}"
                     )
                 pairs.append((bx, by, bz, rb))
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigParseError(f"cannot read calibration file {path!r}: {err}")
     try:
         return CalibrationSet(tuple((FieldVector(bx, by, bz), rb) for bx, by, bz, rb in pairs))

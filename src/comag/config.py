@@ -282,7 +282,7 @@ def parse_config(path: str) -> RunSettings:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigParseError(f"cannot read config file {path!r}: {err}")
     return parse_config_text(text)
 

@@ -9,7 +9,10 @@ position) draws from its own stream ``np.random.default_rng([seed, tag,
 and seed results are bit-identical in any evaluation order.  A grid or
 marginal cell draws one standard-normal block: NV (n_reps, 3), Rb
 (n_reps,), then calibration error (n_reps, 3) if b_0_cal_error > 0, each
-scaled as ``Generator.normal(0.0, sigma)`` scales it.
+scaled as ``Generator.normal(0.0, sigma)`` scales it.  A scan position
+draws one block of its averaged readings: NV (3,) and Rb (1,) at sigma /
+sqrt(n_reps), then calibration error (3,) as above (spatial scan only).
+The scalar demo's two backgrounds redraw the same streams: the same noise.
 """
 
 from __future__ import annotations
@@ -218,10 +221,11 @@ def _simulate_cells(deltas, cfg: SimConfig, tag: int, keys) -> dict[str, np.ndar
     Cell k (true small field deltas[k]) draws one standard-normal block from
     ``np.random.default_rng([cfg.seed, tag, *keys[k]])``: NV, Rb, then
     calibration error, as the module docstring says, so its numbers do not
-    depend on the cells batched with it.  Returns per-cell ``valid``,
-    ``dir_valid`` and the NV/combined mean squared and absolute errors
-    ``{mse,mae}_{mag,dir}_{nv,comb}``; combined errors average the fused
-    repetitions only, NaN if there are none.
+    depend on the cells batched with it.  Each batch goes through
+    ``_fused_readings``, the kernel the scans call with n = 1.  Returns
+    per-cell ``valid``, ``dir_valid`` and the NV/combined mean squared and
+    absolute errors ``{mse,mae}_{mag,dir}_{nv,comb}``; combined errors
+    average the fused repetitions only, NaN if there are none.
     """
     rngs = _cell_rngs(cfg.seed, tag, keys)
     per_chunk = max(1, _CHUNK_ROWS // cfg.n_reps)
@@ -232,24 +236,35 @@ def _simulate_cells(deltas, cfg: SimConfig, tag: int, keys) -> dict[str, np.ndar
     return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
 
 
-def _simulate_chunk(deltas, cfg, rngs) -> dict[str, np.ndarray]:
-    m, n = len(deltas), cfg.n_reps
-    b_0 = cfg.b_0_true.as_array()
-    cal = cfg.b_0_cal_error > 0
+def _fused_readings(fields, b_0, n, sigma_nv, sigma_rb, cal_error, rngs):
+    """n noisy reading pairs of each true field fields[k], and their fusion.
+
+    Row k draws its block, in the module docstring's order, from the next
+    generator of ``rngs``.  Returns nv (m, n, 3), rb (m, n), b_hat (m, n, 3)
+    and ok (m, n); b_hat is NaN where ok is False.
+    """
+    m = len(fields)
+    cal = cal_error > 0
     z = np.empty((m, (7 if cal else 4) * n))
     for c, rng in zip(range(m), rngs):  # range first: the next chunk's rng stays untaken
         rng.standard_normal(out=z[c])
-    z[:, : 3 * n] *= cfg.sigma_nv
-    z[:, 3 * n : 4 * n] *= cfg.resolved_sigma_rb()
-    z[:, 4 * n :] *= cfg.b_0_cal_error  # empty without calibration error
+    z[:, : 3 * n] *= sigma_nv
+    z[:, 3 * n : 4 * n] *= sigma_rb
+    z[:, 4 * n :] *= cal_error  # empty without calibration error
     z += 0.0  # normal(0.0, s) is 0.0 + s * z: a -0.0 draw becomes +0.0
-    nv = z[:, : 3 * n].reshape(m, n, 3) + deltas[:, None, :]
-    rb = np.clip(z[:, 3 * n : 4 * n] + _norms(deltas + b_0)[:, None], 0.0, None)
+    nv = z[:, : 3 * n].reshape(m, n, 3) + fields[:, None, :]
+    rb = np.clip(z[:, 3 * n : 4 * n] + _norms(fields + b_0)[:, None], 0.0, None)
     b_0_hat = (z[:, 4 * n :].reshape(m, n, 3) + b_0).reshape(-1, 3) if cal else b_0
     del z  # the draws now live in nv, rb and b_0_hat
     b_hat, ok = batch_combined(nv.reshape(-1, 3), b_0_hat, rb.reshape(-1))
-    b_hat, ok = b_hat.reshape(m, n, 3), ok.reshape(m, n)
+    return nv, rb, b_hat.reshape(m, n, 3), ok.reshape(m, n)
 
+
+def _simulate_chunk(deltas, cfg, rngs) -> dict[str, np.ndarray]:
+    b_0, sigma_rb = cfg.b_0_true.as_array(), cfg.resolved_sigma_rb()
+    nv, _, b_hat, ok = _fused_readings(
+        deltas, b_0, cfg.n_reps, cfg.sigma_nv, sigma_rb, cfg.b_0_cal_error, rngs
+    )
     true_mag = _norms(deltas)
     errors = {
         "mag": (row_norms(nv) - true_mag[:, None], row_norms(b_hat) - true_mag[:, None]),
@@ -439,22 +454,35 @@ class SpatialScanConfig:
         return np.linspace(-half, half, self.n_positions)
 
 
-def dipole_field(moment_vec: np.ndarray, r_vec: np.ndarray) -> np.ndarray:
-    """Point-dipole field at displacement r from the dipole, Gauss for G*mm^3."""
-    r = float(np.linalg.norm(r_vec))
-    if r == 0.0:
+def dipole_field(moment: np.ndarray, r_vecs: np.ndarray) -> np.ndarray:
+    """Point-dipole field (m, 3) at displacements r_vecs (m, 3) from the
+    dipole, Gauss for G*mm^3."""
+    r = _norms(r_vecs)
+    if np.any(r == 0.0):
         raise ValueError("field requested at the dipole position")
-    rhat = r_vec / r
-    return (3.0 * float(moment_vec @ rhat) * rhat - moment_vec) / r**3
+    rhat = r_vecs / r[:, None]
+    dots = row_dots(rhat, np.broadcast_to(moment, rhat.shape))
+    return ((3.0 * dots)[:, None] * rhat - moment) / np.float_power(r, 3.0)[:, None]
 
 
-def source_field_at_sensor(cfg: SpatialScanConfig, stage_pos: float) -> np.ndarray:
-    """Source field at the sensor for one stage position (mm)."""
+def source_fields(cfg: SpatialScanConfig) -> np.ndarray:
+    """Source field at the sensor (n_positions, 3) for every stage position."""
     axis = cfg.axis_unit()
     perp = _perpendicular_unit(axis)
-    dipole_pos = (cfg.standoff + stage_pos) * axis + cfg.perp_offset * perp
-    moment = cfg.dipole_moment * axis
-    return dipole_field(moment, -dipole_pos)
+    dipole_pos = (cfg.standoff + cfg.positions())[:, None] * axis + cfg.perp_offset * perp
+    return dipole_field(cfg.dipole_moment * axis, -dipole_pos)
+
+
+def _scan_readings(cfg: SpatialScanConfig, tag: int, src, b_0, cal_error: float):
+    """Each position's n_reps-averaged reading pair, as one draw at sigma /
+    sqrt(n_reps), and its fusion: (nv (m, 3), rb (m,), b_hat (m, 3))."""
+    keys = [(i, 0) for i in range(cfg.n_positions)]
+    scale = math.sqrt(cfg.n_reps)
+    nv, rb, b_hat, _ = _fused_readings(
+        src, b_0, 1, cfg.sigma_nv / scale, cfg.sigma_rb / scale, cal_error,
+        _cell_rngs(cfg.seed, tag, keys),
+    )
+    return nv[:, 0], rb[:, 0], b_hat[:, 0]
 
 
 def _perpendicular_unit(axis: np.ndarray) -> np.ndarray:
@@ -499,26 +527,11 @@ def spatial_scan_sim(cfg: SpatialScanConfig) -> SpatialScanReport:
     with the NV-to-combined MSE gain in dB.
     """
     positions = cfg.positions()
-    b_0 = cfg.b_0.as_array()
-    n = cfg.n_reps
-
-    true_mag, nv_mag, rb_mag, comb_mag = np.zeros((4, cfg.n_positions))
-    rngs = _cell_rngs(cfg.seed, _TAG_SPATIAL, [(i, 0) for i in range(cfg.n_positions)])
-    for i, (pos, rng) in enumerate(zip(positions, rngs)):
-        src = source_field_at_sensor(cfg, float(pos))
-        true_mag[i] = np.linalg.norm(src)
-        nv_mean = src + rng.normal(0.0, cfg.sigma_nv / math.sqrt(n), size=3)
-        rb_mean = float(
-            np.linalg.norm(src + b_0) + rng.normal(0.0, cfg.sigma_rb / math.sqrt(n))
-        )
-        rb_mean = max(rb_mean, 0.0)
-        b_0_hat = b_0
-        if cfg.b_0_cal_error > 0:
-            b_0_hat = b_0 + rng.normal(0.0, cfg.b_0_cal_error, size=3)
-        b_hat, ok = batch_combined(nv_mean[None, :], b_0_hat, np.array([rb_mean]))
-        nv_mag[i] = float(np.linalg.norm(nv_mean))
-        rb_mag[i] = rb_mean
-        comb_mag[i] = float(np.linalg.norm(b_hat[0])) if ok[0] else math.nan
+    src = source_fields(cfg)
+    nv, rb_mag, b_hat = _scan_readings(
+        cfg, _TAG_SPATIAL, src, cfg.b_0.as_array(), cfg.b_0_cal_error
+    )
+    true_mag, nv_mag, comb_mag = _norms(src), _norms(nv), _norms(b_hat)
 
     nv_fit = _polyfit_curve(positions, nv_mag, cfg.poly_degree)
     rb_fit = _polyfit_curve(positions, rb_mag, cfg.poly_degree)
@@ -566,35 +579,20 @@ class ScalarDemoReport:
 
 def scalar_vs_vector_demo(cfg: SpatialScanConfig) -> ScalarDemoReport:
     """Distortion of naive scalar background subtraction along a scan."""
-    positions = cfg.positions()
     b_0 = cfg.b_0.as_array()
     b_0_mag = float(np.linalg.norm(b_0))
-    n = cfg.n_reps
-
-    true_mag, combined, naive, combined_rev, naive_rev = np.zeros((5, cfg.n_positions))
-    rngs = _cell_rngs(cfg.seed, _TAG_DEMO, [(i, 0) for i in range(cfg.n_positions)])
-    for i, (pos, rng) in enumerate(zip(positions, rngs)):
-        src = source_field_at_sensor(cfg, float(pos))
-        true_mag[i] = np.linalg.norm(src)
-        nv_mean = src + rng.normal(0.0, cfg.sigma_nv / math.sqrt(n), size=3)
-        noise_rb = float(rng.normal(0.0, cfg.sigma_rb / math.sqrt(n)))
-
-        for b0_vec, comb_out, naive_out in (
-            (b_0, combined, naive),
-            (-b_0, combined_rev, naive_rev),
-        ):
-            rb = max(float(np.linalg.norm(src + b0_vec)) + noise_rb, 0.0)
-            b_hat, ok = batch_combined(nv_mean[None, :], b0_vec, np.array([rb]))
-            comb_out[i] = float(np.linalg.norm(b_hat[0])) if ok[0] else math.nan
-            naive_out[i] = rb - b_0_mag
-
+    src = source_fields(cfg)
+    # Both backgrounds redraw the same per-position streams: the same noise.
+    (_, rb, b_hat), (_, rb_rev, b_hat_rev) = (
+        _scan_readings(cfg, _TAG_DEMO, src, b, 0.0) for b in (b_0, -b_0)
+    )
     return ScalarDemoReport(
-        positions=positions,
-        true_mag=true_mag,
-        combined=combined,
-        naive=naive,
-        combined_reversed=combined_rev,
-        naive_reversed=naive_rev,
+        positions=cfg.positions(),
+        true_mag=_norms(src),
+        combined=_norms(b_hat),
+        naive=rb - b_0_mag,
+        combined_reversed=_norms(b_hat_rev),
+        naive_reversed=rb_rev - b_0_mag,
         config=cfg,
     )
 

@@ -423,6 +423,14 @@ class TestBadConfigs:
         assert rc == code
         assert err.count("\n") == 1 and fragment in err
 
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(b"[simulation]\nseed = \xff\n")
+        rc = main(["simulate-grid", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_PARSE
+        assert err.count("\n") == 1 and "cannot read config file" in err
+
 
 class TestCalibrateCommand:
     def test_round_trip_from_csv(self, tmp_path, capsys):
@@ -473,6 +481,15 @@ class TestCalibrateCommand:
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and fragment in err
+        assert not (tmp_path / "o").exists()
+
+    def test_undecodable_pairs_file(self, tmp_path, capsys):
+        p = tmp_path / "pairs.csv"
+        p.write_bytes(b"bx,by,bz,b_rb\n1,0,0,1.2\n0,1,0,0.4\n0,0,1,\xff\n")
+        rc = main(["calibrate", "--pairs", str(p), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_PARSE
+        assert err.count("\n") == 1 and "cannot read calibration file" in err
         assert not (tmp_path / "o").exists()
 
     def test_bad_row(self, tmp_path):

@@ -17,7 +17,7 @@ from comag.simulation import (
     orthogonality_map,
     run_grid_simulation,
     scalar_vs_vector_demo,
-    source_field_at_sensor,
+    source_fields,
     spatial_scan_sim,
     sweep_calibration_error,
 )
@@ -152,14 +152,11 @@ class TestMarginalImprovement:
 class TestSpatialScan:
     def test_dipole_field_on_axis(self):
         m = np.array([0.0, 0.0, 1000.0])
-        b = dipole_field(m, np.array([0.0, 0.0, 10.0]))
+        (b,) = dipole_field(m, np.array([[0.0, 0.0, 10.0]]))
         assert b == pytest.approx([0.0, 0.0, 2.0], abs=1e-12)
 
     def test_source_peak_scale(self):
-        cfg = SpatialScanConfig()
-        mags = [
-            np.linalg.norm(source_field_at_sensor(cfg, p)) for p in cfg.positions()
-        ]
+        mags = np.linalg.norm(source_fields(SpatialScanConfig()), axis=1)
         assert max(mags) == pytest.approx(1.0, rel=0.02)
 
     def test_zero_noise_gain_vanishes(self):
@@ -392,6 +389,15 @@ def _oracle_orthogonality(delta, b_0):
     return abs(float(s @ delta)) / (ns * nd)
 
 
+def _oracle_fuse(nv, b_0_hat, rb):
+    s = nv + b_0_hat
+    norm_s = np.linalg.norm(s, axis=1)
+    ok = norm_s > 0.0
+    factor = np.zeros_like(norm_s)
+    np.divide(norm_s - rb, norm_s, out=factor, where=ok)
+    return np.where(ok[:, None], nv - s * factor[:, None], np.nan), ok
+
+
 def _oracle_cell(delta, cfg, rng):
     n = cfg.n_reps
     b_0 = cfg.b_0_true.as_array()
@@ -402,12 +408,7 @@ def _oracle_cell(delta, cfg, rng):
         b_0_hat = b_0[None, :] + rng.normal(0.0, cfg.b_0_cal_error, size=(n, 3))
     else:
         b_0_hat = np.broadcast_to(b_0, (n, 3))
-    s = nv + b_0_hat
-    norm_s = np.linalg.norm(s, axis=1)
-    ok = norm_s > 0.0
-    factor = np.zeros_like(norm_s)
-    np.divide(norm_s - rb, norm_s, out=factor, where=ok)
-    b_hat = np.where(ok[:, None], nv - s * factor[:, None], np.nan)
+    b_hat, ok = _oracle_fuse(nv, b_0_hat, rb)
 
     true_mag = float(np.linalg.norm(delta))
     mag_err_comb = np.linalg.norm(b_hat[ok], axis=1) - true_mag
@@ -474,10 +475,86 @@ def _oracle_marginal(cfg, axis_i, values):
     return out
 
 
+# Per-position reference: the loops the scan harnesses ran, one position's
+# averaged readings drawn at a time, with the per-position dipole field.
+def _oracle_source_field(cfg, stage_pos):
+    axis = cfg.axis_unit()
+    perp = simulation._perpendicular_unit(axis)
+    r_vec = -((cfg.standoff + stage_pos) * axis + cfg.perp_offset * perp)
+    moment_vec = cfg.dipole_moment * axis
+    r = float(np.linalg.norm(r_vec))
+    rhat = r_vec / r
+    return (3.0 * float(moment_vec @ rhat) * rhat - moment_vec) / r**3
+
+
+def _oracle_fit(x, y, degree):
+    coeffs = np.polynomial.polynomial.polyfit(x, y, degree)
+    return np.polynomial.polynomial.polyval(x, coeffs)
+
+
+def _oracle_scan(cfg):
+    positions = cfg.positions()
+    b_0 = cfg.b_0.as_array()
+    n = cfg.n_reps
+    true_mag, nv_mag, rb_mag, comb_mag = np.zeros((4, cfg.n_positions))
+    for i, pos in enumerate(positions):
+        rng = np.random.default_rng([cfg.seed, 3, i, 0])
+        src = _oracle_source_field(cfg, float(pos))
+        true_mag[i] = np.linalg.norm(src)
+        nv_mean = src + rng.normal(0.0, cfg.sigma_nv / math.sqrt(n), size=3)
+        rb_mean = float(
+            np.linalg.norm(src + b_0) + rng.normal(0.0, cfg.sigma_rb / math.sqrt(n))
+        )
+        rb_mean = max(rb_mean, 0.0)
+        b_0_hat = b_0
+        if cfg.b_0_cal_error > 0:
+            b_0_hat = b_0 + rng.normal(0.0, cfg.b_0_cal_error, size=3)
+        b_hat, ok = _oracle_fuse(nv_mean[None, :], b_0_hat, np.array([rb_mean]))
+        nv_mag[i] = float(np.linalg.norm(nv_mean))
+        rb_mag[i] = rb_mean
+        comb_mag[i] = float(np.linalg.norm(b_hat[0])) if ok[0] else math.nan
+    out = {"positions": positions, "true_mag": true_mag}
+    for name, mag in (("nv", nv_mag), ("rb", rb_mag), ("combined", comb_mag)):
+        out[f"{name}_mag"], out[f"{name}_fit"] = mag, _oracle_fit(positions, mag, cfg.poly_degree)
+        out[f"rmse_{name}"] = float(np.sqrt(np.mean((mag - out[f"{name}_fit"]) ** 2)))
+    rmse_nv, rmse_comb = out["rmse_nv"], out["rmse_combined"]
+    out["gain_db"] = _db((rmse_nv / rmse_comb) ** 2) if rmse_comb > 0 else math.nan
+    return out
+
+
+def _oracle_demo(cfg):
+    positions = cfg.positions()
+    b_0 = cfg.b_0.as_array()
+    b_0_mag = float(np.linalg.norm(b_0))
+    n = cfg.n_reps
+    out = {name: np.zeros(cfg.n_positions) for name in DEMO_ARRAYS[1:]}
+    out["positions"] = positions
+    for i, pos in enumerate(positions):
+        rng = np.random.default_rng([cfg.seed, 4, i, 0])
+        src = _oracle_source_field(cfg, float(pos))
+        out["true_mag"][i] = np.linalg.norm(src)
+        nv_mean = src + rng.normal(0.0, cfg.sigma_nv / math.sqrt(n), size=3)
+        noise_rb = float(rng.normal(0.0, cfg.sigma_rb / math.sqrt(n)))
+        for b0_vec, suffix in ((b_0, ""), (-b_0, "_reversed")):
+            rb = max(float(np.linalg.norm(src + b0_vec)) + noise_rb, 0.0)
+            b_hat, ok = _oracle_fuse(nv_mean[None, :], b0_vec, np.array([rb]))
+            out["combined" + suffix][i] = float(np.linalg.norm(b_hat[0])) if ok[0] else math.nan
+            out["naive" + suffix][i] = rb - b_0_mag
+    return out
+
+
 ORACLE_GAINS = ("gain_mag_mse_db", "gain_mag_mae_db", "gain_dir_mse_db", "gain_dir_mae_db")
 MAP_ARRAYS = ("bx", "by", *ORACLE_GAINS, "orthogonality", "valid", "dir_valid")
 PROFILE_ARRAYS = (
     "b_applied", "gain_mag_mse_db", "gain_mag_mae_db", "var_nv", "var_combined", "orthogonality"
+)
+
+SCAN_ARRAYS = (
+    "positions", "true_mag", "nv_mag", "rb_mag", "combined_mag", "nv_fit", "rb_fit",
+    "combined_fit", "rmse_nv", "rmse_rb", "rmse_combined", "gain_db",
+)
+DEMO_ARRAYS = (
+    "positions", "true_mag", "combined", "naive", "combined_reversed", "naive_reversed"
 )
 
 # Noise scale at which |s|^2 underflows to 0 for many repetitions: fusion
@@ -544,6 +621,43 @@ class TestCellBatchKernel:
             monkeypatch.setattr(simulation, "_CHUNK_ROWS", rows)
             _assert_same(run_grid_simulation(cfg), reference_map, MAP_ARRAYS)
             _assert_same(marginal_improvement(cfg, n_points=13), reference_profile, PROFILE_ARRAYS)
+
+
+SCAN_CONFIGS = {
+    "default": SpatialScanConfig(),
+    "cal_error": SpatialScanConfig(b_0_cal_error=1e-3),
+    "perp_offset": SpatialScanConfig(perp_offset=12.5),
+    "source_axis": SpatialScanConfig(source_axis=(0.3, -0.2, 0.9)),
+    "seed_above_2_32": SpatialScanConfig(seed=2**40 + 3, n_reps=7),
+    "one_rep": SpatialScanConfig(n_reps=1),
+    "rb_clipped": SpatialScanConfig(sigma_rb=20.0),
+    "no_background": SpatialScanConfig(b_0=FieldVector(0, 0, 0), source_axis=(0.0, 0.0, 1.0)),
+}
+
+
+class TestScanKernel:
+    """The scan harnesses give the per-position loops' bits in every array."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_CONFIGS))
+    def test_spatial_scan_matches_per_position_loop(self, name):
+        cfg = SCAN_CONFIGS[name]
+        rep, expected = spatial_scan_sim(cfg), _oracle_scan(cfg)
+        for array in SCAN_ARRAYS:
+            got, want = np.atleast_1d(getattr(rep, array), expected[array])
+            assert same_bits(got, want), array
+
+    @pytest.mark.parametrize("name", sorted(SCAN_CONFIGS))
+    def test_scalar_demo_matches_per_position_loop(self, name):
+        cfg = SCAN_CONFIGS[name]
+        rep, expected = scalar_vs_vector_demo(cfg), _oracle_demo(cfg)
+        for array in DEMO_ARRAYS:
+            assert same_bits(getattr(rep, array), expected[array]), array
+
+    def test_rb_clipped_config_clips(self):
+        rep = spatial_scan_sim(SCAN_CONFIGS["rb_clipped"])
+        demo = scalar_vs_vector_demo(SCAN_CONFIGS["rb_clipped"])
+        assert np.any(rep.rb_mag == 0.0)
+        assert np.any(demo.naive == -np.linalg.norm(B0_MEASURED.as_array()))
 
 
 STREAM_SEEDS = (
