@@ -181,7 +181,7 @@ def batch_combined(
 
     ``nv`` is (n, 3), ``b_0`` is (3,) or (n, 3), ``rb`` is (n,).  Returns
     (b_hat (n, 3), valid (n,)); rows with a degenerate direction are NaN
-    and flagged invalid rather than raising.
+    and flagged invalid rather than raising.  The inputs are not written.
     """
     nv = np.asarray(nv, dtype=float)
     rb = np.asarray(rb, dtype=float)
@@ -190,9 +190,10 @@ def batch_combined(
     valid = norm_s > 0.0
     factor = np.zeros_like(norm_s)
     np.divide(norm_s - rb, norm_s, out=factor, where=valid)
-    correction = s * factor[:, None]
-    b_hat = np.where(valid[:, None], nv - correction, np.nan)
-    return b_hat, valid
+    s *= factor[:, None]  # the correction, then b_hat, in s's own buffer
+    np.subtract(nv, s, out=s)
+    s[~valid] = np.nan
+    return s, valid
 
 
 def calibrate_background(cal: CalibrationSet) -> tuple[FieldVector, float]:

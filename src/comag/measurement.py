@@ -403,13 +403,12 @@ def nv_measure(
     scan only has its dips counted, so :class:`UnresolvedPeaksError` is
     raised when delta_b merges them.  The per-axis Larmor shift is
     then read out at the maximum-slope working point of each reference
-    dip: the PL difference between the scans at that frequency, divided by
-    the fitted local slope (iteratively refined with the finite-shift
-    average slope, which removes the lineshape-curvature bias).  A dip whose
-    shift noise carries past the right flank's monotone range is read at the
-    working point of its left flank instead, with that point's slope.  Bias
-    and background cancel in the difference, so the expectation depends
-    only on delta_b.
+    dip: the shift of the fitted lineshape that gives the PL difference
+    between the scans at that frequency, solved in closed form, so no
+    lineshape-curvature bias is left.  A dip whose shift noise carries past
+    the right flank's monotone range is read at the working point of its
+    left flank instead, with that point's slope.  Bias and background cancel
+    in the difference, so the expectation depends only on delta_b.
 
     ``axes_used`` selects how many orientations feed the lab-frame
     recovery (the 3 with the smallest per-axis uncertainty, or all 4).
@@ -435,7 +434,10 @@ def nv_measure(
     axis_order = np.argsort(bias_proj)
 
     freqs = spec_ref.freqs
-    readout_idx = [_working_point_index(freqs, fit_ref, i) for i in range(n_dips)]
+    slopes = _lorentzian_dips_slope(
+        freqs, fit_ref.contrasts, fit_ref.peak_freqs, fit_ref.linewidths
+    )
+    readout_idx = [_working_point_index(freqs, slopes, fit_ref, i) for i in range(n_dips)]
     dpl, df_dips = spec_ref.pl - spec_sig.pl, np.zeros(n_dips)
 
     def invert(dip_i):
@@ -452,20 +454,17 @@ def nv_measure(
             except UnresolvedPeaksError:
                 if freqs[readout_idx[dip_i]] < fit_ref.peak_freqs[dip_i]:  # left flank too
                     raise
-                readout_idx[dip_i] = _working_point_index(freqs, fit_ref, dip_i, side=-1)
+                readout_idx[dip_i] = _working_point_index(freqs, slopes, fit_ref, dip_i, side=-1)
                 df_dips[dip_i] = invert(dip_i)
 
     delta_f, sigma_axis = np.zeros(4), np.zeros(4)
-    slopes = _lorentzian_dips_slope(
-        freqs[readout_idx], fit_ref.contrasts, fit_ref.peak_freqs, fit_ref.linewidths
-    )
     for dip_i in range(n_dips):
         axis_i = int(axis_order[dip_i])
         delta_f[axis_i] = df_dips[dip_i]
         if fit_ref.delta_pl > 0:
             # Two independent scans contribute to the PL difference.
             sigma_axis[axis_i] = math.sqrt(2.0) * odmr_sensitivity(
-                fit_ref.delta_pl, abs(slopes[dip_i]), gamma
+                fit_ref.delta_pl, abs(slopes[readout_idx[dip_i]]), gamma
             )
 
     # recover_field and propagate_axis_uncertainty, sharing one recovery matrix.
@@ -475,11 +474,14 @@ def nv_measure(
     return b_lab, np.sqrt(w**2 @ sigma_axis[idx] ** 2)
 
 
-def _working_point_index(freqs: np.ndarray, fit_ref: OdmrFit, dip_i: int, side: int = 1) -> int:
+def _working_point_index(
+    freqs: np.ndarray, slopes: np.ndarray, fit_ref: OdmrFit, dip_i: int, side: int = 1
+) -> int:
     """Grid index of the readout point for one dip.
 
-    Picks the sampled frequency with the largest model slope among points
-    at or beyond the dip's inflection on its right (``side=1``) or left
+    Picks the sampled frequency with the largest model slope (``slopes``, the
+    fitted model's slope at every point of ``freqs``) among points at or
+    beyond the dip's inflection on its right (``side=1``) or left
     (``side=-1``) flank, so the monotone inversion headroom is at least
     linewidth/(2*sqrt(3)) regardless of how the scan grid happens to align
     with the dip.
@@ -494,10 +496,7 @@ def _working_point_index(freqs: np.ndarray, fit_ref: OdmrFit, dip_i: int, side: 
             f"no scan point on the {'right' if side > 0 else 'left'} flank of a dip;"
             " scan grid too coarse"
         )
-    slopes = _lorentzian_dips_slope(
-        freqs[candidates], fit_ref.contrasts, fit_ref.peak_freqs, fit_ref.linewidths
-    )
-    return int(candidates[np.argmax(np.abs(slopes))])
+    return int(candidates[np.argmax(np.abs(slopes[candidates]))])
 
 
 def _invert_working_point(
@@ -511,42 +510,34 @@ def _invert_working_point(
 
     Solves model_ref(f_j) - model_shifted(f_j) = dpl for the shift of the
     targeted dip, with the other dips displaced by their current estimates
-    ``df_others``.  Single-valued on the monotone flank that holds f_j: the
+    ``df_others``.  Those dips held, the targeted dip must be T deep at f_j,
+    and c h^2 / (u^2 + h^2) = T (contrast c, half-width h) is a quadratic in
+    u = f_j - center - shift.  Its root on the flank that holds f_j, where
+    the depth is monotone, is u = sign(f_j - center) h sqrt(c / T - 1).  The
     usable shift is bounded by (f_j - center) toward f_j and ~1.5 linewidths
-    away from it.
+    away from it; raises :class:`UnresolvedPeaksError` when no shift in that
+    range gives the depth.
     """
-    center = fit_ref.peak_freqs[dip_i]
-    width = fit_ref.linewidths[dip_i]
-    # _lorentzian_dips at the one point f_j in Python floats, bit-identical: pow for
-    # ``half**2`` as on a numpy scalar, ``u * u`` as numpy squares an array.
+    # The fitted dips' depths at the one point f_j, in Python floats.
     halves = (fit_ref.linewidths / 2.0).tolist()
     dips = list(zip(fit_ref.contrasts.tolist(), fit_ref.peak_freqs.tolist(), halves))
     f_j, shifts = float(f_j), np.asarray(df_others, dtype=float).tolist()
 
-    def pl_at(offsets):
-        pl = fit_ref.baseline
-        for (c, f0, half), s in zip(dips, offsets):
-            u = f_j - (f0 + s)
-            pl = pl - c * half**2 / (u * u + half**2)
-        return pl
+    def depth(c, f0, half, s):
+        u = f_j - (f0 + s)
+        return c * half**2 / (u * u + half**2)
 
-    ref_at = pl_at([0.0] * len(dips))
+    ref_depths = sum(depth(*dip, 0.0) for dip in dips)
+    others = sum(depth(*dip, s) for k, (dip, s) in enumerate(zip(dips, shifts)) if k != dip_i)
+    target = dpl + ref_depths - others
 
-    def transfer(df):
-        shifts[dip_i] = df
-        return (ref_at - pl_at(shifts)) - dpl
-
-    df_lo, df_hi = sorted((0.95 * (f_j - center), math.copysign(1.5 * width, center - f_j)))
-    t_lo, t_hi = transfer(df_lo), transfer(df_hi)
-    if t_lo == 0.0:
-        return df_lo
-    if t_hi == 0.0:
-        return df_hi
-    if t_lo * t_hi > 0:
-        raise UnresolvedPeaksError(
-            "per-axis shift outside the working-point readout range"
-        )
-    return float(brentq(transfer, df_lo, df_hi, xtol=1e-12, rtol=1e-14))
+    c, center, half = dips[dip_i]
+    df_lo, df_hi = sorted((0.95 * (f_j - center), math.copysign(3.0 * half, center - f_j)))
+    if 0.0 < target <= c:
+        df = f_j - center - math.copysign(half * math.sqrt(c / target - 1.0), f_j - center)
+        if df_lo <= df <= df_hi:
+            return df
+    raise UnresolvedPeaksError("per-axis shift outside the working-point readout range")
 
 
 def synth_lia(

@@ -11,8 +11,8 @@ marginal cell draws one standard-normal block: NV (n_reps, 3), Rb
 (n_reps,), then calibration error (n_reps, 3) if b_0_cal_error > 0, each
 scaled as ``Generator.normal(0.0, sigma)`` scales it.  A scan position
 draws one block of its averaged readings: NV (3,) and Rb (1,) at sigma /
-sqrt(n_reps), then calibration error (3,) as above (spatial scan only).
-The scalar demo's two backgrounds redraw the same streams: the same noise.
+sqrt(n_reps), then calibration error (3,) as above.  The scalar demo's two
+backgrounds redraw the same streams: the same noise and calibration error.
 """
 
 from __future__ import annotations
@@ -179,7 +179,8 @@ def _db(ratio: float) -> float:
 _db_cells = np.vectorize(_db, otypes=[float])
 
 # Readings (cells x reps) fused per batch: bounds the working set however
-# many cells a harness asks for.
+# many cells a harness asks for.  A batch holds at least one whole cell, so
+# a cell with more reps (perfbench's mc_deep has 20,000) is a batch alone.
 _CHUNK_ROWS = 8192
 
 
@@ -240,8 +241,12 @@ def _fused_readings(fields, b_0, n, sigma_nv, sigma_rb, cal_error, rngs):
     """n noisy reading pairs of each true field fields[k], and their fusion.
 
     Row k draws its block, in the module docstring's order, from the next
-    generator of ``rngs``.  Returns nv (m, n, 3), rb (m, n), b_hat (m, n, 3)
-    and ok (m, n); b_hat is NaN where ok is False.
+    generator of ``rngs``.  With one cell (m == 1) or one reading per cell
+    (n == 1), the readings and the calibrated backgrounds are formed in place
+    in that block, whose slices then flatten to batch_combined's rows without
+    a copy; otherwise in new arrays, since flattening a slice of a many-cell
+    block copies it.  Returns nv (m, n, 3), rb (m, n), b_hat (m, n, 3) and
+    ok (m, n); b_hat is NaN where ok is False.
     """
     m = len(fields)
     cal = cal_error > 0
@@ -252,10 +257,17 @@ def _fused_readings(fields, b_0, n, sigma_nv, sigma_rb, cal_error, rngs):
     z[:, 3 * n : 4 * n] *= sigma_rb
     z[:, 4 * n :] *= cal_error  # empty without calibration error
     z += 0.0  # normal(0.0, s) is 0.0 + s * z: a -0.0 draw becomes +0.0
-    nv = z[:, : 3 * n].reshape(m, n, 3) + fields[:, None, :]
-    rb = np.clip(z[:, 3 * n : 4 * n] + _norms(fields + b_0)[:, None], 0.0, None)
-    b_0_hat = (z[:, 4 * n :].reshape(m, n, 3) + b_0).reshape(-1, 3) if cal else b_0
-    del z  # the draws now live in nv, rb and b_0_hat
+    in_block = m == 1 or n == 1
+    nv = z[:, : 3 * n].reshape(m, n, 3)
+    nv = np.add(nv, fields[:, None, :], out=nv if in_block else None)
+    rb = z[:, 3 * n : 4 * n]
+    rb = np.add(rb, _norms(fields + b_0)[:, None], out=rb if in_block else None)
+    np.clip(rb, 0.0, None, out=rb)
+    b_0_hat = b_0
+    if cal:
+        b_0_hat = z[:, 4 * n :].reshape(m, n, 3)
+        b_0_hat = np.add(b_0_hat, b_0, out=b_0_hat if in_block else None).reshape(-1, 3)
+    del z  # freed here unless the readings are views of it
     b_hat, ok = batch_combined(nv.reshape(-1, 3), b_0_hat, rb.reshape(-1))
     return nv, rb, b_hat.reshape(m, n, 3), ok.reshape(m, n)
 
@@ -473,13 +485,14 @@ def source_fields(cfg: SpatialScanConfig) -> np.ndarray:
     return dipole_field(cfg.dipole_moment * axis, -dipole_pos)
 
 
-def _scan_readings(cfg: SpatialScanConfig, tag: int, src, b_0, cal_error: float):
+def _scan_readings(cfg: SpatialScanConfig, tag: int, src, b_0):
     """Each position's n_reps-averaged reading pair, as one draw at sigma /
-    sqrt(n_reps), and its fusion: (nv (m, 3), rb (m,), b_hat (m, 3))."""
+    sqrt(n_reps), and its fusion with a calibrated b_0: (nv (m, 3), rb (m,),
+    b_hat (m, 3))."""
     keys = [(i, 0) for i in range(cfg.n_positions)]
     scale = math.sqrt(cfg.n_reps)
     nv, rb, b_hat, _ = _fused_readings(
-        src, b_0, 1, cfg.sigma_nv / scale, cfg.sigma_rb / scale, cal_error,
+        src, b_0, 1, cfg.sigma_nv / scale, cfg.sigma_rb / scale, cfg.b_0_cal_error,
         _cell_rngs(cfg.seed, tag, keys),
     )
     return nv[:, 0], rb[:, 0], b_hat[:, 0]
@@ -528,9 +541,7 @@ def spatial_scan_sim(cfg: SpatialScanConfig) -> SpatialScanReport:
     """
     positions = cfg.positions()
     src = source_fields(cfg)
-    nv, rb_mag, b_hat = _scan_readings(
-        cfg, _TAG_SPATIAL, src, cfg.b_0.as_array(), cfg.b_0_cal_error
-    )
+    nv, rb_mag, b_hat = _scan_readings(cfg, _TAG_SPATIAL, src, cfg.b_0.as_array())
     true_mag, nv_mag, comb_mag = _norms(src), _norms(nv), _norms(b_hat)
 
     nv_fit = _polyfit_curve(positions, nv_mag, cfg.poly_degree)
@@ -582,9 +593,10 @@ def scalar_vs_vector_demo(cfg: SpatialScanConfig) -> ScalarDemoReport:
     b_0 = cfg.b_0.as_array()
     b_0_mag = float(np.linalg.norm(b_0))
     src = source_fields(cfg)
-    # Both backgrounds redraw the same per-position streams: the same noise.
+    # Both backgrounds redraw the same per-position streams: the same noise
+    # and the same calibration error.
     (_, rb, b_hat), (_, rb_rev, b_hat_rev) = (
-        _scan_readings(cfg, _TAG_DEMO, src, b, 0.0) for b in (b_0, -b_0)
+        _scan_readings(cfg, _TAG_DEMO, src, b) for b in (b_0, -b_0)
     )
     return ScalarDemoReport(
         positions=cfg.positions(),

@@ -198,6 +198,21 @@ class TestSimulationCommands:
         rows = open(os.path.join(out, "scalar_demo.csv")).read().splitlines()
         assert rows[0].startswith("position_mm,true_mag,combined,naive")
 
+    def test_scalar_demo_draws_calibration_error(self, tmp_path):
+        # Both backgrounds' combined curves move; the naive ones never use B_0's estimate.
+        tables = []
+        for i, spatial in enumerate(["", "b_0_cal_error = 0.05\n"]):
+            cfg = write_cfg(tmp_path, FAST_SPATIAL + spatial)
+            out = str(tmp_path / f"demo{i}")
+            assert main(["scalar-demo", "--config", cfg, "--out", out]) == EXIT_OK
+            lines = open(os.path.join(out, "scalar_demo.csv")).read().splitlines()
+            tables.append(dict(zip(lines[0].split(","), zip(*(r.split(",") for r in lines[1:])))))
+        plain, calibrated = tables
+        assert plain.keys() == calibrated.keys()
+        for column in plain:
+            moved = any(a != b for a, b in zip(plain[column], calibrated[column]))
+            assert moved == column.startswith("combined"), column
+
     def test_angular_map(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_ANGULAR)
         out = str(tmp_path / "ang")

@@ -18,6 +18,7 @@ from comag.measurement import (
     _invert_working_point,
     _lorentzian_dips,
     _lorentzian_dips_jac,
+    _lorentzian_dips_slope,
     _working_point_index,
     brentq,
     DEFAULT_BIAS,
@@ -251,13 +252,19 @@ class TestJacobians:
 
 
 def recorded_calls(monkeypatch, name, run):
-    """Run ``run()`` with ``comag.measurement.<name>`` wrapped; the arguments and
-    result of each call."""
+    """Run ``run()`` with ``comag.measurement.<name>`` wrapped; the arguments (arrays
+    copied as they were passed) and the result, or the UnresolvedPeaksError raised,
+    of each call."""
     solver, calls = getattr(measurement, name), []
 
     def record(*args, **kwargs):
-        out = solver(*args, **kwargs)
-        calls.append((args, kwargs, out))
+        passed = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+        try:
+            out = solver(*args, **kwargs)
+        except UnresolvedPeaksError as err:
+            calls.append((passed, kwargs, err))
+            raise
+        calls.append((passed, kwargs, out))
         return out
 
     monkeypatch.setattr(measurement, name, record)
@@ -268,8 +275,34 @@ def recorded_calls(monkeypatch, name, run):
     return calls
 
 
+def brentq_readout(dpl, f_j, dip_i, fit_ref, df_others):
+    """The root-finding form of ``_invert_working_point``: the readout equation as
+    a function of the targeted dip's shift, and the bracket brentq solved it on."""
+    center, width = fit_ref.peak_freqs[dip_i], fit_ref.linewidths[dip_i]
+    halves = (fit_ref.linewidths / 2.0).tolist()
+    dips = list(zip(fit_ref.contrasts.tolist(), fit_ref.peak_freqs.tolist(), halves))
+    f_j, shifts = float(f_j), np.asarray(df_others, dtype=float).tolist()
+
+    def pl_at(offsets):
+        pl = fit_ref.baseline
+        for (c, f0, half), s in zip(dips, offsets):
+            u = f_j - (f0 + s)
+            pl = pl - c * half**2 / (u * u + half**2)
+        return pl
+
+    ref_at = pl_at([0.0] * len(dips))
+
+    def transfer(df):
+        shifts[dip_i] = df
+        return (ref_at - pl_at(shifts)) - dpl
+
+    df_lo, df_hi = sorted((0.95 * (f_j - center), math.copysign(1.5 * width, center - f_j)))
+    return transfer, df_lo, df_hi
+
+
 class TestSolvers:
-    """The numpy Levenberg-Marquardt against MINPACK, and the Brent port against scipy."""
+    """The numpy Levenberg-Marquardt against MINPACK, the Brent port against scipy,
+    and the closed-form readout against scipy's brentq."""
 
     MINPACK = dict(method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
     # Largest solution change against MINPACK, in standard errors of each
@@ -349,9 +382,10 @@ class TestSolvers:
         assert sol.nfev == 100 * (1 + 1)
         assert 0.0 < sol.x[0] < 1e-50
 
-    def test_brentq_matches_scipy_on_readout_transfers(self, basis, monkeypatch):
+    def test_readout_inversion_matches_scipy_brentq(self, basis, monkeypatch):
         from scipy.optimize import brentq as scipy_brentq
 
+        tols = dict(xtol=1e-12, rtol=1e-14)
         rng = np.random.default_rng(19)
 
         def readings():
@@ -359,11 +393,44 @@ class TestSolvers:
                 delta = FieldVector(*rng.uniform(-0.3, 0.3, 3))
                 seed = int(rng.integers(2**31))
                 nv_measure(delta, DEFAULT_BIAS, B0_MEASURED, basis, OdmrParams(), GAMMA_NV, seed)
+            # TestNvMeasure's reading whose right flank cannot read one dip.
+            delta = FieldVector(-0.2770858959292151, 0.2147534938300351, -0.2873014752744147)
+            nv_measure(delta, DEFAULT_BIAS, B0_MEASURED, basis, OdmrParams(), GAMMA_NV, 1796154004)
 
-        calls = recorded_calls(monkeypatch, "brentq", readings)
-        assert len(calls) >= 1000
-        for (f, a, b), tols, root in calls:
-            assert root == scipy_brentq(f, a, b, **tols)
+        recorded = recorded_calls(monkeypatch, "_invert_working_point", readings)
+        assert len(recorded) >= 1000
+        assert any(isinstance(out, UnresolvedPeaksError) for _, _, out in recorded)
+        # Each call's PL difference, and for every tenth call 15 more spanning its
+        # readout range and half of it again on either side.  Just inside and just
+        # outside the range's two ends, where the far end's flat tail leaves the
+        # root ill-conditioned, only the raise is checked.
+        cases, ends = [], []
+        for k, (args, _, _) in enumerate(recorded):
+            cases.append(args)
+            if k % 10 == 0:
+                _, f_j, dip_i, fit, df_others = args
+                transfer, lo, hi = brentq_readout(0.0, f_j, dip_i, fit, df_others)
+                a, b = sorted((transfer(lo), transfer(hi)))
+                eps = 1e-6 * (b - a)
+                for d in np.linspace(a - (b - a) / 2, b + (b - a) / 2, 15):
+                    cases.append((float(d), f_j, dip_i, fit, df_others))
+                for d in (a - eps, a + eps, b - eps, b + eps):
+                    ends.append((float(d), f_j, dip_i, fit, df_others))
+        raised = 0
+        for args, exact in [(c, True) for c in cases] + [(e, False) for e in ends]:
+            transfer, lo, hi = brentq_readout(*args)
+            bracketed = transfer(lo) * transfer(hi) <= 0
+            try:
+                df = _invert_working_point(*args)
+            except UnresolvedPeaksError:
+                assert not bracketed, args[:3]
+                raised += 1
+                continue
+            assert bracketed, args[:3]
+            if exact:
+                root = scipy_brentq(transfer, lo, hi, **tols)
+                assert abs(df - root) <= tols["xtol"] + tols["rtol"] * abs(root), args[:3]
+        assert raised >= 100 and len(cases) + len(ends) - raised >= 1000
 
     @pytest.mark.parametrize("xtol, rtol", [(1e-12, 1e-14), (2e-12, 4 * 2.0**-52), (1e-6, 1e-10)])
     def test_brentq_matches_scipy_on_analytic_functions(self, xtol, rtol):
@@ -487,7 +554,8 @@ class TestNvMeasure:
         params = OdmrParams(pl_noise=0.0)
         fit = fit_odmr(synth_odmr(DEFAULT_BIAS, basis, params, GAMMA_NV, 0), params, GAMMA_NV)
         freqs = params.frequencies()
-        j = _working_point_index(freqs, fit, 1, side=-1)
+        slopes = _lorentzian_dips_slope(freqs, fit.contrasts, fit.peak_freqs, fit.linewidths)
+        j = _working_point_index(freqs, slopes, fit, 1, side=-1)
         center = fit.peak_freqs[1]
         assert center - 2.5 * fit.linewidths[1] <= freqs[j] < center
         def pl_at(centers):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from comag.estimator import angular_uncertainty, linearized_angles
+from comag.estimator import angular_uncertainty, batch_combined, linearized_angles, row_norms
 from comag import simulation
 from comag.geometry import FieldVector
 from comag.simulation import (
@@ -535,9 +535,12 @@ def _oracle_demo(cfg):
         out["true_mag"][i] = np.linalg.norm(src)
         nv_mean = src + rng.normal(0.0, cfg.sigma_nv / math.sqrt(n), size=3)
         noise_rb = float(rng.normal(0.0, cfg.sigma_rb / math.sqrt(n)))
+        # Both backgrounds are calibrated with the same error.
+        noise_cal = rng.normal(0.0, cfg.b_0_cal_error, size=3) if cfg.b_0_cal_error > 0 else None
         for b0_vec, suffix in ((b_0, ""), (-b_0, "_reversed")):
             rb = max(float(np.linalg.norm(src + b0_vec)) + noise_rb, 0.0)
-            b_hat, ok = _oracle_fuse(nv_mean[None, :], b0_vec, np.array([rb]))
+            b_0_hat = b0_vec if noise_cal is None else b0_vec + noise_cal
+            b_hat, ok = _oracle_fuse(nv_mean[None, :], b_0_hat, np.array([rb]))
             out["combined" + suffix][i] = float(np.linalg.norm(b_hat[0])) if ok[0] else math.nan
             out["naive" + suffix][i] = rb - b_0_mag
     return out
@@ -621,6 +624,38 @@ class TestCellBatchKernel:
             monkeypatch.setattr(simulation, "_CHUNK_ROWS", rows)
             _assert_same(run_grid_simulation(cfg), reference_map, MAP_ARRAYS)
             _assert_same(marginal_improvement(cfg, n_points=13), reference_profile, PROFILE_ARRAYS)
+
+
+class TestFusionKernel:
+    """batch_combined gives the inline fusion's bits and leaves its inputs alone."""
+
+    @staticmethod
+    def _inputs(seed, per_row_b_0):
+        """400 rows: |s| == 0 (rows 0-19), rb > |s| (20-59), rb == 0 (60-69),
+        then noisy magnitudes."""
+        rng = np.random.default_rng(seed)
+        nv = rng.normal(0.0, 0.3, (400, 3))
+        b_0 = rng.normal(0.0, 1.0, (400, 3) if per_row_b_0 else 3)
+        nv[:20] = -np.broadcast_to(b_0, nv.shape)[:20]
+        rb = np.abs(row_norms(nv + b_0) + rng.normal(0.0, 0.05, 400))
+        rb[20:60] = 3.0 * row_norms(nv + b_0)[20:60]
+        rb[60:70] = 0.0
+        return nv, b_0, rb
+
+    @pytest.mark.parametrize("per_row_b_0", [False, True], ids=["b_0_shared", "b_0_per_row"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_inline_fusion(self, seed, per_row_b_0):
+        nv, b_0, rb = self._inputs(seed, per_row_b_0)
+        before = [x.copy() for x in (nv, b_0, rb)]
+        b_hat, ok = batch_combined(nv, b_0, rb)
+        want_b_hat, want_ok = _oracle_fuse(nv, b_0, rb)
+        assert same_bits(b_hat, want_b_hat)
+        assert np.array_equal(ok, want_ok)
+        assert not ok[:20].any() and ok[20:].all()
+        assert np.all(row_norms(nv + b_0)[20:60] < rb[20:60])
+        for x, y in zip((nv, b_0, rb), before):
+            assert same_bits(x, y)
+            assert not np.shares_memory(b_hat, x)
 
 
 SCAN_CONFIGS = {
