@@ -297,7 +297,6 @@ def _cmd_calibrate(args, settings: RunSettings) -> int:
             "calibrate needs --pairs or [calibrate] pairs_csv in the config"
         )
     cal = _read_pairs_csv(path)
-    cal = CalibrationSet(cal.pairs, settings.calibrate.calibration_averages)
     b_0_hat, residual = calibrate_background(cal)
     write_summary(
         _out(args, "calibration_summary.txt"),

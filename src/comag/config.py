@@ -125,11 +125,6 @@ class EstimateSettings:
 @dataclass(frozen=True)
 class CalibrateSettings:
     pairs_csv: str | None = None
-    calibration_averages: int = 1
-
-    def __post_init__(self):
-        if self.calibration_averages < 1:
-            raise ValueError("calibration_averages must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,12 @@ class CombinedEstimate:
 
     ``b_hat`` is the corrected field estimate, ``correction`` the applied
     minimal-norm adjustment.  ``radial`` and ``tangential`` decompose the
-    correction relative to the reference direction (the NV reading unless a
-    diagnostic reference was supplied): the radial part stretches the NV
-    estimate, the tangential part rotates it.  ``orthogonality`` is the
-    |cos| of the angle between the correction direction and the reference,
-    in [0, 1]: 1 means pure stretch (maximal magnitude improvement), 0 pure
-    rotation (no improvement).  Decomposition fields are NaN when the
-    reference direction is zero.
+    correction relative to the NV reading's direction: the radial part
+    stretches the NV estimate, the tangential part rotates it.
+    ``orthogonality`` is the |cos| of the angle between the correction
+    direction and the NV reading, in [0, 1]: 1 means pure stretch (maximal
+    magnitude improvement), 0 pure rotation (no improvement).
+    Decomposition fields are NaN when the NV reading is zero.
     """
 
     b_hat: FieldVector
@@ -49,20 +48,13 @@ class CombinedEstimate:
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """Paired NV vector / Rb scalar readings of known strong fields.
-
-    ``calibration_averages`` records the longer averaging period used for
-    the calibration scans; it scales the per-axis NV noise as 1/sqrt(T).
-    """
+    """Paired NV vector / Rb scalar readings of known strong fields."""
 
     pairs: tuple
-    calibration_averages: int = 1
 
     def __post_init__(self):
         if len(self.pairs) < 3:
             raise ValueError("need at least three calibration pairs")
-        if self.calibration_averages < 1:
-            raise ValueError("calibration_averages must be >= 1")
         for b_nv, b_rb in self.pairs:
             if not isinstance(b_nv, FieldVector):
                 raise TypeError("calibration NV readings must be FieldVector")
@@ -78,31 +70,23 @@ class CalibrationSet:
         return np.array([float(p[1]) for p in self.pairs])
 
 
-@dataclass(frozen=True)
-class AngularUncertainty:
-    """Standard deviations of the polar and azimuthal field angles, radians."""
-
-    d_theta: float
-    d_phi: float
-
-    def __post_init__(self):
-        if self.d_theta < 0 or self.d_phi < 0:
-            raise ValueError("angular uncertainties must be >= 0")
-
-
-def correction_vector(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> FieldVector:
-    """Minimal-norm vector c with ||b_nv + b_0 - c|| = b_rb.
+def combined_estimate(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> CombinedEstimate:
+    """Fused field estimate b_hat = b_nv - c, where c is the minimal-norm
+    vector with ||b_nv + b_0 - c|| = b_rb.
 
     The constraint sphere is centered at s = b_nv + b_0 with radius b_rb;
     the point of the sphere closest to the origin lies along s, giving the
     closed form c = (s/||s||) (||s|| - b_rb).  The expression stays valid
     when b_rb exceeds ||s|| (c flips anti-parallel).  Raises
     :class:`DegenerateDirectionError` when ||s|| = 0, where the direction
-    is undefined, or when ||s|| or the correction overflows.
+    is undefined, or when ||s|| or the correction overflows.  The
+    correction is parallel to s, so the |cos| diagnostic is computed from
+    s, which stays well-defined even when the correction is zero.
     """
     if b_rb < 0:
         raise ValueError("b_rb must be >= 0")
-    s = b_nv.as_array() + b_0.as_array()
+    nv = b_nv.as_array()
+    s = nv + b_0.as_array()
     with np.errstate(over="ignore"):
         norm_s = float(np.linalg.norm(s))
     if norm_s == 0.0:
@@ -112,46 +96,17 @@ def correction_vector(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Field
     c = s * ((norm_s - b_rb) / norm_s)
     if not np.isfinite(c).all():
         raise DegenerateDirectionError("b_rb / |b_nv + b_0| overflows: correction undefined")
-    return FieldVector.from_array(c)
-
-
-def _decompose(correction: np.ndarray, s: np.ndarray, reference: np.ndarray):
-    """Radial/tangential split of the correction and the |cos| diagnostic.
-
-    The correction is parallel to s by construction, so the diagnostic is
-    computed from s, which stays well-defined even when the correction has
-    zero magnitude.
-    """
-    ref_norm = float(np.linalg.norm(reference))
-    if ref_norm == 0.0:
-        return math.nan, math.nan, math.nan
-    u = reference / ref_norm
-    radial = float(correction @ u)
-    tangential = float(np.linalg.norm(correction - radial * u))
-    s_norm = float(np.linalg.norm(s))
-    ortho = abs(float(s @ u)) / s_norm
-    return radial, tangential, ortho
-
-
-def combined_estimate(
-    b_nv: FieldVector,
-    b_0: FieldVector,
-    b_rb: float,
-    reference: FieldVector | None = None,
-) -> CombinedEstimate:
-    """Fused field estimate b_hat = b_nv - c with the sphere constraint.
-
-    ``reference`` optionally supplies the true small field for diagnostic
-    decomposition; by default the NV reading itself is used.
-    """
-    c = correction_vector(b_nv, b_0, b_rb)
-    b_hat = b_nv - c
-    s = b_nv.as_array() + b_0.as_array()
-    ref = (reference if reference is not None else b_nv).as_array()
-    radial, tangential, ortho = _decompose(c.as_array(), s, ref)
+    radial = tangential = ortho = math.nan
+    nv_norm = float(np.linalg.norm(nv))
+    if nv_norm != 0.0:
+        u = nv / nv_norm
+        radial = float(c @ u)
+        tangential = float(np.linalg.norm(c - radial * u))
+        ortho = abs(float(s @ u)) / norm_s
+    correction = FieldVector.from_array(c)
     return CombinedEstimate(
-        b_hat=b_hat,
-        correction=c,
+        b_hat=b_nv - correction,
+        correction=correction,
         radial=radial,
         tangential=tangential,
         orthogonality=ortho,
@@ -285,44 +240,20 @@ def _damped_gauss_newton(
     raise NonConvergenceError("calibration solver hit the iteration cap")
 
 
-def angular_uncertainty(
-    b: FieldVector,
-    sigma: Sequence[float] | float,
-    method: str = "linearized",
-    n: int = 100_000,
-    seed: int | None = 0,
-) -> AngularUncertainty:
-    """Uncertainty of the field direction angles theta (polar, from z) and phi.
+def linearized_angles(
+    v: np.ndarray, sigma: Sequence[float] | float
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-order (d_theta, d_phi) of each field row of ``v`` (m, 3) at the
+    per-lab-axis deviations ``sigma`` (a scalar applies isotropically), each
+    capped at pi.  theta is the polar angle from z, phi the azimuth.
 
-    ``sigma`` gives the per-lab-axis standard deviations (a scalar applies
-    isotropically).  The linearized method propagates first-order through
-    theta = arctan(sqrt(bx^2 + by^2)/bz) and phi = arctan(by/bx); the
-    Monte-Carlo method takes the empirical standard deviation of the angles
-    over ``n`` Gaussian perturbations with deviations wrapped to (-pi, pi].
-    Both results are capped at pi.  Angular error shrinks as 1/||b|| at
-    fixed sigma.
+    d_theta = |(xz sx, yz sy, rho^2 sz)| / (rho |v|^2), d_phi = |(y sx, x sy)|
+    / rho^2.  Angular error shrinks as 1/|v| at fixed sigma.  Raises
+    :class:`ZeroFieldError` if |v|^2 or rho |v|^2 is 0 in any row.  rho
+    |v|^2 and d_theta's quotients overflow to inf or nan quietly, as Python
+    floats do; every other step raises or warns as the caller's
+    ``np.errstate`` says.
     """
-    sig = _axis_sigmas(sigma)
-    v = b.as_array()
-    if method == "linearized":
-        d_theta, d_phi = linearized_angles(v[None, :], sig)
-        return AngularUncertainty(float(d_theta[0]), float(d_phi[0]))
-
-    if method != "monte_carlo":
-        raise ValueError("method must be 'linearized' or 'monte_carlo'")
-    rng = np.random.default_rng(seed)
-    samples = v[None, :] + rng.normal(0.0, 1.0, size=(n, 3)) * sig[None, :]
-    theta = np.arctan2(np.hypot(samples[:, 0], samples[:, 1]), samples[:, 2])
-    phi = np.arctan2(samples[:, 1], samples[:, 0])
-    theta0 = math.atan2(math.hypot(v[0], v[1]), v[2]) if v @ v > 0 else 0.0
-    phi0 = math.atan2(v[1], v[0]) if (v[0] != 0 or v[1] != 0) else 0.0
-    d_theta = float(np.std(_wrap_angle(theta - theta0)))
-    d_phi = float(np.std(_wrap_angle(phi - phi0)))
-    return AngularUncertainty(min(d_theta, math.pi), min(d_phi, math.pi))
-
-
-def _axis_sigmas(sigma: Sequence[float] | float) -> np.ndarray:
-    """The three per-axis deviations of a scalar or a three-value ``sigma``."""
     sig = np.asarray(sigma, dtype=float)
     if sig.ndim == 0:
         sig = np.full(3, float(sig))
@@ -330,23 +261,6 @@ def _axis_sigmas(sigma: Sequence[float] | float) -> np.ndarray:
         raise ValueError("sigma must be a scalar or three per-axis values")
     if np.any(sig < 0):
         raise ValueError("sigma must be >= 0")
-    return sig
-
-
-def linearized_angles(
-    v: np.ndarray, sigma: Sequence[float] | float
-) -> tuple[np.ndarray, np.ndarray]:
-    """First-order (d_theta, d_phi) of each field row of ``v`` (m, 3) at the
-    per-axis deviations ``sigma`` (a scalar or three values, as for
-    :func:`angular_uncertainty`), each capped at pi.
-
-    d_theta = |(xz sx, yz sy, rho^2 sz)| / (rho |v|^2), d_phi = |(y sx, x sy)|
-    / rho^2.  Raises :class:`ZeroFieldError` if |v|^2 or rho |v|^2 is 0 in
-    any row.  rho |v|^2 and d_theta's quotients overflow to inf or nan
-    quietly, as Python floats do; every other step raises or warns as the
-    caller's ``np.errstate`` says.
-    """
-    sig = _axis_sigmas(sigma)
     v = np.asarray(v, dtype=float)
     r2 = row_dots(v, v)
     x, y, z = v.T
@@ -388,8 +302,3 @@ def _root_sum_squares(*terms: np.ndarray) -> np.ndarray:
     low = ~(total >= 2.0**-1022)
     root[low] = [math.hypot(*cell) for cell in zip(*(t[low].tolist() for t in terms))]
     return root
-
-
-def _wrap_angle(a: np.ndarray) -> np.ndarray:
-    """Wrap angle differences into (-pi, pi]."""
-    return (a + math.pi) % (2.0 * math.pi) - math.pi

@@ -1,7 +1,7 @@
 """NV crystallographic frame handling.
 
 Projects lab-frame magnetic fields onto the four NV symmetry axes and
-recovers lab-frame vectors (and their uncertainties) from axis-frame data.
+gives the matrix that recovers lab-frame vectors from axis-frame data.
 All fields are in Gauss, directions are dimensionless direction cosines in
 the laboratory (x, y, z) frame.
 """
@@ -128,52 +128,6 @@ def recovery_matrix(basis: OrientationBasis, selected_axes: Iterable | None = No
     if len(idx) == 3:
         return np.linalg.inv(rows)
     return np.linalg.pinv(rows)
-
-
-def recover_field(
-    basis: OrientationBasis,
-    proj: np.ndarray,
-    selected_axes: Iterable | None = None,
-) -> FieldVector:
-    """Least-squares lab-frame field from the selected axes of a (4,) projection array."""
-    idx = _axis_indices(selected_axes)
-    w = recovery_matrix(basis, idx)
-    return FieldVector.from_array(w @ proj[idx])
-
-
-def propagate_axis_uncertainty(
-    basis: OrientationBasis,
-    sigma_axes: Sequence[float],
-    selected_axes: Iterable | None = None,
-    independent: bool = True,
-) -> np.ndarray:
-    """Per-lab-axis standard deviations from per-NV-axis standard deviations.
-
-    With ``independent=True`` (the default) the axis noises are treated as
-    uncorrelated and the result is ``sqrt(diag(W S W^T))`` with
-    ``S = diag(sigma_axes**2)``; this is what matches the empirical scatter
-    of :func:`recover_field` under independent Gaussian axis noise.
-
-    With ``independent=False`` the uncertainty vector is pushed through the
-    transition matrix directly, ``|W| @ sigma_axes``, the worst-case bound
-    that is exact for perfectly correlated axis noise.  For a uniform
-    uncertainty on three tetrahedral axes this reproduces the sqrt(3)
-    inflation factor (150 mG per axis -> 260 mG per lab component), which
-    also equals the independent-noise propagation of a two-scan
-    differential reading.
-    """
-    idx = _axis_indices(selected_axes)
-    sig = np.asarray(sigma_axes, dtype=float)
-    if sig.shape == (4,) and len(idx) != 4:
-        sig = sig[idx]
-    if sig.shape != (len(idx),):
-        raise ValueError("sigma_axes length must match the selected axes")
-    if np.any(sig < 0):
-        raise ValueError("sigma_axes must be non-negative")
-    w = recovery_matrix(basis, idx)
-    if independent:
-        return np.sqrt((w**2) @ sig**2)
-    return np.abs(w) @ sig
 
 
 def select_best_axes(sigma_axes: Sequence[float], count: int = 3) -> tuple[int, ...]:

@@ -467,7 +467,8 @@ def nv_measure(
                 fit_ref.delta_pl, abs(slopes[readout_idx[dip_i]]), gamma
             )
 
-    # recover_field and propagate_axis_uncertainty, sharing one recovery matrix.
+    # The lab-frame field and its independent-noise sigmas, sqrt(diag(W S W^T)),
+    # from one recovery matrix W.
     idx = list(select_best_axes(np.where(sigma_axis > 0, sigma_axis, np.inf), axes_used))
     w = recovery_matrix(basis, idx)
     b_lab = FieldVector.from_array(w @ (delta_f / gamma)[idx])

@@ -17,9 +17,6 @@ import numpy as np
 GAMMA_NV = 2.857
 # Round-number scalar ratio for the Rb vapor channel, kHz/G.
 GAMMA_RB = 700.0
-# Value implied by the reported LIA trio (delta_y, slope, sensitivity);
-# about 10x the physical ratio, kept only to reproduce that arithmetic.
-GAMMA_RB_IMPLIED_KHZ_PER_G = 6962.0
 
 
 @dataclass(frozen=True)
@@ -28,8 +25,7 @@ class OdmrParams:
 
     ``pl_noise`` is the per-point standard deviation of the normalized
     photoluminescence at one average; the effective noise of a spectrum is
-    ``pl_noise / sqrt(n_averages)``.  ``exposure_time`` (ms per frequency)
-    is recorded with the scan; the configured noise level refers to it.
+    ``pl_noise / sqrt(n_averages)``.
     """
 
     center_frequency: float = 2870.0
@@ -37,7 +33,6 @@ class OdmrParams:
     linewidth: float = 8.0
     n_freqs: int = 60
     scan_span: float = 200.0
-    exposure_time: float = 0.5
     pl_noise: float = 0.6e-3
     n_averages: int = 1
 

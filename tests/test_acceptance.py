@@ -13,16 +13,12 @@ from scipy.stats import spearmanr
 
 from comag.estimator import (
     CalibrationSet,
-    angular_uncertainty,
     batch_combined,
     calibrate_background,
-    correction_vector,
+    combined_estimate,
+    linearized_angles,
 )
-from comag.geometry import (
-    FieldVector,
-    default_basis,
-    propagate_axis_uncertainty,
-)
+from comag.geometry import FieldVector, default_basis, recovery_matrix
 from comag.measurement import lia_sensitivity, odmr_sensitivity
 from comag.simulation import (
     SimConfig,
@@ -33,6 +29,7 @@ from comag.simulation import (
     spatial_scan_sim,
     sweep_calibration_error,
 )
+from test_estimator import monte_carlo_angles
 
 B0_MEASURED = FieldVector(0.004, -0.7454, 0.6451)
 
@@ -104,16 +101,14 @@ def test_criterion_3_sensitivity_arithmetic():
     sigma_axis = odmr_sensitivity(0.6e-3, 1.4e-3, gamma_nv)
     ok_odmr = round(sigma_axis, 3) == 0.150
 
-    basis = default_basis()
-    lab = propagate_axis_uncertainty(
-        basis, [sigma_axis] * 3, ("a", "b", "c"), independent=False
-    )
+    # Pushing the uncertainty vector through the transition matrix, |W| @
+    # sigma, is the worst-case bound that is exact for correlated axis noise.
+    w = recovery_matrix(default_basis(), "abc")
+    lab = np.abs(w) @ np.full(3, sigma_axis)
     ok_lab = np.all(np.abs(lab - 0.26) <= 0.010)
     # The same 260 mG also falls out of independent-noise propagation of a
     # two-scan differential reading (sqrt(2) per axis).
-    lab_diff = propagate_axis_uncertainty(
-        basis, [math.sqrt(2.0) * sigma_axis] * 3, ("a", "b", "c")
-    )
+    lab_diff = np.sqrt(w**2 @ np.full(3, math.sqrt(2.0) * sigma_axis) ** 2)
     ok_diff = np.all(np.abs(lab_diff - 0.26) <= 0.010)
 
     gamma_rb = 6962.0  # ratio implied by the reported trio
@@ -162,7 +157,7 @@ def test_criterion_5_estimator_properties():
         if np.linalg.norm(s) < 1e-6:
             continue
         b_rb = float(abs(rng.normal(1.0, 0.6)))
-        c = correction_vector(b_nv, b_0, b_rb).as_array()
+        c = combined_estimate(b_nv, b_0, b_rb).correction.as_array()
         worst_sphere = max(worst_sphere, abs(np.linalg.norm(s - c) - b_rb))
         worst_parallel = max(worst_parallel, float(np.linalg.norm(np.cross(c, s))))
         # min |s + r p| over the pool from one matvec: |s|^2 + r^2 + 2 r (p . s).
@@ -182,12 +177,12 @@ def test_criterion_5_estimator_properties():
         if (b_nv + b_0).magnitude() < 1e-6:
             continue
         b_rb = float(abs(rng.normal(1.0, 0.6)))
-        c = correction_vector(b_nv, b_0, b_rb).as_array()
-        c_rot = correction_vector(
+        c = combined_estimate(b_nv, b_0, b_rb).correction.as_array()
+        c_rot = combined_estimate(
             FieldVector.from_array(rot @ b_nv.as_array()),
             FieldVector.from_array(rot @ b_0.as_array()),
             b_rb,
-        ).as_array()
+        ).correction.as_array()
         worst_rot = max(worst_rot, float(np.max(np.abs(c_rot - rot @ c))))
 
     ok = (
@@ -267,13 +262,9 @@ def test_criterion_7_angular_law():
     worst_rel = 0.0
     for mag in (0.5, 0.75, 1.0, 1.5):
         b = FieldVector(mag / math.sqrt(2.0), mag / math.sqrt(2.0), 0.0)
-        lin = angular_uncertainty(b, 0.1)
-        mc = angular_uncertainty(b, 0.1, method="monte_carlo", n=200_000, seed=13)
-        worst_rel = max(
-            worst_rel,
-            abs(mc.d_phi - lin.d_phi) / lin.d_phi,
-            abs(mc.d_theta - lin.d_theta) / lin.d_theta,
-        )
+        lin = np.concatenate(linearized_angles(b.as_array()[None, :], 0.1))
+        mc = np.array(monte_carlo_angles(b, 0.1, n=200_000, seed=13))
+        worst_rel = max(worst_rel, float(np.max(np.abs(mc - lin) / lin)))
     ok = monotone and worst_rel <= 0.05
     report(
         7,

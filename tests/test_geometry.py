@@ -11,8 +11,6 @@ from comag.geometry import (
     OrientationBasis,
     default_basis,
     project_field,
-    propagate_axis_uncertainty,
-    recover_field,
     recovery_matrix,
     select_best_axes,
 )
@@ -23,6 +21,16 @@ SQRT3 = math.sqrt(3.0)
 @pytest.fixture(scope="module")
 def basis():
     return default_basis()
+
+
+def recover(basis, proj, axes="abcd"):
+    """The lab-frame field that the selected axes of a (4,) projection give."""
+    return recovery_matrix(basis, axes) @ proj[["abcd".index(a) for a in axes]]
+
+
+def propagate(basis, sigma, axes="abcd"):
+    """Per-lab-axis sigmas sqrt(diag(W S W^T)) of independent axis noise."""
+    return np.sqrt(recovery_matrix(basis, axes) ** 2 @ np.square(sigma))
 
 
 def random_rotation(rng):
@@ -83,26 +91,24 @@ class TestProjection:
 class TestRecovery:
     def test_round_trip_all_axes(self, basis):
         b = FieldVector(0.3, -0.7, 1.1)
-        back = recover_field(basis, project_field(basis, b))
-        assert back.as_array() == pytest.approx(b.as_array(), abs=1e-10)
+        back = recover(basis, project_field(basis, b))
+        assert back == pytest.approx(b.as_array(), abs=1e-10)
 
     def test_round_trip_three_axes(self, basis):
         b = FieldVector(0.3, -0.7, 1.1)
-        back = recover_field(basis, project_field(basis, b), ("a", "b", "c"))
-        assert back.as_array() == pytest.approx(b.as_array(), abs=1e-10)
+        back = recover(basis, project_field(basis, b), "abc")
+        assert back == pytest.approx(b.as_array(), abs=1e-10)
 
     def test_zero_projection(self, basis):
-        assert recover_field(basis, np.zeros(4)).as_array() == pytest.approx(
-            np.zeros(3)
-        )
+        assert recover(basis, np.zeros(4)) == pytest.approx(np.zeros(3))
 
     def test_all_three_axis_subsets(self, basis):
         rng = np.random.default_rng(11)
         b = FieldVector.from_array(rng.normal(0, 1, 3))
         proj = project_field(basis, b)
-        for subset in (("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d")):
-            back = recover_field(basis, proj, subset)
-            assert back.as_array() == pytest.approx(b.as_array(), abs=1e-10)
+        for subset in ("abc", "abd", "acd", "bcd"):
+            back = recover(basis, proj, subset)
+            assert back == pytest.approx(b.as_array(), abs=1e-10)
 
     def test_rank_deficient_user_basis(self):
         axes = np.array(
@@ -121,8 +127,8 @@ class TestRecovery:
     def test_round_trip_property(self, comps):
         basis = default_basis()
         b = FieldVector(*comps)
-        back = recover_field(basis, project_field(basis, b))
-        assert np.allclose(back.as_array(), b.as_array(), atol=1e-9)
+        back = recover(basis, project_field(basis, b))
+        assert np.allclose(back, b.as_array(), atol=1e-9)
 
     def test_rotation_equivariance(self, basis):
         rng = np.random.default_rng(5)
@@ -131,27 +137,26 @@ class TestRecovery:
             rotated = OrientationBasis.from_axes(basis.axes @ rot.T)
             b = FieldVector.from_array(rng.normal(0, 2, 3))
             b_rot = FieldVector.from_array(rot @ b.as_array())
-            back = recover_field(rotated, project_field(rotated, b_rot))
-            expect = rot @ recover_field(basis, project_field(basis, b)).as_array()
-            assert back.as_array() == pytest.approx(expect, abs=1e-9)
+            back = recover(rotated, project_field(rotated, b_rot))
+            expect = rot @ recover(basis, project_field(basis, b))
+            assert back == pytest.approx(expect, abs=1e-9)
 
 
 class TestUncertainty:
     def test_zero_sigma(self, basis):
-        out = propagate_axis_uncertainty(basis, [0.0, 0.0, 0.0, 0.0])
+        out = propagate(basis, [0.0, 0.0, 0.0, 0.0])
         assert out == pytest.approx(np.zeros(3))
 
     def test_linear_mode_reproduces_260_mg(self, basis):
         # Uniform 150 mG per axis over a three-axis subset inflates to
-        # ~260 mG per lab component under the direct |W| transform.
-        out = propagate_axis_uncertainty(
-            basis, [0.15] * 3, ("a", "b", "c"), independent=False
-        )
+        # ~260 mG per lab component under the direct |W| transform, the
+        # worst-case bound that is exact for perfectly correlated axis noise.
+        out = np.abs(recovery_matrix(basis, "abc")) @ np.full(3, 0.15)
         assert out == pytest.approx(np.full(3, 0.26), abs=0.010)
         assert out == pytest.approx(np.full(3, 0.15 * SQRT3), abs=1e-12)
 
     def test_independent_mode_four_axes_analytic(self, basis):
-        out = propagate_axis_uncertainty(basis, [1.0] * 4)
+        out = propagate(basis, [1.0] * 4)
         assert out == pytest.approx(np.full(3, math.sqrt(0.75)), abs=1e-12)
 
     def test_independent_mode_four_axes_monte_carlo(self, basis):
@@ -159,7 +164,7 @@ class TestUncertainty:
         w = recovery_matrix(basis)
         noise = rng.normal(0.0, 1.0, size=(1_000_000, 4))
         emp = (noise @ w.T).std(axis=0)
-        pred = propagate_axis_uncertainty(basis, [1.0] * 4)
+        pred = propagate(basis, [1.0] * 4)
         assert emp == pytest.approx(pred, rel=0.01)
 
     def test_matches_recover_field_scatter(self, basis):
@@ -172,7 +177,7 @@ class TestUncertainty:
         noisy = proj[None, :] + rng.normal(0, 1, (100_000, 4)) * sigma[None, :]
         w = recovery_matrix(basis)
         emp = (noisy @ w.T).std(axis=0)
-        pred = propagate_axis_uncertainty(basis, sigma)
+        pred = propagate(basis, sigma)
         assert emp == pytest.approx(pred, rel=0.02)
 
     def test_uncertainty_rotation_equivariance(self, basis):
@@ -187,12 +192,6 @@ class TestUncertainty:
         cov = w @ np.diag(np.square(sigma)) @ w.T
         cov_rot = w_rot @ np.diag(np.square(sigma)) @ w_rot.T
         assert cov_rot == pytest.approx(rot @ cov @ rot.T, abs=1e-9)
-
-    def test_sigma_length_validation(self, basis):
-        with pytest.raises(ValueError):
-            propagate_axis_uncertainty(basis, [0.1, 0.2], ("a", "b", "c"))
-        with pytest.raises(ValueError):
-            propagate_axis_uncertainty(basis, [-0.1, 0.2, 0.3, 0.4])
 
 
 class TestAxisSelection:

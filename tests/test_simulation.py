@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from comag.estimator import angular_uncertainty, batch_combined, linearized_angles, row_norms
+from comag.estimator import batch_combined, linearized_angles, row_norms
 from comag import simulation
 from comag.geometry import FieldVector
 from comag.simulation import (
@@ -21,6 +21,7 @@ from comag.simulation import (
     spatial_scan_sim,
     sweep_calibration_error,
 )
+from test_estimator import monte_carlo_angles
 
 B0_MEASURED = FieldVector(0.004, -0.7454, 0.6451)
 
@@ -251,17 +252,15 @@ class TestAngularErrorMap:
         expected = unit.total_db[finite] + 20.0 * math.log10(sigma)
         # A subnormal angle near 1e-320 keeps about 3 significant digits.
         assert tiny.total_db[finite] == pytest.approx(expected, abs=0.02)
-        lin = angular_uncertainty(FieldVector(0.3, -1.2, 0.5), sigma)
-        ref = angular_uncertainty(FieldVector(0.3, -1.2, 0.5), 1.0)
-        assert lin.d_theta / sigma == pytest.approx(ref.d_theta, rel=2e-3)
-        assert lin.d_phi / sigma == pytest.approx(ref.d_phi, rel=2e-3)
+        v = np.array([[0.3, -1.2, 0.5]])
+        lin = np.concatenate(linearized_angles(v, sigma))
+        ref = np.concatenate(linearized_angles(v, 1.0))
+        assert lin / sigma == pytest.approx(ref, rel=2e-3)
 
     def test_matches_monte_carlo_at_unit_field(self):
-        lin = angular_uncertainty(FieldVector(1.0, 0, 0), 0.1)
-        mc = angular_uncertainty(
-            FieldVector(1.0, 0, 0), 0.1, method="monte_carlo", n=100_000, seed=9
-        )
-        assert mc.d_phi == pytest.approx(lin.d_phi, rel=0.05)
+        _, lin_phi = linearized_angles(np.array([[1.0, 0.0, 0.0]]), 0.1)
+        _, mc_phi = monte_carlo_angles(FieldVector(1.0, 0, 0), 0.1, n=100_000, seed=9)
+        assert mc_phi == pytest.approx(lin_phi[0], rel=0.05)
 
 
 def _root_sum_squares(a, b, c=0.0):
@@ -347,8 +346,8 @@ class TestAngularErrorMapBits:
             want = np.array([per_vector_angles(row, sig) for row in v])
             assert same_bits(d_theta, want[:, 0]) and same_bits(d_phi, want[:, 1])
             for row in v[:40]:
-                au = angular_uncertainty(FieldVector(*row.tolist()), sig)
-                assert same_bits(np.array([au.d_theta, au.d_phi]), np.array(per_vector_angles(row, sig)))
+                one = np.concatenate(linearized_angles(row[None, :], sig))
+                assert same_bits(one, np.array(per_vector_angles(row, sig)))
 
     @pytest.mark.parametrize("sigma", [-0.1, [0.1, -0.1, 0.1], [0.1, 0.1]])
     def test_bad_sigma_rejected(self, sigma):
@@ -358,7 +357,7 @@ class TestAngularErrorMapBits:
     def test_pole_sigma_squares_overflow_loudly(self):
         # Only rho |v|^2 and the d_theta quotients may overflow quietly.
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            angular_uncertainty(FieldVector(0.0, 0.0, 1.0), 1e200)
+            linearized_angles(np.array([[0.0, 0.0, 1.0]]), 1e200)
 
 
 class TestSweep:
