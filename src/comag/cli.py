@@ -160,13 +160,7 @@ def _orthogonality(settings: RunSettings) -> Report:
 @_report("marginal")
 def _marginal(settings: RunSettings) -> Report:
     mg = settings.marginal
-    prof = marginal_improvement(
-        settings.simulation,
-        axis=mg.axis,
-        field_min=mg.field_min,
-        field_max=mg.field_max,
-        n_points=mg.n_points,
-    )
+    prof = marginal_improvement(settings.simulation, mg)
     columns = {
         "b_applied": prof.b_applied,
         "gain_mag_mse_db": prof.gain_mag_mse_db,
@@ -242,7 +236,7 @@ def _scalar_demo(settings: RunSettings) -> Report:
 @_report("angular_map")
 def _angular_map(settings: RunSettings) -> Report:
     a = settings.angular
-    amap = angular_error_map(a.grid_min, a.grid_max, a.grid_points, a.sigma)
+    amap = angular_error_map(a)
     columns = {
         **_grid_xy(amap.bx, amap.by),
         "d_theta_rad": amap.d_theta,
@@ -377,7 +371,6 @@ _COMMANDS = {
         ("--b-rb", dict(type=float, help="Rb scalar reading (G)")),
     ),
 }
-COMMANDS = tuple(_COMMANDS)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,8 +9,7 @@ dataclass, and each field of that dataclass is one INI key, declared
 nowhere else: the field's type picks the parser (``float``, ``int``,
 ``str``, ``tuple[float, float, float]``, ``FieldVector``, or ``X | None``,
 where an empty value means None), its default is the documented default,
-and the dataclass's ``__post_init__`` holds its checks.  A nested
-dataclass field (``odmr``, ``lia``) adds its own keys to the section, and
+and the dataclass's ``__post_init__`` holds its checks.
 ``field(metadata={"ini": name})`` names a key that differs from its field.
 """
 
@@ -19,96 +18,13 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import difflib
-import functools
 import math
 import typing
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .errors import ConfigParseError, ConfigValidationError
-from .geometry import FieldVector, OrientationBasis, default_basis
-from .params import (
-    GAMMA_NV,
-    GAMMA_RB,
-    LiaParams,
-    OdmrParams,
-)
-from .simulation import SimConfig, SpatialScanConfig
-
-
-def _require_direction(v, name: str) -> None:
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(v)
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"{name} must be nonzero, with a finite norm")
-
-
-@dataclass(frozen=True)
-class MeasurementSettings:
-    gamma_nv: float = GAMMA_NV
-    gamma_rb: float = GAMMA_RB
-    odmr: OdmrParams = field(default_factory=OdmrParams)
-    lia: LiaParams = field(default_factory=LiaParams)
-    bias_field: float = 30.0
-    bias_direction: tuple[float, float, float] = (2.0, 1.0, 0.0)
-
-    def __post_init__(self):
-        if self.gamma_nv <= 0:
-            raise ValueError("gamma_nv must be positive")
-        if self.gamma_rb <= 0:
-            raise ValueError("gamma_rb must be positive")
-        _require_direction(self.bias_direction, "bias_direction")
-
-
-@dataclass(frozen=True)
-class GeometrySettings:
-    """Custom NV axis directions: all four, or none for the default basis."""
-
-    axis_a: tuple[float, float, float] | None = None
-    axis_b: tuple[float, float, float] | None = None
-    axis_c: tuple[float, float, float] | None = None
-    axis_d: tuple[float, float, float] | None = None
-
-    def __post_init__(self):
-        missing = [f.name for f in dataclasses.fields(self) if getattr(self, f.name) is None]
-        if 0 < len(missing) < 4:
-            raise ValueError(f"[geometry] requires all four axes; missing {missing}")
-        for f in dataclasses.fields(self):
-            if f.name not in missing:
-                _require_direction(getattr(self, f.name), f"[geometry] {f.name}")
-
-
-@dataclass(frozen=True)
-class AngularSettings:
-    grid_min: float = -1.5
-    grid_max: float = 1.5
-    grid_points: int = 41
-    sigma: float = 0.1
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("angular sigma must be positive")
-        if self.grid_points < 2:
-            raise ValueError("angular grid_points must be >= 2")
-        if not self.grid_min < self.grid_max:
-            raise ValueError("angular grid_min must be below grid_max")
-
-
-@dataclass(frozen=True)
-class MarginalSettings:
-    axis: str = "x"
-    field_min: float = 0.0
-    field_max: float = 1.6
-    n_points: int = 41
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y", "z"):
-            raise ValueError("marginal axis must be one of x, y, z")
-        if self.n_points < 2:
-            raise ValueError("marginal n_points must be >= 2")
-        if not self.field_min < self.field_max:
-            raise ValueError("marginal field_min must be below field_max")
+from .geometry import FieldVector
+from .simulation import AngularSettings, MarginalSettings, SimConfig, SpatialScanConfig
 
 
 @dataclass(frozen=True)
@@ -131,19 +47,12 @@ class CalibrateSettings:
 class RunSettings:
     """Validated configuration for every command, one field per INI section."""
 
-    measurement: MeasurementSettings = field(default_factory=MeasurementSettings)
-    geometry: GeometrySettings = field(default_factory=GeometrySettings)
     simulation: SimConfig = field(default_factory=SimConfig)
     spatial: SpatialScanConfig = field(default_factory=SpatialScanConfig)
     angular: AngularSettings = field(default_factory=AngularSettings)
     marginal: MarginalSettings = field(default_factory=MarginalSettings)
     estimate: EstimateSettings = field(default_factory=EstimateSettings)
     calibrate: CalibrateSettings = field(default_factory=CalibrateSettings)
-
-    def basis(self) -> OrientationBasis:
-        if self.geometry.axis_a is None:
-            return default_basis()
-        return OrientationBasis.from_axes(np.array(dataclasses.astuple(self.geometry)))
 
     def with_seed(self, seed: int) -> "RunSettings":
         return replace(
@@ -196,41 +105,19 @@ def _parser(tp):
     return lambda text, name: None if text.strip() == "" else parse(text, name)
 
 
-@functools.cache
-def _field_types(cls) -> dict[str, type]:
-    """Field name -> resolved type, in field order.  Cached: get_type_hints
-    costs far more than parsing a whole config file."""
+def _keys(cls) -> dict:
+    """INI key -> (field name, value parser) for each field of a section dataclass."""
     hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    return {
+        f.metadata.get("ini", f.name): (f.name, _parser(hints[f.name]))
+        for f in dataclasses.fields(cls)
+    }
 
 
-def _walk(cls, path=()):
-    """(INI key, field path, parser) for each key a section dataclass declares."""
-    for f in dataclasses.fields(cls):
-        tp = _field_types(cls)[f.name]
-        if dataclasses.is_dataclass(tp) and tp is not FieldVector:
-            yield from _walk(tp, path + (f.name,))
-        else:
-            yield f.metadata.get("ini", f.name), path + (f.name,), _parser(tp)
-
-
-# Section -> INI key -> (field path within the section, value parser).
-_KEYS = {
-    section: {key: (path, parse) for key, path, parse in _walk(cls)}
-    for section, cls in _field_types(RunSettings).items()
-}
-
-
-def _build(cls, values: dict):
-    """cls from {field: value or nested {field: value}}.  Fields are built in
-    declaration order, so the check that fails first does not depend on the
-    order of the file."""
-    kwargs = {}
-    for name, tp in _field_types(cls).items():
-        if name in values:
-            v = values[name]
-            kwargs[name] = _build(tp, v) if isinstance(v, dict) else v
-    return cls(**kwargs)
+# Section -> its dataclass, in RunSettings declaration order.
+_SECTIONS = typing.get_type_hints(RunSettings)
+# Section -> INI key -> (field name, value parser).
+_KEYS = {section: _keys(cls) for section, cls in _SECTIONS.items()}
 
 
 def _suggest(name: str, candidates) -> str:
@@ -260,13 +147,14 @@ def parse_config_text(text: str) -> RunSettings:
                 raise ConfigParseError(
                     f"unknown key {key!r} in [{section}]" + _suggest(key, keys)
                 )
-            path, parse = keys[key]
-            target = values[section]
-            for name in path[:-1]:
-                target = target.setdefault(name, {})
-            target[path[-1]] = parse(raw, f"key {key!r}")
+            name, parse = keys[key]
+            values[section][name] = parse(raw, f"key {key!r}")
     try:
-        return _build(RunSettings, values)
+        # Sections are built in declaration order, so the check that fails
+        # first does not depend on the order of the file.
+        return RunSettings(
+            **{name: cls(**values[name]) for name, cls in _SECTIONS.items() if name in values}
+        )
     except ValueError as err:
         # Dataclass validators raise ValueError naming the constraint.
         raise ConfigValidationError(str(err))
@@ -299,9 +187,9 @@ def default_config_text() -> str:
     defaults = RunSettings()
     out = []
     for section, keys in _KEYS.items():
+        values = getattr(defaults, section)
         out.append(f"[{section}]\n")
-        for key, (path, _) in keys.items():
-            value = functools.reduce(getattr, (section, *path), defaults)
-            out.append(f"{key} = {_fmt(value)}\n")
+        for key, (name, _) in keys.items():
+            out.append(f"{key} = {_fmt(getattr(values, name))}\n")
         out.append("\n")
     return "".join(out)

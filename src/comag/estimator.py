@@ -98,6 +98,11 @@ def combined_estimate(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Combi
         raise DegenerateDirectionError("b_rb / |b_nv + b_0| overflows: correction undefined")
     radial = tangential = ortho = math.nan
     nv_norm = float(np.linalg.norm(nv))
+    if nv_norm == 0.0 and nv.any():
+        # The squares underflow; the reading scaled to a unit largest
+        # component has the same direction and a normal norm.
+        nv = nv / np.abs(nv).max()
+        nv_norm = float(np.linalg.norm(nv))
     if nv_norm != 0.0:
         u = nv / nv_norm
         radial = float(c @ u)

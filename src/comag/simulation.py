@@ -357,26 +357,36 @@ class MarginalProfile:
     config: SimConfig
 
 
-def marginal_improvement(
-    cfg: SimConfig,
-    axis: str = "x",
-    field_min: float = 0.0,
-    field_max: float = 1.6,
-    n_points: int = 41,
-) -> MarginalProfile:
+@dataclass(frozen=True)
+class MarginalSettings:
+    """The single-axis sweep of :func:`marginal_improvement`."""
+
+    axis: str = "x"
+    field_min: float = 0.0
+    field_max: float = 1.6
+    n_points: int = 41
+
+    def __post_init__(self):
+        if self.axis not in ("x", "y", "z"):
+            raise ValueError("marginal axis must be one of x, y, z")
+        if self.n_points < 2:
+            raise ValueError("marginal n_points must be >= 2")
+        if not self.field_min < self.field_max:
+            raise ValueError("marginal field_min must be below field_max")
+
+
+def marginal_improvement(cfg: SimConfig, sweep: MarginalSettings) -> MarginalProfile:
     """Improvement profile for a DC field swept along one axis.
 
     Mirrors the grid simulation restricted to a single axis, reporting the
     per-point empirical magnitude variance of both estimators over n_reps
     repetitions alongside the dB gains.
     """
-    axis_i = {"x": 0, "y": 1, "z": 2}.get(axis)
-    if axis_i is None:
-        raise ValueError("axis must be x, y, or z")
-    values = np.linspace(field_min, field_max, n_points)
-    deltas = np.zeros((n_points, 3))
+    axis_i = "xyz".index(sweep.axis)
+    values = np.linspace(sweep.field_min, sweep.field_max, sweep.n_points)
+    deltas = np.zeros((sweep.n_points, 3))
     deltas[:, axis_i] = values
-    keys = [(i, axis_i) for i in range(n_points)]
+    keys = [(i, axis_i) for i in range(sweep.n_points)]
     stats = _simulate_cells(deltas, cfg, _TAG_MARGINAL, keys)
     valid = stats["valid"]
     return MarginalProfile(
@@ -386,7 +396,7 @@ def marginal_improvement(
         var_nv=np.where(valid, stats["mse_mag_nv"], math.nan),
         var_combined=np.where(valid, stats["mse_mag_comb"], math.nan),
         orthogonality=_orthogonality(deltas, cfg.b_0_true.as_array()),
-        axis=axis,
+        axis=sweep.axis,
         config=cfg,
     )
 
@@ -621,22 +631,36 @@ class AngularErrorMap:
     sigma: float
 
 
-def angular_error_map(
-    grid_min: float = -1.5,
-    grid_max: float = 1.5,
-    grid_points: int = 41,
-    sigma: float = 0.1,
-) -> AngularErrorMap:
+@dataclass(frozen=True)
+class AngularSettings:
+    """The field grid and per-axis reading noise of :func:`angular_error_map`."""
+
+    grid_min: float = -1.5
+    grid_max: float = 1.5
+    grid_points: int = 41
+    sigma: float = 0.1
+
+    def __post_init__(self):
+        if self.sigma <= 0:
+            raise ValueError("angular sigma must be positive")
+        if self.grid_points < 2:
+            raise ValueError("angular grid_points must be >= 2")
+        if not self.grid_min < self.grid_max:
+            raise ValueError("angular grid_min must be below grid_max")
+
+
+def angular_error_map(settings: AngularSettings) -> AngularErrorMap:
     """Angular uncertainty of a vector reading across the x-y plane.
 
     Per cell, the first-order angle uncertainties for an isotropic
-    per-axis noise ``sigma``; ``total_db`` is 10*log10(d_theta^2 +
+    per-axis noise ``settings.sigma``; ``total_db`` is 10*log10(d_theta^2 +
     d_phi^2), or 20*log10(hypot(d_theta, d_phi)) where that sum is not a
     normal float.  The error falls off as 1/|B| along every ray, so larger
     working fields give better angular accuracy.  The origin is NaN.
     """
-    xs = np.linspace(grid_min, grid_max, grid_points)
-    ys = np.linspace(grid_min, grid_max, grid_points)
+    sigma = settings.sigma
+    xs = np.linspace(settings.grid_min, settings.grid_max, settings.grid_points)
+    ys = np.linspace(settings.grid_min, settings.grid_max, settings.grid_points)
     if not np.isfinite(xs).all():
         raise ValueError("field components must be finite")
     x, y = np.meshgrid(xs, ys)

@@ -14,7 +14,7 @@ import warnings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from comag.cli import COMMANDS, main
+from comag.cli import _COMMANDS, main
 from comag.config import _KEYS
 
 # Keeps every example to milliseconds: no edge value below parses as a size
@@ -64,7 +64,7 @@ def run(command: str, changes) -> tuple[int, str, list]:
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(st.sampled_from(COMMANDS), overrides)
+@given(st.sampled_from(tuple(_COMMANDS)), overrides)
 # The four traceback classes of the first boundary search, now one-line exits.
 @example("angular-map", [(("angular", "grid_min"), "1e-160")])
 @example("scalar-demo", [(("spatial", "source_axis"), "-1e200,1e200,0")])

@@ -1,10 +1,9 @@
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from comag.cli import COMMANDS
+from comag.cli import _COMMANDS
 from comag.config import (
     RunSettings,
     default_config_text,
@@ -12,7 +11,6 @@ from comag.config import (
     parse_config_text,
 )
 from comag.errors import ConfigParseError, ConfigValidationError
-from comag.geometry import default_basis
 from comag.plots import _KINDS
 
 
@@ -55,7 +53,7 @@ class TestDefaults:
     def test_readme_lists_every_command(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         rows = dict(re.findall(r"^\| ([a-z-]+) +\| (.*?) *\|$", readme, re.M))
-        assert set(COMMANDS) <= set(rows)
+        assert set(_COMMANDS) <= set(rows)
         listed = " ".join(rows.values())
         for stem in _KINDS:
             for name in (f"{stem}.csv", f"{stem}_summary.txt", f"plot_{stem}.py"):
@@ -78,27 +76,6 @@ class TestOverrides:
         assert sim.resolved_sigma_rb() == 0.002
         assert sim.b_0_true.as_array() == pytest.approx([0.5, 0.0, 0.0])
         assert sim.seed == 9
-
-    def test_measurement_values(self):
-        st = parse_config_text("[measurement]\ngamma_rb = 6962.0\nlinewidth = 10.0\n")
-        assert st.measurement.gamma_rb == 6962.0
-        assert st.measurement.odmr.linewidth == 10.0
-
-    def test_geometry_custom_basis(self):
-        st = parse_config_text(
-            "[geometry]\naxis_a = 1,1,1\naxis_b = 1,-1,-1\naxis_c = -1,1,-1\n"
-            "axis_d = -1,-1,1\n"
-        )
-        basis = st.basis()
-        assert basis.axes.shape == (4, 3)
-
-    def test_geometry_empty_axes_mean_default(self):
-        st = parse_config_text("[geometry]\naxis_a =\naxis_b =\naxis_c =\naxis_d =\n")
-        np.testing.assert_array_equal(st.basis().axes, default_basis().axes)
-
-    def test_geometry_partial_rejected(self):
-        with pytest.raises(ConfigValidationError):
-            parse_config_text("[geometry]\naxis_a = 1,1,1\n")
 
     def test_seed_override(self):
         st = parse_config_text("[simulation]\nseed = 3\n").with_seed(99)
@@ -138,7 +115,3 @@ class TestErrors:
     def test_bad_marginal_axis(self):
         with pytest.raises(ConfigValidationError):
             parse_config_text("[marginal]\naxis = q\n")
-
-    def test_bad_contrast(self):
-        with pytest.raises(ConfigValidationError):
-            parse_config_text("[measurement]\ncontrast = 1.2\n")

@@ -121,6 +121,24 @@ class TestSynthOdmr:
             OdmrParams(pl_noise=-1e-3)
 
 
+class TestScanSettings:
+    @pytest.mark.parametrize(
+        "cls, kwargs, message",
+        [
+            (OdmrParams, {"n_averages": 0}, "n_averages must be >= 1"),
+            (OdmrParams, {"scan_span": 0.0}, "scan_span must be positive"),
+            (LiaParams, {"linewidth": 0.0}, "linewidth must be positive"),
+            (LiaParams, {"y_noise": -1e-6}, "y_noise must be >= 0"),
+            (LiaParams, {"n_points": 4}, "n_points must be >= 5"),
+            (LiaParams, {"chirp_min": 1500.0}, "chirp_max must exceed chirp_min"),
+        ],
+        ids=["odmr-averages", "odmr-span", "lia-linewidth", "lia-noise", "lia-points", "lia-chirp"],
+    )
+    def test_invalid_value_rejected(self, cls, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            cls(**kwargs)
+
+
 class TestFitOdmr:
     def test_noiseless_identity(self, basis):
         params = OdmrParams(pl_noise=0.0)

@@ -9,6 +9,8 @@ from comag.estimator import batch_combined, linearized_angles, row_norms
 from comag import simulation
 from comag.geometry import FieldVector
 from comag.simulation import (
+    AngularSettings,
+    MarginalSettings,
     SimConfig,
     SpatialScanConfig,
     angular_error_map,
@@ -119,7 +121,8 @@ class TestMarginalImprovement:
     def test_matches_grid_row(self):
         cfg = SimConfig(grid_points=21)
         imp = run_grid_simulation(cfg)
-        prof = marginal_improvement(cfg, axis="x", field_min=0.0, field_max=1.5, n_points=11)
+        sweep = MarginalSettings(axis="x", field_min=0.0, field_max=1.5, n_points=11)
+        prof = marginal_improvement(cfg, sweep)
         xs = imp.bx
         iy = int(np.argmin(np.abs(imp.by)))
         diffs = []
@@ -134,20 +137,20 @@ class TestMarginalImprovement:
 
     def test_positive_gain_with_reported_noise(self):
         cfg = SimConfig(sigma_nv=0.26, sigma_rb=7.9e-4, b_0_true=B0_MEASURED)
-        prof = marginal_improvement(cfg)
+        prof = marginal_improvement(cfg, MarginalSettings())
         ok = np.isfinite(prof.gain_mag_mse_db)
         assert np.mean(prof.gain_mag_mse_db[ok] > 0.0) >= 0.8
 
     def test_orthogonality_tracks_gain_dips(self):
         cfg = SimConfig(sigma_nv=0.26, sigma_rb=7.9e-4, b_0_true=B0_MEASURED, n_reps=200)
-        prof = marginal_improvement(cfg, n_points=17)
+        prof = marginal_improvement(cfg, MarginalSettings(n_points=17))
         ok = np.isfinite(prof.gain_mag_mse_db) & np.isfinite(prof.orthogonality)
         rc = spearmanr(prof.gain_mag_mse_db[ok], prof.orthogonality[ok]).statistic
         assert rc > 0.6
 
     def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            marginal_improvement(SimConfig(), axis="w")
+        with pytest.raises(ValueError, match="axis"):
+            MarginalSettings(axis="w")
 
 
 class TestSpatialScan:
@@ -216,7 +219,7 @@ class TestScalarDemo:
 
 class TestAngularErrorMap:
     def test_monotone_along_rays(self):
-        amap = angular_error_map(grid_points=41)
+        amap = angular_error_map(AngularSettings(grid_points=41))
         mid = len(amap.by) // 2
         row = amap.total_db[mid, :]
         xs = amap.bx
@@ -226,7 +229,7 @@ class TestAngularErrorMap:
         assert np.all(np.diff(diag) < 0)
 
     def test_isotropy(self):
-        amap = angular_error_map(grid_points=41)
+        amap = angular_error_map(AngularSettings(grid_points=41))
         xs = amap.bx
         i_x = int(np.argmin(np.abs(xs - 1.5)))
         i_y = int(np.argmin(np.abs(amap.by - 1.5)))
@@ -236,7 +239,7 @@ class TestAngularErrorMap:
         assert on_x == pytest.approx(on_y, abs=1e-9)
 
     def test_default_total_db_is_the_log_of_the_squares(self):
-        amap = angular_error_map(grid_points=9)
+        amap = angular_error_map(AngularSettings(grid_points=9))
         for t, p, db in zip(amap.d_theta.ravel(), amap.d_phi.ravel(), amap.total_db.ravel()):
             if math.isfinite(t):
                 assert db == 10.0 * math.log10(t**2 + p**2)
@@ -245,8 +248,8 @@ class TestAngularErrorMap:
     def test_underflowing_sigma_keeps_total_db(self, sigma):
         # The squares of the angles (at 1e-320 the angles' own terms too)
         # underflow; the dB figure follows 20*log10(sigma) down instead.
-        unit = angular_error_map(grid_points=9, sigma=1.0)
-        tiny = angular_error_map(grid_points=9, sigma=sigma)
+        unit = angular_error_map(AngularSettings(grid_points=9, sigma=1.0))
+        tiny = angular_error_map(AngularSettings(grid_points=9, sigma=sigma))
         finite = np.isfinite(unit.total_db)
         assert np.array_equal(np.isfinite(tiny.total_db), finite)
         expected = unit.total_db[finite] + 20.0 * math.log10(sigma)
@@ -333,7 +336,7 @@ class TestAngularErrorMapBits:
         + [(-1.5, 1.5, 41, sigma) for sigma in (1e-160, 1e-170, 1e-320)],
     )
     def test_matches_per_cell_form(self, grid):
-        amap = angular_error_map(*grid)
+        amap = angular_error_map(AngularSettings(*grid))
         for got, want in zip((amap.d_theta, amap.d_phi, amap.total_db), per_cell_angular_map(*grid)):
             assert same_bits(got, want)
 
@@ -351,8 +354,9 @@ class TestAngularErrorMapBits:
 
     @pytest.mark.parametrize("sigma", [-0.1, [0.1, -0.1, 0.1], [0.1, 0.1]])
     def test_bad_sigma_rejected(self, sigma):
+        # AngularSettings holds one positive sigma; the kernel checks every form.
         with pytest.raises(ValueError, match="sigma"):
-            angular_error_map(-1.5, 1.5, 5, sigma)
+            linearized_angles(np.array([[0.3, -1.2, 0.5]]), sigma)
 
     def test_pole_sigma_squares_overflow_loudly(self):
         # Only rho |v|^2 and the d_theta quotients may overflow quietly.
@@ -601,7 +605,8 @@ class TestCellBatchKernel:
         cfg = BIT_IDENTITY_CONFIGS[name]
         for axis_i, axis in enumerate("xyz"):
             lo, hi = cfg.grid_min, cfg.grid_max
-            prof = marginal_improvement(cfg, axis=axis, field_min=lo, field_max=hi, n_points=9)
+            sweep = MarginalSettings(axis=axis, field_min=lo, field_max=hi, n_points=9)
+            prof = marginal_improvement(cfg, sweep)
             expected = _oracle_marginal(cfg, axis_i, np.linspace(lo, hi, 9))
             expected["b_applied"] = np.linspace(lo, hi, 9)
             _assert_same(prof, expected, PROFILE_ARRAYS)
@@ -618,11 +623,15 @@ class TestCellBatchKernel:
     def test_chunk_boundaries_do_not_matter(self, name, monkeypatch):
         cfg = BIT_IDENTITY_CONFIGS[name]
         reference_map = run_grid_simulation(cfg)
-        reference_profile = marginal_improvement(cfg, n_points=13)
+        reference_profile = marginal_improvement(cfg, MarginalSettings(n_points=13))
         for rows in (3 * cfg.n_reps - 1, 1, 10**9):
             monkeypatch.setattr(simulation, "_CHUNK_ROWS", rows)
             _assert_same(run_grid_simulation(cfg), reference_map, MAP_ARRAYS)
-            _assert_same(marginal_improvement(cfg, n_points=13), reference_profile, PROFILE_ARRAYS)
+            _assert_same(
+                marginal_improvement(cfg, MarginalSettings(n_points=13)),
+                reference_profile,
+                PROFILE_ARRAYS,
+            )
 
 
 class TestFusionKernel:
