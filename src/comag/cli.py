@@ -28,7 +28,6 @@ from .geometry import FieldVector
 from .plots import emit_plot_script
 from .reports import write_csv, write_summary
 from .simulation import (
-    SpatialScanConfig,
     angular_error_map,
     marginal_improvement,
     orthogonality_map,
@@ -182,7 +181,8 @@ def _marginal(settings: RunSettings) -> Report:
 
 @_report("spatial_scan")
 def _spatial_scan(settings: RunSettings) -> Report:
-    rep = spatial_scan_sim(settings.spatial)
+    cfg = settings.spatial
+    rep = spatial_scan_sim(cfg)
     columns = {
         "position_mm": rep.positions,
         "true_mag": rep.true_mag,
@@ -194,11 +194,11 @@ def _spatial_scan(settings: RunSettings) -> Report:
         "combined_fit": rep.combined_fit,
     }
     summary = {
-        "n_positions": rep.config.n_positions,
-        "stage_range_mm": rep.config.stage_range,
-        "sigma_nv": rep.config.sigma_nv,
-        "sigma_rb": rep.config.sigma_rb,
-        "seed": rep.config.seed,
+        "n_positions": cfg.n_positions,
+        "stage_range_mm": cfg.stage_range,
+        "sigma_nv": cfg.sigma_nv,
+        "sigma_rb": cfg.sigma_rb,
+        "seed": cfg.seed,
         "rmse_nv": rep.rmse_nv,
         "rmse_rb": rep.rmse_rb,
         "rmse_combined": rep.rmse_combined,
@@ -389,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except ComagError as err:
         print(f"comag: {err}", file=sys.stderr)
         return EXIT_RUNTIME
-    except FloatingPointError as err:
+    except (FloatingPointError, MemoryError) as err:
         print(f"comag: inputs too extreme to compute ({err})", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as err:

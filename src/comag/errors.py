@@ -37,13 +37,9 @@ class ZeroFieldError(ComagError):
     """Angles are undefined for a zero field vector, or one too small to resolve."""
 
 
-class ConfigError(ComagError):
-    """Base class for configuration file problems."""
-
-
-class ConfigParseError(ConfigError):
+class ConfigParseError(ComagError):
     """Config file is malformed or contains unknown sections/keys."""
 
 
-class ConfigValidationError(ConfigError):
+class ConfigValidationError(ComagError):
     """Config values violate a named constraint."""

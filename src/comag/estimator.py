@@ -235,8 +235,6 @@ def _damped_gauss_newton(
                 r, cost = r_new, cost_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
-                if np.linalg.norm(step) < step_tol:
-                    return x
                 break
             lam *= 10.0
         if not accepted:

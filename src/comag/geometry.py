@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import RankDeficientError
-
-AXIS_LABELS = ("a", "b", "c", "d")
 
 # Tetrahedral NV directions for a [100]-cut diamond, rows a, b, c, d.
 _TETRAHEDRAL = np.array(
@@ -88,40 +86,21 @@ def default_basis() -> OrientationBasis:
     return OrientationBasis.from_axes(_TETRAHEDRAL)
 
 
-def _axis_indices(selected_axes: Iterable | None) -> list[int]:
-    if selected_axes is None:
-        return [0, 1, 2, 3]
-    idx = []
-    for s in selected_axes:
-        if isinstance(s, str):
-            if s not in AXIS_LABELS:
-                raise ValueError(f"unknown axis label {s!r}")
-            idx.append(AXIS_LABELS.index(s))
-        else:
-            i = int(s)
-            if not 0 <= i <= 3:
-                raise ValueError(f"axis index {i} out of range")
-            idx.append(i)
-    if len(set(idx)) != len(idx):
-        raise ValueError("duplicate axes selected")
-    return idx
-
-
 def project_field(basis: OrientationBasis, b: FieldVector) -> np.ndarray:
     """Dot product of each NV axis with the lab-frame field: a (4,) array, Gauss."""
     return basis.axes @ b.as_array()
 
 
-def recovery_matrix(basis: OrientationBasis, selected_axes: Iterable | None = None) -> np.ndarray:
-    """Transition matrix W mapping selected axis components to the lab frame.
-
-    Exact inverse for exactly three selected axes, least-squares
-    pseudo-inverse otherwise.  Raises :class:`RankDeficientError` when the
-    selected rows do not span the lab frame.
+def recovery_matrix(basis: OrientationBasis, idx: Sequence[int]) -> np.ndarray:
+    """Transition matrix W mapping the components on axes ``idx`` (3 or 4
+    distinct indices in 0-3, as :func:`select_best_axes` returns them) to the
+    lab frame: exact inverse for three axes, least-squares pseudo-inverse for
+    four.  Raises :class:`RankDeficientError` when the selected rows do not
+    span the lab frame.
     """
-    idx = _axis_indices(selected_axes)
-    if len(idx) < 3:
-        raise ValueError("need at least three axes to recover a lab-frame vector")
+    idx = list(idx)
+    if len(idx) < 3 or len(set(idx)) != len(idx) or not set(idx) <= {0, 1, 2, 3}:
+        raise ValueError(f"need three or four distinct axis indices in 0-3, got {idx}")
     rows = basis.axes[idx]
     if np.linalg.matrix_rank(rows, tol=1e-10) < 3:
         raise RankDeficientError("selected axis rows are singular")
@@ -133,7 +112,7 @@ def recovery_matrix(basis: OrientationBasis, selected_axes: Iterable | None = No
 def select_best_axes(sigma_axes: Sequence[float], count: int = 3) -> tuple[int, ...]:
     """Indices of the ``count`` axes with the smallest uncertainty.
 
-    Ties are broken by axis index order (a < b < c < d).
+    Ties go to the lower axis index.
     """
     sig = np.asarray(sigma_axes, dtype=float)
     if sig.shape != (4,):

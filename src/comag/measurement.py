@@ -30,10 +30,8 @@ from .geometry import (
     select_best_axes,
 )
 
-# Max-slope point of a Lorentzian sits linewidth/(2*sqrt(3)) off center,
-# where the slope magnitude is (3*sqrt(3)/4) * contrast / linewidth.
+# Max-slope point of a Lorentzian sits linewidth/(2*sqrt(3)) off center.
 _MAX_SLOPE_OFFSET = 1.0 / (2.0 * math.sqrt(3.0))
-_MAX_SLOPE_FACTOR = 3.0 * math.sqrt(3.0) / 4.0
 
 _FIT_TOL = 1e-14  # of least_squares' scaled-gradient, cost-decrease and step tests
 
@@ -216,42 +214,32 @@ class OdmrSpectrum:
 
 @dataclass(frozen=True)
 class OdmrFit:
-    """Fitted ODMR lineshape, one entry per resolved dip (ascending frequency).
-
-    ``m_nv`` is the maximum slope magnitude of each fitted dip (1/MHz),
-    observed at ``f_max``; ``sigma_b_axis`` converts the empirical PL
-    scatter into a per-axis field sensitivity via sigma = dPL/(gamma * m).
+    """Fitted ODMR lineshape: the center (MHz), contrast and width (MHz) of each
+    resolved dip, in ascending frequency, and ``delta_pl``, the RMS residual
+    of the fit, which estimates the per-point PL noise.
     """
 
     peak_freqs: np.ndarray
-    f_max: np.ndarray
-    m_nv: np.ndarray
-    sigma_b_axis: np.ndarray
     contrasts: np.ndarray
     linewidths: np.ndarray
-    baseline: float
     delta_pl: float
 
 
 @dataclass(frozen=True)
 class LiaSignal:
-    """Lock-in outputs over the modulation chirp: in-phase X, quadrature Y, magnitude R (V)."""
+    """Lock-in outputs over the modulation chirp: in-phase X and quadrature Y (V)."""
 
     mod_freqs: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    r: np.ndarray
 
 
 @dataclass(frozen=True)
 class LiaFit:
-    """Resonance readout of an LIA trace with the slope-method sensitivity."""
+    """Scalar field reading of an LIA trace (G) with its slope-method sensitivity."""
 
     b_rb: float
     sigma_rb: float
-    f_res: float
-    m_rb: float
-    delta_y: float
 
 
 def odmr_sensitivity(delta_pl: float, slope: float, gamma: float) -> float:
@@ -390,7 +378,6 @@ def _find_dips(spectrum: OdmrSpectrum, params: OdmrParams, n_peaks: int):
 def fit_odmr(
     spectrum: OdmrSpectrum,
     params: OdmrParams,
-    gamma: float = GAMMA_NV,
     n_peaks: int = 4,
 ) -> OdmrFit:
     """Least-squares multi-Lorentzian fit of an ODMR spectrum.
@@ -424,7 +411,7 @@ def fit_odmr(
         return _lorentzian_dips_jac(freqs, *unpack(p)[1:])
 
     sol = least_squares(resid, p0, jac)
-    base, contrasts, centers, widths = unpack(sol.x)
+    _, contrasts, centers, widths = unpack(sol.x)
     widths = np.abs(widths)
     contrasts = np.abs(contrasts)
 
@@ -433,23 +420,7 @@ def fit_odmr(
 
     dof = max(len(freqs) - len(sol.x), 1)
     delta_pl = float(math.sqrt(np.sum(sol.fun**2) / dof))
-
-    m_nv = _MAX_SLOPE_FACTOR * contrasts / widths
-    f_max = centers + _MAX_SLOPE_OFFSET * widths
-    if delta_pl > 0:
-        sigma_axis = np.array([odmr_sensitivity(delta_pl, m, gamma) for m in m_nv])
-    else:
-        sigma_axis = np.zeros_like(m_nv)
-    return OdmrFit(
-        peak_freqs=centers,
-        f_max=f_max,
-        m_nv=m_nv,
-        sigma_b_axis=sigma_axis,
-        contrasts=contrasts,
-        linewidths=widths,
-        baseline=float(base),
-        delta_pl=delta_pl,
-    )
+    return OdmrFit(peak_freqs=centers, contrasts=contrasts, linewidths=widths, delta_pl=delta_pl)
 
 
 def nv_measure(
@@ -489,7 +460,7 @@ def nv_measure(
     total_ref = b_bias + b_0
     spec_sig = synth_odmr(total_sig, basis, params, gamma, seed_sig)
     spec_ref = synth_odmr(total_ref, basis, params, gamma, seed_ref)
-    fit_ref = fit_odmr(spec_ref, params, gamma)
+    fit_ref = fit_odmr(spec_ref, params)
     n_dips = len(fit_ref.peak_freqs)
     _find_dips(spec_sig, params, n_dips)
 
@@ -618,8 +589,7 @@ def synth_lia(
     The in-phase X component is an absorptive Lorentzian peaked at the
     Larmor resonance f = gamma * |B|; the quadrature Y component is the
     dispersive partner, crossing zero with maximum slope at resonance.
-    Gaussian noise of std y_noise is added to both; R is the pointwise
-    magnitude of the noisy quadratures.
+    Gaussian noise of std y_noise is added to both.
     """
     f_res = gamma_rb * b_scalar
     if not params.chirp_min <= f_res <= params.chirp_max:
@@ -635,7 +605,7 @@ def synth_lia(
         rng = np.random.default_rng(rng_seed)
         x = x + rng.normal(0.0, params.y_noise, size=freqs.shape)
         y = y + rng.normal(0.0, params.y_noise, size=freqs.shape)
-    return LiaSignal(mod_freqs=freqs, x=x, y=y, r=np.hypot(x, y))
+    return LiaSignal(mod_freqs=freqs, x=x, y=y)
 
 
 # Half-max half-width of the dispersive lineshape: |y| <= peak/2 holds for
@@ -728,7 +698,7 @@ def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:
 
     b_rb = f_res / gamma_rb
     sigma_rb = lia_sensitivity(delta_y, slope, gamma_rb) if delta_y > 0 else 0.0
-    return LiaFit(b_rb=b_rb, sigma_rb=sigma_rb, f_res=f_res, m_rb=slope, delta_y=delta_y)
+    return LiaFit(b_rb=b_rb, sigma_rb=sigma_rb)
 
 
 def rb_measure(

@@ -32,6 +32,17 @@ _TAG_MARGINAL = 2
 _TAG_SPATIAL = 3
 _TAG_DEMO = 4
 
+# The most readings, points or cells (_MAX_SIDE a side) a harness takes: past
+# it, a reading's 7 float64 draws overflow np.intp, and numpy raises
+# ValueError where an array too big to hold raises MemoryError.
+_MAX_COUNT = np.iinfo(np.intp).max // 56
+_MAX_SIDE = math.isqrt(_MAX_COUNT)
+
+
+def _require_count(name: str, count: int, limit: int = _MAX_COUNT) -> None:
+    if count > limit:
+        raise ValueError(f"{name} must be at most {limit}")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -71,6 +82,8 @@ class SimConfig:
             raise ValueError("sigma_ratio must be positive")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
+        _require_count("n_reps", self.n_reps)
+        _require_count("grid_points", self.grid_points, _MAX_SIDE)
         if self.sigma_nv <= 0:
             raise ValueError("sigma_nv must be positive")
         if self.sigma_rb is not None and self.sigma_rb <= 0:
@@ -110,7 +123,6 @@ class ImprovementMap:
     orthogonality: np.ndarray
     valid: np.ndarray
     dir_valid: np.ndarray
-    config: SimConfig
 
 
 # numpy.random.SeedSequence's hash constants (its entropy pool is 4 words).
@@ -314,7 +326,7 @@ def run_grid_simulation(cfg: SimConfig) -> ImprovementMap:
     NV-only estimates.  Deterministic for a fixed config.
     """
     n = cfg.grid_points
-    keys = [(ix, iy) for iy in range(n) for ix in range(n)]
+    keys = np.indices((n, n))[::-1].reshape(2, -1).T  # (ix, iy) in row-major (iy, ix) order
     cells = _simulate_cells(_grid_deltas(cfg), cfg, _TAG_GRID, keys)
     stats = {name: v.reshape(n, n) for name, v in cells.items()}
     valid, dir_valid = stats["valid"], stats["dir_valid"]
@@ -328,7 +340,6 @@ def run_grid_simulation(cfg: SimConfig) -> ImprovementMap:
         orthogonality=orthogonality_map(cfg),
         valid=valid,
         dir_valid=dir_valid,
-        config=cfg,
     )
 
 
@@ -353,8 +364,6 @@ class MarginalProfile:
     var_nv: np.ndarray
     var_combined: np.ndarray
     orthogonality: np.ndarray
-    axis: str
-    config: SimConfig
 
 
 @dataclass(frozen=True)
@@ -371,6 +380,7 @@ class MarginalSettings:
             raise ValueError("marginal axis must be one of x, y, z")
         if self.n_points < 2:
             raise ValueError("marginal n_points must be >= 2")
+        _require_count("marginal n_points", self.n_points)
         if not self.field_min < self.field_max:
             raise ValueError("marginal field_min must be below field_max")
 
@@ -386,7 +396,7 @@ def marginal_improvement(cfg: SimConfig, sweep: MarginalSettings) -> MarginalPro
     values = np.linspace(sweep.field_min, sweep.field_max, sweep.n_points)
     deltas = np.zeros((sweep.n_points, 3))
     deltas[:, axis_i] = values
-    keys = [(i, axis_i) for i in range(sweep.n_points)]
+    keys = np.column_stack([np.arange(sweep.n_points), np.full(sweep.n_points, axis_i)])
     stats = _simulate_cells(deltas, cfg, _TAG_MARGINAL, keys)
     valid = stats["valid"]
     return MarginalProfile(
@@ -396,8 +406,6 @@ def marginal_improvement(cfg: SimConfig, sweep: MarginalSettings) -> MarginalPro
         var_nv=np.where(valid, stats["mse_mag_nv"], math.nan),
         var_combined=np.where(valid, stats["mse_mag_comb"], math.nan),
         orthogonality=_orthogonality(deltas, cfg.b_0_true.as_array()),
-        axis=sweep.axis,
-        config=cfg,
     )
 
 
@@ -434,6 +442,7 @@ class SpatialScanConfig:
     def __post_init__(self):
         if self.n_positions < 3:
             raise ValueError("n_positions must be >= 3")
+        _require_count("n_positions", self.n_positions)
         if not 1 <= self.poly_degree < self.n_positions:
             raise ValueError("poly_degree must be >= 1 and below n_positions")
         if self.stage_range <= 0 or self.standoff <= 0:
@@ -455,6 +464,7 @@ class SpatialScanConfig:
             raise ValueError("sensor noise must be positive")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
+        _require_count("n_reps", self.n_reps)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         with np.errstate(over="ignore"):  # axis_unit rejects an overflowing norm
@@ -499,7 +509,7 @@ def _scan_readings(cfg: SpatialScanConfig, tag: int, src, b_0):
     """Each position's n_reps-averaged reading pair, as one draw at sigma /
     sqrt(n_reps), and its fusion with a calibrated b_0: (nv (m, 3), rb (m,),
     b_hat (m, 3))."""
-    keys = [(i, 0) for i in range(cfg.n_positions)]
+    keys = np.column_stack([np.arange(cfg.n_positions), np.zeros(cfg.n_positions, int)])
     scale = math.sqrt(cfg.n_reps)
     nv, rb, b_hat, _ = _fused_readings(
         src, b_0, 1, cfg.sigma_nv / scale, cfg.sigma_rb / scale, cfg.b_0_cal_error,
@@ -532,7 +542,6 @@ class SpatialScanReport:
     rmse_rb: float
     rmse_combined: float
     gain_db: float
-    config: SpatialScanConfig
 
 
 def _polyfit_curve(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
@@ -575,7 +584,6 @@ def spatial_scan_sim(cfg: SpatialScanConfig) -> SpatialScanReport:
         rmse_rb=rmse_rb,
         rmse_combined=rmse_comb,
         gain_db=gain,
-        config=cfg,
     )
 
 
@@ -595,7 +603,6 @@ class ScalarDemoReport:
     naive: np.ndarray
     combined_reversed: np.ndarray
     naive_reversed: np.ndarray
-    config: SpatialScanConfig
 
 
 def scalar_vs_vector_demo(cfg: SpatialScanConfig) -> ScalarDemoReport:
@@ -615,7 +622,6 @@ def scalar_vs_vector_demo(cfg: SpatialScanConfig) -> ScalarDemoReport:
         naive=rb - b_0_mag,
         combined_reversed=_norms(b_hat_rev),
         naive_reversed=rb_rev - b_0_mag,
-        config=cfg,
     )
 
 
@@ -628,7 +634,6 @@ class AngularErrorMap:
     d_theta: np.ndarray
     d_phi: np.ndarray
     total_db: np.ndarray
-    sigma: float
 
 
 @dataclass(frozen=True)
@@ -645,6 +650,7 @@ class AngularSettings:
             raise ValueError("angular sigma must be positive")
         if self.grid_points < 2:
             raise ValueError("angular grid_points must be >= 2")
+        _require_count("angular grid_points", self.grid_points, _MAX_SIDE)
         if not self.grid_min < self.grid_max:
             raise ValueError("angular grid_min must be below grid_max")
 
@@ -658,7 +664,6 @@ def angular_error_map(settings: AngularSettings) -> AngularErrorMap:
     normal float.  The error falls off as 1/|B| along every ray, so larger
     working fields give better angular accuracy.  The origin is NaN.
     """
-    sigma = settings.sigma
     xs = np.linspace(settings.grid_min, settings.grid_max, settings.grid_points)
     ys = np.linspace(settings.grid_min, settings.grid_max, settings.grid_points)
     if not np.isfinite(xs).all():
@@ -666,7 +671,7 @@ def angular_error_map(settings: AngularSettings) -> AngularErrorMap:
     x, y = np.meshgrid(xs, ys)
     cells = (x != 0.0) | (y != 0.0)
     fields = np.stack([x[cells], y[cells], np.zeros(np.count_nonzero(cells))], axis=1)
-    d_theta_cells, d_phi_cells = linearized_angles(fields, sigma)
+    d_theta_cells, d_phi_cells = linearized_angles(fields, settings.sigma)
     total = np.float_power(d_theta_cells, 2.0) + np.float_power(d_phi_cells, 2.0)
     normal = total >= 2.0**-1022  # the smallest normal float
     db_cells = np.empty_like(total)
@@ -677,9 +682,7 @@ def angular_error_map(settings: AngularSettings) -> AngularErrorMap:
 
     d_theta, d_phi, total_db = np.full((3, *x.shape), math.nan)
     d_theta[cells], d_phi[cells], total_db[cells] = d_theta_cells, d_phi_cells, db_cells
-    return AngularErrorMap(
-        bx=xs, by=ys, d_theta=d_theta, d_phi=d_phi, total_db=total_db, sigma=sigma
-    )
+    return AngularErrorMap(bx=xs, by=ys, d_theta=d_theta, d_phi=d_phi, total_db=total_db)
 
 
 # Calibration-error ladder as fractions of sigma_nv; spans calibrations

@@ -104,7 +104,7 @@ def test_criterion_3_sensitivity_arithmetic():
 
     # Pushing the uncertainty vector through the transition matrix, |W| @
     # sigma, is the worst-case bound that is exact for correlated axis noise.
-    w = recovery_matrix(default_basis(), "abc")
+    w = recovery_matrix(default_basis(), [0, 1, 2])
     lab = np.abs(w) @ np.full(3, sigma_axis)
     ok_lab = np.all(np.abs(lab - 0.26) <= 0.010)
     # The same 260 mG also falls out of independent-noise propagation of a

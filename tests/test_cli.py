@@ -14,7 +14,7 @@ from comag.cli import _COMMANDS, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDAT
 from comag.config import parse_config
 from comag.geometry import FieldVector
 from comag.plots import _KINDS
-from comag.simulation import run_grid_simulation
+from comag.simulation import _MAX_COUNT, _MAX_SIDE, run_grid_simulation
 
 COMMANDS = tuple(_COMMANDS)
 FAST_SIM = "[simulation]\ngrid_points = 7\nn_reps = 10\n"
@@ -416,6 +416,36 @@ BAD_CONFIGS = [
         "spatial-scan", "[spatial]\nn_positions = 5\npoly_degree = 10\n", EXIT_VALIDATION,
         "poly_degree must be >= 1 and below n_positions", id="poly-degree-above-positions",
     ),
+    # Counts past memory fail at their first allocation, of more than 2**48
+    # bytes, and counts past what numpy can index fail at validation.
+    pytest.param(
+        "simulate-grid", "[simulation]\nn_reps = 1125899906842624\n", EXIT_RUNTIME,
+        "inputs too extreme to compute (Unable to allocate 32.0 PiB", id="n-reps-past-memory",
+    ),
+    pytest.param(
+        "simulate-grid", "[simulation]\nn_reps = 10000000000000000000000\n", EXIT_VALIDATION,
+        f"n_reps must be at most {_MAX_COUNT}", id="n-reps-past-index",
+    ),
+    pytest.param(
+        "simulate-grid", "[simulation]\ngrid_points = 10000000000000000000000\n",
+        EXIT_VALIDATION, f"grid_points must be at most {_MAX_SIDE}", id="grid-points-past-index",
+    ),
+    pytest.param(
+        "angular-map", "[angular]\ngrid_points = 100000000000\n", EXIT_VALIDATION,
+        f"angular grid_points must be at most {_MAX_SIDE}", id="angular-points-past-index",
+    ),
+    pytest.param(
+        "marginal", "[marginal]\nn_points = 10000000000000000000000\n", EXIT_VALIDATION,
+        f"marginal n_points must be at most {_MAX_COUNT}", id="marginal-points-past-index",
+    ),
+    pytest.param(
+        "spatial-scan", "[spatial]\nn_positions = 10000000000000000000000\n", EXIT_VALIDATION,
+        f"n_positions must be at most {_MAX_COUNT}", id="n-positions-past-index",
+    ),
+    pytest.param(
+        "spatial-scan", "[spatial]\nn_reps = " + "9" * 400 + "\n", EXIT_VALIDATION,
+        f"n_reps must be at most {_MAX_COUNT}", id="scan-n-reps-past-float",
+    ),
 ]
 
 
@@ -684,25 +714,48 @@ def _public_definitions(tree):
                         yield name.id, name.id, node
 
 
+def _fields(tree):
+    """(label, name) for each annotated field of a module's top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _attribute_reads(tree) -> set:
+    """Attribute names that the code of ``tree`` reads, as in ``obj.name``."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _parse_folder(folder) -> dict:
+    return {
+        name[:-3]: ast.parse(open(os.path.join(folder, name), encoding="utf-8").read())
+        for name in sorted(os.listdir(folder))
+        if name.endswith(".py")
+    }
+
+
 class TestPublicSurface:
     # README documents default_config_text() as the renderer of every key's
     # default; the planned run manifest writes the resolved config with it.
     UNUSED_BY_DESIGN = {"config.default_config_text"}
 
-    def test_every_public_definition_has_a_user(self):
+    @pytest.fixture(scope="class")
+    def sources(self):
+        """The parsed modules of src/comag, and those of perfbench."""
         package = os.path.dirname(comag.__file__)
         bench = os.path.join(os.path.dirname(os.path.dirname(package)), "perfbench")
+        return _parse_folder(package), _parse_folder(bench)
 
-        def parse(folder):
-            return {
-                name[:-3]: ast.parse(open(os.path.join(folder, name), encoding="utf-8").read())
-                for name in sorted(os.listdir(folder))
-                if name.endswith(".py")
-            }
-
-        modules = parse(package)
+    def test_every_public_definition_has_a_user(self, sources):
+        modules, bench_modules = sources
         users = {name: _code_names(tree) for name, tree in modules.items()}
-        bench_users = set().union(*map(_code_names, parse(bench).values()))
+        bench_users = set().union(*map(_code_names, bench_modules.values()))
         unused = []
         for module, tree in modules.items():
             elsewhere = bench_users.union(*(u for m, u in users.items() if m != module))
@@ -710,3 +763,16 @@ class TestPublicSurface:
                 if name[0] != "_" and name not in elsewhere | _code_names(tree, skip=node):
                     unused.append(f"{module}.{label}")
         assert sorted(set(unused) - self.UNUSED_BY_DESIGN) == []
+
+    def test_every_field_is_read(self, sources):
+        # By name, as above: a field that shares its name with one read
+        # elsewhere passes.
+        modules, bench_modules = sources
+        reads = set().union(*map(_attribute_reads, [*modules.values(), *bench_modules.values()]))
+        unread = [
+            f"{module}.{label}"
+            for module, tree in modules.items()
+            for label, name in _fields(tree)
+            if name not in reads
+        ]
+        assert unread == []

@@ -23,12 +23,15 @@ def basis():
     return default_basis()
 
 
-def recover(basis, proj, axes="abcd"):
+ALL_AXES = [0, 1, 2, 3]
+
+
+def recover(basis, proj, axes=ALL_AXES):
     """The lab-frame field that the selected axes of a (4,) projection give."""
-    return recovery_matrix(basis, axes) @ proj[["abcd".index(a) for a in axes]]
+    return recovery_matrix(basis, axes) @ proj[axes]
 
 
-def propagate(basis, sigma, axes="abcd"):
+def propagate(basis, sigma, axes=ALL_AXES):
     """Per-lab-axis sigmas sqrt(diag(W S W^T)) of independent axis noise."""
     return np.sqrt(recovery_matrix(basis, axes) ** 2 @ np.square(sigma))
 
@@ -55,7 +58,7 @@ class TestBasis:
                 assert basis.axes[i] @ basis.axes[j] == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
     def test_recovery_times_projection_identity(self, basis):
-        assert np.allclose(recovery_matrix(basis) @ basis.axes, np.eye(3), atol=1e-10)
+        assert np.allclose(recovery_matrix(basis, ALL_AXES) @ basis.axes, np.eye(3), atol=1e-10)
 
     def test_from_axes_normalizes(self):
         b = OrientationBasis.from_axes(np.array(default_basis().axes) * 7.5)
@@ -96,7 +99,7 @@ class TestRecovery:
 
     def test_round_trip_three_axes(self, basis):
         b = FieldVector(0.3, -0.7, 1.1)
-        back = recover(basis, project_field(basis, b), "abc")
+        back = recover(basis, project_field(basis, b), [0, 1, 2])
         assert back == pytest.approx(b.as_array(), abs=1e-10)
 
     def test_zero_projection(self, basis):
@@ -106,7 +109,7 @@ class TestRecovery:
         rng = np.random.default_rng(11)
         b = FieldVector.from_array(rng.normal(0, 1, 3))
         proj = project_field(basis, b)
-        for subset in ("abc", "abd", "acd", "bcd"):
+        for subset in ([0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]):
             back = recover(basis, proj, subset)
             assert back == pytest.approx(b.as_array(), abs=1e-10)
 
@@ -116,11 +119,16 @@ class TestRecovery:
         )
         b = OrientationBasis.from_axes(axes)
         with pytest.raises(RankDeficientError):
-            recovery_matrix(b, ("a", "b", "c"))
+            recovery_matrix(b, [0, 1, 2])
 
     def test_too_few_axes(self, basis):
         with pytest.raises(ValueError):
-            recovery_matrix(basis, ("a", "b"))
+            recovery_matrix(basis, [0, 1])
+
+    @pytest.mark.parametrize("idx", [[0, 1, 4], [-1, 1, 2], [0, 0, 1, 2]])
+    def test_index_outside_range_or_repeated(self, basis, idx):
+        with pytest.raises(ValueError, match="distinct axis indices in 0-3"):
+            recovery_matrix(basis, idx)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3))
@@ -151,7 +159,7 @@ class TestUncertainty:
         # Uniform 150 mG per axis over a three-axis subset inflates to
         # ~260 mG per lab component under the direct |W| transform, the
         # worst-case bound that is exact for perfectly correlated axis noise.
-        out = np.abs(recovery_matrix(basis, "abc")) @ np.full(3, 0.15)
+        out = np.abs(recovery_matrix(basis, [0, 1, 2])) @ np.full(3, 0.15)
         assert out == pytest.approx(np.full(3, 0.26), abs=0.010)
         assert out == pytest.approx(np.full(3, 0.15 * SQRT3), abs=1e-12)
 
@@ -161,7 +169,7 @@ class TestUncertainty:
 
     def test_independent_mode_four_axes_monte_carlo(self, basis):
         rng = np.random.default_rng(21)
-        w = recovery_matrix(basis)
+        w = recovery_matrix(basis, ALL_AXES)
         noise = rng.normal(0.0, 1.0, size=(1_000_000, 4))
         emp = (noise @ w.T).std(axis=0)
         pred = propagate(basis, [1.0] * 4)
@@ -175,7 +183,7 @@ class TestUncertainty:
         true = FieldVector(0.4, -0.2, 0.9)
         proj = project_field(basis, true)
         noisy = proj[None, :] + rng.normal(0, 1, (100_000, 4)) * sigma[None, :]
-        w = recovery_matrix(basis)
+        w = recovery_matrix(basis, ALL_AXES)
         emp = (noisy @ w.T).std(axis=0)
         pred = propagate(basis, sigma)
         assert emp == pytest.approx(pred, rel=0.02)
@@ -187,8 +195,8 @@ class TestUncertainty:
         rng = np.random.default_rng(9)
         rot = random_rotation(rng)
         sigma = [0.1, 0.2, 0.3, 0.4]
-        w = recovery_matrix(basis)
-        w_rot = recovery_matrix(OrientationBasis.from_axes(basis.axes @ rot.T))
+        w = recovery_matrix(basis, ALL_AXES)
+        w_rot = recovery_matrix(OrientationBasis.from_axes(basis.axes @ rot.T), ALL_AXES)
         cov = w @ np.diag(np.square(sigma)) @ w.T
         cov_rot = w_rot @ np.diag(np.square(sigma)) @ w_rot.T
         assert cov_rot == pytest.approx(rot @ cov @ rot.T, abs=1e-9)

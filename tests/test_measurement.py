@@ -96,7 +96,7 @@ class TestSynthOdmr:
         spec = synth_odmr(b, basis, params, GAMMA_NV, 0)
         proj = project_field(basis, b)
         expected = np.sort(params.center_frequency + GAMMA_NV * proj)
-        fit = fit_odmr(spec, params, GAMMA_NV)
+        fit = fit_odmr(spec, params)
         assert fit.peak_freqs == pytest.approx(expected, abs=1e-6)
 
     def test_noise_scales_with_averages(self, basis):
@@ -143,7 +143,7 @@ class TestFitOdmr:
     def test_noiseless_identity(self, basis):
         params = OdmrParams(pl_noise=0.0)
         spec = synth_odmr(DEFAULT_BIAS, basis, params, GAMMA_NV, 0)
-        fit = fit_odmr(spec, params, GAMMA_NV)
+        fit = fit_odmr(spec, params)
         proj = project_field(basis, DEFAULT_BIAS)
         expected = np.sort(params.center_frequency + GAMMA_NV * proj)
         assert fit.peak_freqs == pytest.approx(expected, abs=1e-6)
@@ -153,44 +153,25 @@ class TestFitOdmr:
         params = OdmrParams(pl_noise=0.0)
         spec = synth_odmr(FieldVector(0, 0, 0), basis, params, GAMMA_NV, 0)
         with pytest.raises(UnresolvedPeaksError):
-            fit_odmr(spec, params, GAMMA_NV)
-
-    def test_sigma_positive_with_noise(self, basis):
-        params = OdmrParams()
-        spec = synth_odmr(DEFAULT_BIAS, basis, params, GAMMA_NV, 7)
-        fit = fit_odmr(spec, params, GAMMA_NV)
-        assert np.all(fit.sigma_b_axis > 0)
+            fit_odmr(spec, params)
 
     def test_recovers_injected_noise_level(self, basis):
         params = OdmrParams()
         rmses = []
         for seed in range(80):
             spec = synth_odmr(DEFAULT_BIAS, basis, params, GAMMA_NV, seed)
-            rmses.append(fit_odmr(spec, params, GAMMA_NV).delta_pl)
+            rmses.append(fit_odmr(spec, params).delta_pl)
         assert np.mean(rmses) == pytest.approx(params.effective_noise(), rel=0.10)
 
-    def test_max_slope_formula(self, basis):
-        params = OdmrParams(pl_noise=0.0)
-        spec = synth_odmr(DEFAULT_BIAS, basis, params, GAMMA_NV, 0)
-        fit = fit_odmr(spec, params, GAMMA_NV)
-        expect = 3.0 * math.sqrt(3.0) / 4.0 * params.contrast / params.linewidth
-        assert fit.m_nv == pytest.approx(np.full(4, expect), rel=1e-6)
-
     def test_averaging_halves_sigma(self, basis):
+        # The per-lab-axis sigma nv_measure reports follows the fitted delta_pl.
+        zero = FieldVector(0.0, 0.0, 0.0)
         p1 = OdmrParams(n_averages=1)
         p4 = OdmrParams(n_averages=4)
         s1, s4 = [], []
         for seed in range(60):
-            s1.append(
-                fit_odmr(
-                    synth_odmr(DEFAULT_BIAS, basis, p1, GAMMA_NV, seed), p1, GAMMA_NV
-                ).sigma_b_axis.mean()
-            )
-            s4.append(
-                fit_odmr(
-                    synth_odmr(DEFAULT_BIAS, basis, p4, GAMMA_NV, seed), p4, GAMMA_NV
-                ).sigma_b_axis.mean()
-            )
+            s1.append(nv_measure(zero, DEFAULT_BIAS, B0_MEASURED, basis, p1, GAMMA_NV, seed)[1].mean())
+            s4.append(nv_measure(zero, DEFAULT_BIAS, B0_MEASURED, basis, p4, GAMMA_NV, seed)[1].mean())
         assert np.mean(s4) == pytest.approx(0.5 * np.mean(s1), rel=0.10)
 
 
@@ -303,8 +284,8 @@ def brentq_readout(dpl, f_j, dip_i, fit_ref, df_others):
     dips = list(zip(fit_ref.contrasts.tolist(), fit_ref.peak_freqs.tolist(), halves))
     f_j, shifts = float(f_j), np.asarray(df_others, dtype=float).tolist()
 
-    def pl_at(offsets):
-        pl = fit_ref.baseline
+    def pl_at(offsets):  # the baseline cancels in the difference
+        pl = 1.0
         for (c, f0, half), s in zip(dips, offsets):
             u = f_j - (f0 + s)
             pl = pl - c * half**2 / (u * u + half**2)
@@ -384,7 +365,7 @@ class TestSolvers:
             np.testing.assert_allclose(fit.peak_freqs, centers, rtol=1e-12)
             np.testing.assert_allclose(fit.contrasts, params.contrast, rtol=1e-9)
             np.testing.assert_allclose(fit.linewidths, params.linewidth, rtol=1e-9)
-            assert fit.baseline == pytest.approx(1.0, abs=1e-12)
+            assert sol.x[0] == pytest.approx(1.0, abs=1e-12)  # the fitted baseline
             # At the exact solution the scaled-step test stops the fit.
             assert sol.nfev <= minpack(fun, x0, jac=jac, **self.MINPACK).nfev + 1
 
@@ -572,14 +553,14 @@ class TestNvMeasure:
     @pytest.mark.parametrize("shift", [-2.0, -0.5, 1.0, 6.0])
     def test_left_flank_inversion_is_exact_without_noise(self, basis, shift):
         params = OdmrParams(pl_noise=0.0)
-        fit = fit_odmr(synth_odmr(DEFAULT_BIAS, basis, params, GAMMA_NV, 0), params, GAMMA_NV)
+        fit = fit_odmr(synth_odmr(DEFAULT_BIAS, basis, params, GAMMA_NV, 0), params)
         freqs = params.frequencies()
         slopes = _lorentzian_dips_slope(freqs, fit.contrasts, fit.peak_freqs, fit.linewidths)
         j = _working_point_index(freqs, slopes, fit, 1, side=-1)
         center = fit.peak_freqs[1]
         assert center - 2.5 * fit.linewidths[1] <= freqs[j] < center
         def pl_at(centers):
-            return _lorentzian_dips(freqs[j], fit.baseline, fit.contrasts, centers, fit.linewidths)
+            return _lorentzian_dips(freqs[j], 1.0, fit.contrasts, centers, fit.linewidths)
 
         dpl = float(pl_at(fit.peak_freqs) - pl_at(fit.peak_freqs + np.array([0.0, shift, 0.0, 0.0])))
         df = _invert_working_point(dpl, freqs[j], 1, fit, np.zeros(4))
@@ -604,10 +585,6 @@ class TestSynthLia:
         above = sig.y[(sig.mod_freqs > f_res + 1.0) & (sig.mod_freqs < f_res + 50.0)]
         assert below[-1] < 0 < above[0]
 
-    def test_r_is_pointwise_magnitude(self):
-        sig = synth_lia(1.0, GAMMA_RB, LiaParams(), 3)
-        assert sig.r == pytest.approx(np.hypot(sig.x, sig.y), abs=1e-12)
-
     def test_out_of_range_low(self):
         with pytest.raises(ResonanceOutOfRangeError):
             synth_lia(0.1, GAMMA_RB, LiaParams(), 0)  # 70 kHz < 300 kHz
@@ -629,14 +606,6 @@ class TestFitLia:
             fit = fit_lia(synth_lia(b, GAMMA_RB, params, 0), GAMMA_RB)
             assert fit.b_rb == pytest.approx(b, abs=1e-6)
 
-    def test_recovers_injected_y_noise(self):
-        params = LiaParams()
-        dys = [
-            fit_lia(synth_lia(1.0, GAMMA_RB, params, seed), GAMMA_RB).delta_y
-            for seed in range(300)
-        ]
-        assert np.mean(dys) == pytest.approx(params.y_noise, rel=0.10)
-
     def test_halving_noise_halves_sigma(self):
         full = LiaParams()
         half = LiaParams(y_noise=full.y_noise / 2.0)
@@ -654,12 +623,7 @@ class TestFitLia:
         freqs = np.linspace(300.0, 1500.0, 401)
         from comag.measurement import LiaSignal
 
-        flat = LiaSignal(
-            mod_freqs=freqs,
-            x=np.full_like(freqs, 1e-5),
-            y=np.full_like(freqs, 1e-5),
-            r=np.hypot(np.full_like(freqs, 1e-5), np.full_like(freqs, 1e-5)),
-        )
+        flat = LiaSignal(mod_freqs=freqs, x=np.full_like(freqs, 1e-5), y=np.full_like(freqs, 1e-5))
         with pytest.raises(NoResonanceError):
             fit_lia(flat, GAMMA_RB)
 

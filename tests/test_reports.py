@@ -63,19 +63,18 @@ class TestTraceSerialization:
     def test_lia_columns(self, tmp_path):
         sig = synth_lia(1.0, GAMMA_RB, LiaParams(), 0)
         p = tmp_path / "lia.csv"
-        write_csv(str(p), {"freq_khz": sig.mod_freqs, "x_v": sig.x, "y_v": sig.y, "r_v": sig.r})
+        write_csv(str(p), {"freq_khz": sig.mod_freqs, "x_v": sig.x, "y_v": sig.y})
         header, rows = read_csv(p)
-        assert header == ["freq_khz", "x_v", "y_v", "r_v"]
+        assert header == ["freq_khz", "x_v", "y_v"]
         assert len(rows) == len(sig.mod_freqs)
-        row = rows[100]
-        assert row[3] == pytest.approx(np.hypot(row[1], row[2]), abs=1e-15)
+        assert rows[100] == [float(sig.mod_freqs[100]), float(sig.x[100]), float(sig.y[100])]
 
     def test_round_trip_through_csv(self, tmp_path):
         sig = synth_lia(1.0, GAMMA_RB, LiaParams(), 5)
         p = tmp_path / "lia.csv"
-        write_csv(str(p), {"freq_khz": sig.mod_freqs, "x_v": sig.x, "y_v": sig.y, "r_v": sig.r})
+        write_csv(str(p), {"freq_khz": sig.mod_freqs, "x_v": sig.x, "y_v": sig.y})
         lines = p.read_text().splitlines()
-        assert lines[0] == "freq_khz,x_v,y_v,r_v"
+        assert lines[0] == "freq_khz,x_v,y_v"
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == pytest.approx(300.0)
         assert first[1] == pytest.approx(float(sig.x[0]))

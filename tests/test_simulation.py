@@ -369,8 +369,9 @@ class TestSweep:
         cfg = SimConfig(grid_points=5, n_reps=5)
         out = sweep_calibration_error(cfg, cal_errors=(0.001, 0.002))
         assert set(out) == {0.001, 0.002}
-        for imp in out.values():
-            assert imp.config.b_0_cal_error in (0.001, 0.002)
+        for cal_error, imp in out.items():
+            rung = run_grid_simulation(replace(cfg, b_0_cal_error=cal_error))
+            assert np.array_equal(imp.gain_mag_mse_db, rung.gain_mag_mse_db, equal_nan=True)
 
 
 # Per-cell reference: the loop the batched kernel replaced, with the fusion
