@@ -11,6 +11,7 @@ so ``f = gamma * B`` with no 2*pi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -118,11 +119,13 @@ class LeastSquaresResult(NamedTuple):
 def least_squares(fun, x0, jac) -> LeastSquaresResult:
     """Levenberg-Marquardt minimum of ``sum(fun(x)**2)`` from ``x0``, with Jacobian ``jac``.
 
-    Each trial step solves ``(J^T J + lam * diag(J^T J)) dx = -J^T r`` (Marquardt's
-    scaling, as in Moré 1978); lam shrinks after a step that lowers the cost and
-    grows after one that does not.  Stops when the scaled gradient, the relative
-    actual and predicted cost decrease, or the scaled step falls to 1e-14, or after
-    MINPACK's default of 100 * (n + 1) evaluations of ``fun``.
+    Each trial step solves ``(J^T J + lam * D) dx = -J^T r`` with D = diag(J^T J), damped
+    in place (Marquardt's scaling, as in Moré 1978); lam shrinks after a step that lowers
+    the cost and grows after one that does not.  The predicted decrease |J dx|^2 +
+    2 lam dx.D.dx then equals lam dx.D.dx - dx.J^T r.  ``jac`` is called only at the point
+    of the last ``fun`` call.  Stops when the scaled gradient, the relative actual and
+    predicted cost decrease, or the scaled step falls to 1e-14, or after MINPACK's default
+    of 100 * (n + 1) evaluations of ``fun``.
     """
     x = np.array(x0, dtype=float)
     r = fun(x)
@@ -131,26 +134,36 @@ def least_squares(fun, x0, jac) -> LeastSquaresResult:
         if moved:
             j = jac(x)
             a, g = j.T @ j, j.T @ r
-            d = np.diag(a).copy()
-            d[d == 0.0] = 1.0
-            if np.max(np.abs(g) / np.sqrt(d)) <= _FIT_TOL * math.sqrt(cost):
+            undamped = a.diagonal().copy()
+            d = np.where(undamped == 0.0, 1.0, undamped)
+            if (np.abs(g) / np.sqrt(d)).max() <= _FIT_TOL * math.sqrt(cost):
                 break
-        step = np.linalg.solve(a + lam * np.diag(d), -g)
-        r_new = fun(x + step)
+        a.flat[:: len(x) + 1] = undamped + lam * d
+        step = np.linalg.solve(a, -g)
+        x_new = x + step
+        r_new = fun(x_new)
         nfev += 1
         cost_new = float(r_new @ r_new)
         actual = cost - cost_new
-        predicted = float(np.sum((j @ step) ** 2) + 2.0 * lam * (d @ step**2))
+        scaled2 = float(d @ step**2)
+        predicted = lam * scaled2 - float(step @ g)
         flat = actual <= _FIT_TOL * cost and predicted <= _FIT_TOL * cost
         moved = actual > 0.0
         if moved:
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * actual / predicted - 1.0) ** 3)
-            x, r, cost, nu = x + step, r_new, cost_new, 2.0
+            x, r, cost, nu = x_new, r_new, cost_new, 2.0
         else:
             lam, nu = lam * nu, 2.0 * nu
-        if flat or math.sqrt(d @ step**2) <= _FIT_TOL * math.sqrt(d @ x**2):
+        if flat or math.sqrt(scaled2) <= _FIT_TOL * math.sqrt(d @ x**2):
             break
     return LeastSquaresResult(x, r, nfev)
+
+
+def _last_point(jac):
+    """``jac`` of float arrays, remembered at the last point only (callers must not modify
+    it): a residual built from it leaves :func:`least_squares` the Jacobian at its point."""
+    cached = functools.lru_cache(maxsize=1)(lambda key: jac(np.frombuffer(key)))
+    return lambda p: cached(p.tobytes())
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -271,25 +284,17 @@ def _lorentzian_dips(freqs, baseline, contrasts, centers, widths):
     return pl
 
 
-def _lorentzian_dips_slope(freqs, contrasts, centers, widths):
-    s = np.zeros_like(freqs, dtype=float)
-    for c, f0, w in zip(contrasts, centers, widths):
-        half = w / 2.0
-        u = freqs - f0
-        s = s + 2.0 * c * half**2 * u / (u**2 + half**2) ** 2
-    return s
-
-
 def _lorentzian_dips_jac(freqs, contrasts, centers, widths):
     """Jacobian of ``_lorentzian_dips``: baseline, then (contrast, center, width) per dip."""
     half2 = (widths / 2.0) ** 2
     u = freqs[:, None] - centers
     d = u**2 + half2
+    r = half2 / d  # each dip's depth per unit contrast
     jac = np.empty((len(freqs), 1 + 3 * len(contrasts)))
     jac[:, 0] = 1.0
-    jac[:, 1::3] = -half2 / d
-    jac[:, 2::3] = -2.0 * contrasts * half2 * u / d**2
-    jac[:, 3::3] = -contrasts * widths * u**2 / (2.0 * d**2)
+    jac[:, 1::3] = -r
+    jac[:, 2::3] = -2.0 * contrasts * r * u / d
+    jac[:, 3::3] = -0.5 * contrasts * widths * (u / d) ** 2
     return jac
 
 
@@ -347,18 +352,32 @@ def _find_peaks(x: np.ndarray, prominence: float, distance: int):
     return peaks[keep], prominences[keep]
 
 
+def _median(xs: list) -> float:
+    """``np.median`` of the ascending list ``xs``, bit for bit."""
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2.0
+
+
+def _percentile_90(xs: list) -> float:
+    """``np.percentile(xs, 90)`` of the ascending list ``xs``, bit for bit (numpy's lerp)."""
+    v = (len(xs) - 1) * 0.9
+    t, a, b = v - int(v), xs[int(v)], xs[int(v) + 1]
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def _find_dips(spectrum: OdmrSpectrum, params: OdmrParams, n_peaks: int):
     """Grid indices (ascending) of the ``n_peaks`` most prominent dips, the depth
     below the estimated baseline, the prominence threshold and that baseline.
     Raises :class:`UnresolvedPeaksError` when fewer dips are found."""
     freqs = np.asarray(spectrum.freqs, dtype=float)
     pl = np.asarray(spectrum.pl, dtype=float)
-    spacing = float(np.median(np.diff(freqs)))
+    spacing = _median(sorted(np.diff(freqs).tolist()))
 
-    baseline0 = float(np.percentile(pl, 90))
+    pl_sorted = sorted(pl.tolist())
+    baseline0 = _percentile_90(pl_sorted)
     depth = baseline0 - pl
-    max_depth = float(np.max(depth))
-    noise_est = float(np.median(spectrum.pl_sigma))
+    max_depth = baseline0 - pl_sorted[0]
+    noise_est = _median(sorted(spectrum.pl_sigma.tolist()))
     if noise_est == 0.0:
         diffs = np.diff(pl)
         noise_est = float(np.median(np.abs(diffs - np.median(diffs)))) / 0.6745 / math.sqrt(2)
@@ -382,10 +401,12 @@ def fit_odmr(
 ) -> OdmrFit:
     """Least-squares multi-Lorentzian fit of an ODMR spectrum.
 
-    Dips are seeded from a prominence-based peak search and refined by a
-    joint Levenberg-Marquardt fit (:func:`least_squares`, numpy only) of
-    baseline, contrasts, centers and widths with the analytic Jacobian of
-    the lineshape.  Raises
+    Each dip a prominence-based peak search finds is seeded between grid points,
+    at the vertex of the parabola through its three samples, and all are refined
+    by a joint Levenberg-Marquardt fit (:func:`least_squares`, numpy only) of
+    baseline, contrasts, centers and widths.  The model is linear in the baseline
+    and contrasts, so each residual is built from the analytic Jacobian at its
+    point, which the next step then reuses.  Raises
     :class:`UnresolvedPeaksError` when fewer dips than requested can be
     located (overlapping orientations, insufficient bias field).
     """
@@ -395,20 +416,21 @@ def fit_odmr(
 
     f_ref = float(freqs[0])
     # Parameters: baseline, then (contrast, center offset, width) per dip.
-    p0 = [baseline0]
-    for i in idx:
-        p0.extend([max(depth[i], prominence), freqs[i] - f_ref, params.linewidth])
+    p0, fs, ds = [baseline0], freqs.tolist(), depth.tolist()
+    for i in idx.tolist():  # the vertex of the parabola through the dip's three samples
+        y0, y1, y2 = ds[i - 1 : i + 2]
+        curvature = y0 - 2.0 * y1 + y2
+        vertex = 0.5 * (y0 - y2) / curvature if curvature < 0.0 else 0.0  # 0 on a flat top
+        offset = fs[i] + vertex * (fs[i + 1] - fs[i - 1]) / 2.0 - f_ref
+        p0 += [max(y1 - 0.25 * (y0 - y2) * vertex, prominence), offset, params.linewidth]
 
     def unpack(p):
-        base = p[0]
-        rest = np.asarray(p[1:]).reshape(n_peaks, 3)
-        return base, rest[:, 0], f_ref + rest[:, 1], rest[:, 2]
+        return p[0], p[1::3], f_ref + p[2::3], p[3::3]
 
-    def resid(p):
-        return _lorentzian_dips(freqs, *unpack(p)) - pl
+    jac = _last_point(lambda p: _lorentzian_dips_jac(freqs, *unpack(p)[1:]))
 
-    def jac(p):
-        return _lorentzian_dips_jac(freqs, *unpack(p)[1:])
+    def resid(p):  # the model is linear in the baseline and the contrasts
+        return p[0] + jac(p)[:, 1::3] @ p[1::3] - pl
 
     sol = least_squares(resid, p0, jac)
     _, contrasts, centers, widths = unpack(sol.x)
@@ -471,9 +493,9 @@ def nv_measure(
     axis_order = np.argsort(bias_proj)
 
     freqs = spec_ref.freqs
-    slopes = _lorentzian_dips_slope(
-        freqs, fit_ref.contrasts, fit_ref.peak_freqs, fit_ref.linewidths
-    )
+    # The model's slope in frequency: minus the sum of its center derivatives.
+    jac = _lorentzian_dips_jac(freqs, fit_ref.contrasts, fit_ref.peak_freqs, fit_ref.linewidths)
+    slopes = -jac[:, 2::3].sum(axis=1)
     readout_idx = [_working_point_index(freqs, slopes, fit_ref, i) for i in range(n_dips)]
     dpl, df_dips = spec_ref.pl - spec_sig.pl, np.zeros(n_dips)
 
@@ -578,6 +600,11 @@ def _invert_working_point(
     raise UnresolvedPeaksError("per-axis shift outside the working-point readout range")
 
 
+def _dispersive(freqs, amp, f0, gam):
+    u = (freqs - f0) / (abs(gam) / 2.0)
+    return amp * u / (1.0 + u**2)
+
+
 def synth_lia(
     b_scalar: float,
     gamma_rb: float = GAMMA_RB,
@@ -600,7 +627,7 @@ def synth_lia(
     freqs = params.frequencies()
     u = (freqs - f_res) / (params.linewidth / 2.0)
     x = params.amplitude / (1.0 + u**2)
-    y = params.amplitude * u / (1.0 + u**2)
+    y = _dispersive(freqs, params.amplitude, f_res, params.linewidth)
     if params.y_noise > 0:
         rng = np.random.default_rng(rng_seed)
         x = x + rng.normal(0.0, params.y_noise, size=freqs.shape)
@@ -611,11 +638,6 @@ def synth_lia(
 # Half-max half-width of the dispersive lineshape: |y| <= peak/2 holds for
 # |f - f_res| <= (2 - sqrt(3)) * linewidth/2 around the zero crossing.
 _LINEAR_REGION = 2.0 - math.sqrt(3.0)
-
-
-def _dispersive(freqs, amp, f0, gam):
-    u = (freqs - f0) / (abs(gam) / 2.0)
-    return amp * u / (1.0 + u**2)
 
 
 def _dispersive_jac(freqs, amp, f0, gam):
@@ -631,12 +653,12 @@ def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:
 
     The resonance is located from the in-phase peak, confirmed by the Y
     sign change, and refined by a least-squares fit of the dispersive
-    model with its analytic Jacobian (:func:`least_squares`, numpy only;
-    exact at zero noise).  The
-    uncertainty follows the slope method: a linear fit to Y over the region
-    around the zero crossing where the fitted lineshape stays within half
-    its peak value gives the slope m and the RMSE dY, and
-    sigma = dY / (gamma * m).
+    model (:func:`least_squares`, numpy only; exact at zero noise), whose
+    residual is the amplitude times the analytic Jacobian's amplitude column,
+    reused by the next step.  The uncertainty follows the slope method: the
+    closed-form least-squares line through Y over the region around the zero
+    crossing where the fitted lineshape stays within half its peak value gives
+    the slope m and the RMSE dY, and sigma = dY / (gamma * m).
     """
     freqs = np.asarray(signal.mod_freqs, dtype=float)
     y = np.asarray(signal.y, dtype=float)
@@ -672,11 +694,8 @@ def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:
     fit_span = np.abs(freqs - f0_guess) <= 3.0 * width_guess
     ff, yf = freqs[fit_span], y[fit_span]
 
-    sol = least_squares(
-        lambda p: _dispersive(ff, *p) - yf,
-        [amp_guess, f0_guess, width_guess],
-        lambda p: _dispersive_jac(ff, *p),
-    )
+    jac = _last_point(lambda p: _dispersive_jac(ff, *p))
+    sol = least_squares(lambda p: p[0] * jac(p)[:, 0] - yf, [amp_guess, f0_guess, width_guess], jac)
     f_res = float(sol.x[1])
     width_fit = abs(float(sol.x[2]))
     if not freqs[0] <= f_res <= freqs[-1]:
@@ -688,13 +707,13 @@ def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:
     if int(np.count_nonzero(wsel)) < 3:
         raise NoResonanceError("linear region around the zero crossing is too narrow")
     fw, yw = freqs[wsel], y[wsel]
-    coeffs = np.polynomial.polynomial.polyfit(fw, yw, 1)
-    intercept, slope = float(coeffs[0]), float(coeffs[1])
+    fc, yc = fw - fw.sum() / len(fw), yw - yw.sum() / len(yw)  # about the region's means
+    slope = float(fc @ yc) / float(fc @ fc)
     if slope <= 0:
         raise NoResonanceError("quadrature slope at the crossing is not positive")
-    fit_resid = yw - (intercept + slope * fw)
+    fit_resid = yc - slope * fc
     dof = max(len(fw) - 2, 1)
-    delta_y = float(math.sqrt(np.sum(fit_resid**2) / dof))
+    delta_y = math.sqrt(float(fit_resid @ fit_resid) / dof)
 
     b_rb = f_res / gamma_rb
     sigma_rb = lia_sensitivity(delta_y, slope, gamma_rb) if delta_y > 0 else 0.0

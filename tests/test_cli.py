@@ -635,7 +635,7 @@ class TestImportPath:
 
     def test_measurement_imports_no_scipy(self):
         # Both fits and the working-point root finder are numpy and Python; a
-        # reading must not pull scipy in lazily either.
+        # reading must not pull scipy in lazily either, nor numpy.polynomial.
         script = (
             "import json, sys\n"
             "import comag.measurement as m\n"
@@ -646,7 +646,8 @@ class TestImportPath:
             "b_0, delta = FieldVector(0.004, -0.7454, 0.6451), FieldVector(0.1, -0.2, 0.05)\n"
             "m.nv_measure(delta, m.DEFAULT_BIAS, b_0, default_basis(), m.OdmrParams(), rng_seed=3)\n"
             "m.rb_measure(delta, b_0, rng_seed=4)\n"
-            "print(json.dumps([on_import, scipy()]))\n"
+            "polynomial = sorted(k for k in sys.modules if k.startswith('numpy.polynomial'))\n"
+            "print(json.dumps([on_import, scipy(), polynomial]))\n"
         )
         src = os.path.dirname(os.path.dirname(comag.__file__))
         proc = subprocess.run(
@@ -657,9 +658,10 @@ class TestImportPath:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        on_import, after_reading = json.loads(proc.stdout.splitlines()[-1])
+        on_import, after_reading, polynomial = json.loads(proc.stdout.splitlines()[-1])
         assert on_import == []
         assert after_reading == []
+        assert polynomial == []
 
     def test_measurement_keeps_its_solver_attributes(self):
         # The benchmark's tracer wraps these two as attributes of the module.

@@ -17,7 +17,6 @@ from comag.measurement import (
     _invert_working_point,
     _lorentzian_dips,
     _lorentzian_dips_jac,
-    _lorentzian_dips_slope,
     _working_point_index,
     brentq,
     DEFAULT_BIAS,
@@ -211,6 +210,32 @@ class TestFindPeaks:
         np.testing.assert_array_equal(prominences, [1.0, 3.0])
 
 
+class TestOrderStatistics:
+    """``_find_dips``' 90th percentile and medians are numpy's, bit for bit."""
+
+    def test_match_numpy(self):
+        rng = np.random.default_rng(23)
+        for n in range(3, 201):
+            for x in (
+                rng.normal(size=n),
+                np.round(rng.normal(size=n), 1),  # ties
+                rng.integers(0, 4, n).astype(float),  # ties everywhere
+                np.full(n, OdmrParams().effective_noise()),  # a constant pl_sigma
+            ):
+                # == on floats is bit equality but for the sign of a zero: among
+                # equal elements numpy's partition and Python's sort may pick
+                # -0.0 and 0.0 differently, which no comparison in _find_dips tells apart.
+                xs = sorted(x.tolist())
+                assert measurement._percentile_90(xs) == np.percentile(x, 90)
+                assert measurement._median(xs) == np.median(x)
+
+    def test_find_dips_baseline_is_the_90th_percentile(self, basis):
+        for seed in range(20):
+            spectrum = synth_odmr(DEFAULT_BIAS, basis, OdmrParams(), GAMMA_NV, seed)
+            baseline = measurement._find_dips(spectrum, OdmrParams(), 4)[3]
+            assert baseline.hex() == float(np.percentile(spectrum.pl, 90)).hex()
+
+
 class TestJacobians:
     def test_lorentzian_dips(self):
         freqs = OdmrParams().frequencies()
@@ -310,22 +335,27 @@ class TestSolvers:
     # parameter: a reading may move by at most 1e-5 of its own sigma.
     SE_TOL = 1e-5
 
+    @staticmethod
+    def odmr_spectra(basis):
+        """50 spectra at the spectral workload's fields: +-0.3 G on B_0 and the bias."""
+        rng = np.random.default_rng(17)
+        return [
+            synth_odmr(
+                DEFAULT_BIAS + B0_MEASURED + FieldVector(*rng.uniform(-0.3, 0.3, 3)),
+                basis,
+                OdmrParams(),
+                GAMMA_NV,
+                int(rng.integers(2**31)),
+            )
+            for _ in range(50)
+        ]
+
     @pytest.mark.parametrize("kind", ["odmr", "lia"])
     def test_least_squares_matches_minpack(self, basis, monkeypatch, kind):
         from scipy.optimize import least_squares as minpack
 
-        if kind == "odmr":  # the spectral workload's fields: +-0.3 G on B_0 and the bias
-            rng = np.random.default_rng(17)
-            spectra = [
-                synth_odmr(
-                    DEFAULT_BIAS + B0_MEASURED + FieldVector(*rng.uniform(-0.3, 0.3, 3)),
-                    basis,
-                    OdmrParams(),
-                    GAMMA_NV,
-                    int(rng.integers(2**31)),
-                )
-                for _ in range(50)
-            ]
+        if kind == "odmr":
+            spectra = self.odmr_spectra(basis)
             calls = recorded_calls(
                 monkeypatch, "least_squares", lambda: [fit_odmr(s, OdmrParams()) for s in spectra]
             )
@@ -348,6 +378,63 @@ class TestSolvers:
             nfev, minpack_nfev = nfev + sol.nfev, minpack_nfev + ref.nfev
         # The cost-decrease test ends a fit in no more evaluations than MINPACK's tests.
         assert nfev <= minpack_nfev
+
+    def test_dips_are_seeded_between_grid_points(self, basis, monkeypatch):
+        spectra = self.odmr_spectra(basis)
+        calls = recorded_calls(
+            monkeypatch, "least_squares", lambda: [fit_odmr(s, OdmrParams()) for s in spectra]
+        )
+        closer = 0
+        for spectrum, ((_, x0, _), _, sol) in zip(spectra, calls):
+            freqs = spectrum.freqs
+            grid = freqs[measurement._find_dips(spectrum, OdmrParams(), 4)[0]] - freqs[0]
+            seeds, fitted = np.asarray(x0)[2::3], sol.x[2::3]
+            closer += np.count_nonzero(np.abs(seeds - fitted) < np.abs(grid - fitted))
+        # Bounds set before the seeds were measured: the grid step is 3.4 MHz against
+        # an 8 MHz linewidth, and fits seeded at the grid points took 10.16
+        # evaluations each on these spectra.
+        assert closer >= 0.9 * 4 * len(spectra)
+        assert np.mean([sol.nfev for _, _, sol in calls]) < 10.16
+
+    def test_jacobian_recomputes_away_from_the_last_residual(self, basis, monkeypatch):
+        # Each fit's residual keeps the Jacobian at its point for least_squares'
+        # next call; called anywhere else, as MINPACK does, it must recompute.
+        spectrum = synth_odmr(DEFAULT_BIAS + B0_MEASURED, basis, OdmrParams(), GAMMA_NV, 3)
+        signal = synth_lia(1.0, GAMMA_RB, LiaParams(), 4)
+        [((fun, x0, jac), _, sol)] = recorded_calls(
+            monkeypatch, "least_squares", lambda: fit_odmr(spectrum, OdmrParams())
+        )
+        [((lia_fun, lia_x0, lia_jac), _, lia_sol)] = recorded_calls(
+            monkeypatch, "least_squares", lambda: fit_lia(signal)
+        )
+        freqs = spectrum.freqs
+        span = np.abs(signal.mod_freqs - lia_x0[1]) <= 3.0 * lia_x0[2]
+        ff, yf = signal.mod_freqs[span], signal.y[span]
+
+        def odmr_model(p):
+            return _lorentzian_dips(freqs, p[0], p[1::3], freqs[0] + p[2::3], p[3::3])
+
+        def odmr_jac(p):
+            return _lorentzian_dips_jac(freqs, p[1::3], freqs[0] + p[2::3], p[3::3])
+
+        cases = [
+            (fun, jac, np.asarray(x0, dtype=float), sol.x, odmr_model, odmr_jac, spectrum.pl),
+            (
+                lia_fun,
+                lia_jac,
+                np.asarray(lia_x0, dtype=float),
+                lia_sol.x,
+                lambda p: _dispersive(ff, *p),
+                lambda p: _dispersive_jac(ff, *p),
+                yf,
+            ),
+        ]
+        for fun, jac, start, end, model, want, data in cases:
+            for here, there in ((start, end), (end, start)):
+                # The residual is the model the Jacobian tests check.
+                np.testing.assert_allclose(fun(here) + data, model(here), rtol=0, atol=1e-15)
+                np.testing.assert_array_equal(jac(there), want(there))
+                np.testing.assert_array_equal(jac(here), want(here))
 
     def test_noiseless_spectrum_returns_exact_parameters(self, basis, monkeypatch):
         from scipy.optimize import least_squares as minpack
@@ -555,7 +642,8 @@ class TestNvMeasure:
         params = OdmrParams(pl_noise=0.0)
         fit = fit_odmr(synth_odmr(DEFAULT_BIAS, basis, params, GAMMA_NV, 0), params)
         freqs = params.frequencies()
-        slopes = _lorentzian_dips_slope(freqs, fit.contrasts, fit.peak_freqs, fit.linewidths)
+        jac = _lorentzian_dips_jac(freqs, fit.contrasts, fit.peak_freqs, fit.linewidths)
+        slopes = -jac[:, 2::3].sum(axis=1)
         j = _working_point_index(freqs, slopes, fit, 1, side=-1)
         center = fit.peak_freqs[1]
         assert center - 2.5 * fit.linewidths[1] <= freqs[j] < center
@@ -618,6 +706,37 @@ class TestFitLia:
             for seed in range(1000)
         ]
         assert np.mean(s_half) == pytest.approx(0.5 * np.mean(s_full), rel=0.05)
+
+    def test_line_fit_matches_polyfit(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        signals = [
+            synth_lia(rng.uniform(0.6, 2.0), GAMMA_RB, LiaParams(), int(rng.integers(2**31)))
+            for _ in range(50)
+        ]
+        fits, sensitivities = [], []
+
+        def run():
+            sensitivities.extend(
+                recorded_calls(
+                    monkeypatch, "lia_sensitivity", lambda: fits.extend(map(fit_lia, signals))
+                )
+            )
+
+        # The inner recording's undo restores least_squares too, after all the fits.
+        solutions = recorded_calls(monkeypatch, "least_squares", run)
+        assert len(fits) == len(solutions) == len(sensitivities) == 50
+        for signal, fit, (_, _, sol), ((_, slope, _), _, _) in zip(
+            signals, fits, solutions, sensitivities
+        ):
+            # The oracle: numpy's polyfit over the region fit_lia documents.
+            f_res, width = sol.x[1], abs(sol.x[2])
+            near = np.abs(signal.mod_freqs - f_res) <= measurement._LINEAR_REGION * width / 2.0
+            fw, yw = signal.mod_freqs[near], signal.y[near]
+            intercept, want = np.polynomial.polynomial.polyfit(fw, yw, 1)
+            resid = yw - (intercept + want * fw)
+            delta_y = math.sqrt(np.sum(resid**2) / (len(fw) - 2))
+            assert slope == pytest.approx(want, rel=1e-12, abs=0)
+            assert fit.sigma_rb == pytest.approx(delta_y / (GAMMA_RB * want), rel=1e-12, abs=0)
 
     def test_no_resonance(self):
         freqs = np.linspace(300.0, 1500.0, 401)
