@@ -13,12 +13,17 @@ scaled as ``Generator.normal(0.0, sigma)`` scales it.  A scan position
 draws one block of its averaged readings: NV (3,) and Rb (1,) at sigma /
 sqrt(n_reps), then calibration error (3,) as above.  The scalar demo's two
 backgrounds redraw the same streams: the same noise and calibration error.
+Where a batch holds one cell (n_reps above 4,096), a helper thread fills
+the next cell's block while this one fuses; it draws each stream exactly as
+the inline fill does, so every output bit is unchanged.  Many-cell batches
+fill inline, one short call per cell, which would only contend for the GIL.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -181,14 +186,22 @@ def _cell_rngs(seed: int, tag: int, keys):
 
 
 def _db(ratio: float) -> float:
-    # isfinite first: ordering a NaN sets the invalid flag that _db_cells checks.
+    # isfinite first: ordering a NaN can set the FP invalid flag; _db_cells does the same.
     if not math.isfinite(ratio) or ratio <= 0:
         return math.nan
     return 10.0 * math.log10(ratio)
 
 
-# Elementwise _db; the scalar math.log10 keeps the last digit of every gain.
-_db_cells = np.vectorize(_db, otypes=[float])
+def _db_cells(ratios) -> np.ndarray:
+    """Elementwise _db; the scalar math.log10 keeps the last digit of every gain."""
+    ratios = np.asarray(ratios, dtype=float)
+    ok = np.isfinite(ratios)
+    ok[ok] = ratios[ok] > 0  # only finite ratios are ordered
+    out = np.full(ratios.shape, math.nan)
+    logs = map(math.log10, ratios[ok].tolist())
+    out[ok] = 10.0 * np.fromiter(logs, float, np.count_nonzero(ok))
+    return out
+
 
 # Readings (cells x reps) fused per batch: bounds the working set however
 # many cells a harness asks for.  A batch holds at least one whole cell, so
@@ -235,36 +248,105 @@ def _simulate_cells(deltas, cfg: SimConfig, tag: int, keys) -> dict[str, np.ndar
     ``np.random.default_rng([cfg.seed, tag, *keys[k]])``: NV, Rb, then
     calibration error, as the module docstring says, so its numbers do not
     depend on the cells batched with it.  Each batch goes through
-    ``_fused_readings``, the kernel the scans call with n = 1.  Returns
-    per-cell ``valid``, ``dir_valid`` and the NV/combined mean squared and
-    absolute errors ``{mse,mae}_{mag,dir}_{nv,comb}``; combined errors
-    average the fused repetitions only, NaN if there are none.
+    ``_fused_readings``, the kernel the scans call with n = 1.  A batch of
+    one cell (n_reps above _CHUNK_ROWS / 2) has its block filled on a helper
+    thread while the cell before it fuses (see ``_one_cell_chunks``); a
+    many-cell batch draws inline.  Returns per-cell ``valid``, ``dir_valid``
+    and the NV/combined mean squared and absolute errors
+    ``{mse,mae}_{mag,dir}_{nv,comb}``; combined errors average the fused
+    repetitions only, NaN if there are none.
     """
     rngs = _cell_rngs(cfg.seed, tag, keys)
     per_chunk = max(1, _CHUNK_ROWS // cfg.n_reps)
-    chunks = [
-        _simulate_chunk(deltas[k : k + per_chunk], cfg, rngs)
-        for k in range(0, len(deltas), per_chunk)
-    ]
+    if per_chunk == 1:
+        chunks = _one_cell_chunks(deltas, cfg, rngs)
+    else:
+        batches = (deltas[k : k + per_chunk] for k in range(0, len(deltas), per_chunk))
+        n, cal_error = cfg.n_reps, cfg.b_0_cal_error
+        # Each block is made inside its chunk's call, so that the kernel can free it.
+        chunks = [
+            _simulate_chunk(d, cfg, lambda: _draw_block(_new_block(len(d), n, cal_error), rngs))
+            for d in batches
+        ]
     return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
 
 
-def _fused_readings(fields, b_0, n, sigma_nv, sigma_rb, cal_error, rngs):
-    """n noisy reading pairs of each true field fields[k], and their fusion.
+def _one_cell_chunks(deltas, cfg: SimConfig, rngs) -> list[dict[str, np.ndarray]]:
+    """One chunk per cell; a helper thread fills each cell's block while the
+    cell before it is scaled, fused and reduced on this thread.
 
-    Row k draws its block, in the module docstring's order, from the next
-    generator of ``rngs``.  With one cell (m == 1) or one reading per cell
-    (n == 1), the readings and the calibrated backgrounds are formed in place
-    in that block, whose slices then flatten to batch_combined's rows without
-    a copy; otherwise in new arrays, since flattening a slice of a many-cell
-    block copies it.  Returns nv (m, n, 3), rb (m, n), b_hat (m, n, 3) and
-    ok (m, n); b_hat is NaN where ok is False.
+    numpy's fill releases the GIL, so the two overlap on two cores.  This
+    thread takes the generators in order and allocates every block, and the
+    helper only calls ``standard_normal``, so every stream and output bit is
+    the inline draw's, and errstate and tracing see only this thread.  Blocks
+    pass through C-level queues, so the helper takes the GIL only to start
+    and end a fill (a concurrent.futures handoff made the study about a
+    quarter slower on a 2-core VM).  The helper is joined before this
+    returns or raises.
+    """
+    from queue import SimpleQueue  # off the CLI's import path
+
+    todo, done = SimpleQueue(), SimpleQueue()
+
+    def fill():
+        for z, rng in iter(todo.get, None):
+            try:
+                done.put(_draw_block(z, [rng]))
+            except BaseException as err:  # raised again on the calling thread
+                done.put(err)
+
+    def draw_next():
+        todo.put((_new_block(1, cfg.n_reps, cfg.b_0_cal_error), next(rngs)))
+
+    def filled():
+        z = done.get()
+        if isinstance(z, BaseException):
+            raise z
+        return z
+
+    helper = threading.Thread(target=fill, name="comag-draw", daemon=True)
+    helper.start()
+    try:
+        draw_next()
+        chunks = []
+        for k in range(len(deltas)):
+            if k + 1 < len(deltas):
+                draw_next()  # queued behind cell k, so the helper goes straight on to it
+            chunks.append(_simulate_chunk(deltas[k : k + 1], cfg, filled))
+    finally:
+        todo.put(None)
+        helper.join()
+    return chunks
+
+
+def _new_block(m: int, n: int, cal_error: float) -> np.ndarray:
+    """An unfilled standard-normal block for m cells of n readings each."""
+    return np.empty((m, (7 if cal_error > 0 else 4) * n))
+
+
+def _draw_block(z: np.ndarray, rngs) -> np.ndarray:
+    """Fill row c of z with standard normals from the next generator of rngs."""
+    for c, rng in zip(range(len(z)), rngs):  # range first: the next chunk's rng stays untaken
+        rng.standard_normal(out=z[c])
+    return z
+
+
+def _fused_readings(fields, b_0, sigma_nv, sigma_rb, cal_error, z):
+    """Noisy reading pairs of each true field fields[k] from its filled
+    standard-normal block z[k], and their fusion.
+
+    z (m, 7 n) holds row k's draws in the module docstring's order ((m, 4 n)
+    without calibration error), as ``_draw_block`` fills it.  With one cell
+    (m == 1) or one reading per cell (n == 1), the readings and the
+    calibrated backgrounds are formed in place in that block, whose slices
+    then flatten to batch_combined's rows without a copy; otherwise in new
+    arrays, since flattening a slice of a many-cell block copies it.
+    Returns nv (m, n, 3), rb (m, n), b_hat (m, n, 3) and ok (m, n); b_hat
+    is NaN where ok is False.
     """
     m = len(fields)
     cal = cal_error > 0
-    z = np.empty((m, (7 if cal else 4) * n))
-    for c, rng in zip(range(m), rngs):  # range first: the next chunk's rng stays untaken
-        rng.standard_normal(out=z[c])
+    n = z.shape[1] // (7 if cal else 4)
     z[:, : 3 * n] *= sigma_nv
     z[:, 3 * n : 4 * n] *= sigma_rb
     z[:, 4 * n :] *= cal_error  # empty without calibration error
@@ -284,10 +366,11 @@ def _fused_readings(fields, b_0, n, sigma_nv, sigma_rb, cal_error, rngs):
     return nv, rb, b_hat.reshape(m, n, 3), ok.reshape(m, n)
 
 
-def _simulate_chunk(deltas, cfg, rngs) -> dict[str, np.ndarray]:
+def _simulate_chunk(deltas, cfg, drawn) -> dict[str, np.ndarray]:
+    """Statistics of one batch, whose filled block ``drawn()`` returns."""
     b_0, sigma_rb = cfg.b_0_true.as_array(), cfg.resolved_sigma_rb()
     nv, _, b_hat, ok = _fused_readings(
-        deltas, b_0, cfg.n_reps, cfg.sigma_nv, sigma_rb, cfg.b_0_cal_error, rngs
+        deltas, b_0, cfg.sigma_nv, sigma_rb, cfg.b_0_cal_error, drawn()
     )
     true_mag = _norms(deltas)
     errors = {
@@ -511,9 +594,9 @@ def _scan_readings(cfg: SpatialScanConfig, tag: int, src, b_0):
     b_hat (m, 3))."""
     keys = np.column_stack([np.arange(cfg.n_positions), np.zeros(cfg.n_positions, int)])
     scale = math.sqrt(cfg.n_reps)
+    z = _draw_block(_new_block(len(src), 1, cfg.b_0_cal_error), _cell_rngs(cfg.seed, tag, keys))
     nv, rb, b_hat, _ = _fused_readings(
-        src, b_0, 1, cfg.sigma_nv / scale, cfg.sigma_rb / scale, cfg.b_0_cal_error,
-        _cell_rngs(cfg.seed, tag, keys),
+        src, b_0, cfg.sigma_nv / scale, cfg.sigma_rb / scale, cfg.b_0_cal_error, z
     )
     return nv[:, 0], rb[:, 0], b_hat[:, 0]
 

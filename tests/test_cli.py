@@ -633,6 +633,26 @@ class TestImportPath:
         assert loaded == ["comag"]
         assert version == "0.1.0"
 
+    def test_cli_import_loads_no_executor(self):
+        # Start-up loads neither concurrent.futures nor the logging it imports
+        # (about 12 ms); the helper-thread draw needs only threading and queue.
+        script = (
+            "import json, sys\n"
+            "import comag.cli\n"
+            "roots = ('concurrent', 'logging')\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in roots)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(comag.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
     def test_measurement_imports_no_scipy(self):
         # Both fits and the working-point root finder are numpy and Python; a
         # reading must not pull scipy in lazily either, nor numpy.polynomial.

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -633,6 +636,91 @@ class TestCellBatchKernel:
                 reference_profile,
                 PROFILE_ARRAYS,
             )
+
+
+class TestDbCells:
+    def test_matches_scalar_db_without_fp_flags(self):
+        rng = np.random.default_rng(11)
+        special = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1.0, 1.7e308]
+        ratios = np.concatenate([special, rng.lognormal(0.0, 30.0, 500)])
+        with np.errstate(all="raise"):  # the CLI's errstate
+            got = simulation._db_cells(ratios)
+            grid = simulation._db_cells(ratios[:9].reshape(3, 3))
+        expected = np.array([simulation._db(x) for x in ratios.tolist()])
+        assert same_bits(got, expected)
+        assert same_bits(grid, expected[:9].reshape(3, 3))
+        assert simulation._db_cells([]).shape == (0,)
+
+
+# More reps than half a batch: every batch holds one cell, and the next
+# cell's block is filled on the helper thread.
+ONE_CELL_CONFIG = SimConfig(grid_points=3, n_reps=5000, b_0_true=B0_MEASURED, b_0_cal_error=1e-3)
+
+
+class TestOneCellBatches:
+    def test_grid_matches_per_cell_loop(self):
+        cfg = ONE_CELL_CONFIG
+        assert simulation._CHUNK_ROWS // cfg.n_reps == 1
+        expected = _oracle_grid(cfg)
+        expected["bx"] = expected["by"] = cfg.axis_values()
+        _assert_same(run_grid_simulation(cfg), expected, MAP_ARRAYS)
+
+    def test_marginal_matches_per_cell_loop(self):
+        cfg = ONE_CELL_CONFIG
+        for axis_i, axis in enumerate("xyz"):
+            sweep = MarginalSettings(axis=axis, field_min=-1.0, field_max=1.0, n_points=3)
+            expected = _oracle_marginal(cfg, axis_i, np.linspace(-1.0, 1.0, 3))
+            expected["b_applied"] = np.linspace(-1.0, 1.0, 3)
+            _assert_same(marginal_improvement(cfg, sweep), expected, PROFILE_ARRAYS)
+
+    def test_blocks_are_drawn_off_the_calling_thread(self, monkeypatch):
+        threads = []
+        draw = simulation._draw_block
+
+        def recording(z, rngs):
+            threads.append(threading.get_ident())
+            return draw(z, rngs)
+
+        monkeypatch.setattr(simulation, "_draw_block", recording)
+        before = threading.active_count()
+        run_grid_simulation(ONE_CELL_CONFIG)
+        assert len(threads) == ONE_CELL_CONFIG.grid_points**2
+        assert threading.get_ident() not in threads
+        assert threading.active_count() == before
+
+    def test_concurrent_studies_under_fast_switching(self):
+        # Three studies at once, each with its own helper: more threads than
+        # cores, switching every microsecond, and every bit as run alone.
+        reference = run_grid_simulation(ONE_CELL_CONFIG)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                runs = [pool.submit(run_grid_simulation, ONE_CELL_CONFIG) for _ in range(6)]
+                maps = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(maps) == 6
+        for imp in maps:
+            _assert_same(imp, reference, MAP_ARRAYS)
+
+    # The second draw fails on the helper; the second fusion on this thread.
+    @pytest.mark.parametrize("name", ["_draw_block", "batch_combined"])
+    def test_failure_reaches_the_caller_and_stops_the_helper(self, name, monkeypatch):
+        calls = []
+        original = getattr(simulation, name)
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("second call failed")
+            return original(*args)
+
+        monkeypatch.setattr(simulation, name, failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second call failed"):
+            run_grid_simulation(ONE_CELL_CONFIG)
+        assert threading.active_count() == before
 
 
 class TestFusionKernel:
