@@ -139,21 +139,26 @@ def batch_combined(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized combined estimates for simulation harnesses.
 
-    ``nv`` is (n, 3), ``b_0`` is (3,) or (n, 3), ``rb`` is (n,).  Returns
-    (b_hat (n, 3), valid (n,)); rows with a degenerate direction are NaN
-    and flagged invalid rather than raising.  The inputs are not written.
+    ``nv`` is (..., 3) with any leading shape, strided views included,
+    ``b_0`` is (3,) or nv's shape, ``rb`` is nv's leading shape.  Returns
+    flat rows (b_hat (rows, 3), valid (rows,)); rows with a degenerate
+    direction are NaN and flagged invalid rather than raising.  The inputs
+    are not written.
     """
     nv = np.asarray(nv, dtype=float)
     rb = np.asarray(rb, dtype=float)
     s = nv + np.asarray(b_0, dtype=float)
     norm_s = row_norms(s)
     valid = norm_s > 0.0
-    factor = np.zeros_like(norm_s)
-    np.divide(norm_s - rb, norm_s, out=factor, where=valid)
-    s *= factor[:, None]  # the correction, then b_hat, in s's own buffer
+    every = valid.all()  # the usual case, which needs no where= and no NaN mask
+    factor = (norm_s - rb) / norm_s if every else np.divide(
+        norm_s - rb, norm_s, out=np.zeros_like(norm_s), where=valid
+    )
+    s *= factor[..., None]  # the correction, then b_hat, in s's own buffer
     np.subtract(nv, s, out=s)
-    s[~valid] = np.nan
-    return s, valid
+    if not every:
+        s[~valid] = np.nan
+    return s.reshape(-1, 3), valid.reshape(-1)
 
 
 def calibrate_background(cal: CalibrationSet) -> tuple[FieldVector, float]:

@@ -13,6 +13,8 @@ scaled as ``Generator.normal(0.0, sigma)`` scales it.  A scan position
 draws one block of its averaged readings: NV (3,) and Rb (1,) at sigma /
 sqrt(n_reps), then calibration error (3,) as above.  The scalar demo's two
 backgrounds redraw the same streams: the same noise and calibration error.
+Every batch is fused in place in its block: the readings, the clipped Rb
+values and the calibrated backgrounds overwrite the draws they come from.
 Where a batch holds one cell (n_reps above 4,096), a helper thread fills
 the next cell's block while this one fuses; it draws each stream exactly as
 the inline fill does, so every output bit is unchanged.  Many-cell batches
@@ -214,10 +216,10 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dots(a, a))
 
 
-def _angles(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Angles (rad) between each row of v[k] (m, n, 3) and d[k]; NaN for zero rows."""
+def _angles(v, v_norms, d, d_norms) -> np.ndarray:
+    """Angles (rad) between rows of v[k] (m, n, 3) and d[k], given both norms; NaN for 0."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        cosang = np.matmul(v, d[:, :, None])[..., 0] / (row_norms(v) * _norms(d)[:, None])
+        cosang = np.matmul(v, d[:, :, None])[..., 0] / (v_norms * d_norms[:, None])
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
@@ -233,6 +235,8 @@ def _orthogonality(deltas: np.ndarray, b_0: np.ndarray) -> np.ndarray:
 def _masked_mean(x: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """Mean of each row of x over its ok entries (NaN if none), summed as
     ``np.mean(x[r][ok[r]])`` sums; rows with equal counts are averaged together."""
+    if ok.all():  # the usual case: every repetition fused
+        return np.mean(x, axis=1)
     out = np.full(len(x), math.nan)
     counts = np.count_nonzero(ok, axis=1)
     for k in np.unique(counts[counts > 0]):
@@ -247,14 +251,14 @@ def _simulate_cells(deltas, cfg: SimConfig, tag: int, keys) -> dict[str, np.ndar
     Cell k (true small field deltas[k]) draws one standard-normal block from
     ``np.random.default_rng([cfg.seed, tag, *keys[k]])``: NV, Rb, then
     calibration error, as the module docstring says, so its numbers do not
-    depend on the cells batched with it.  Each batch goes through
-    ``_fused_readings``, the kernel the scans call with n = 1.  A batch of
-    one cell (n_reps above _CHUNK_ROWS / 2) has its block filled on a helper
-    thread while the cell before it fuses (see ``_one_cell_chunks``); a
-    many-cell batch draws inline.  Returns per-cell ``valid``, ``dir_valid``
-    and the NV/combined mean squared and absolute errors
-    ``{mse,mae}_{mag,dir}_{nv,comb}``; combined errors average the fused
-    repetitions only, NaN if there are none.
+    depend on the cells batched with it.  Each batch is fused in place in
+    its block by ``_fused_readings``, the kernel the scans call with n = 1.
+    A batch of one cell (n_reps above _CHUNK_ROWS / 2) has its block filled
+    on a helper thread while the cell before it fuses (see
+    ``_one_cell_chunks``); a many-cell batch draws inline.  Returns
+    per-cell ``valid``, ``dir_valid`` and the NV/combined mean squared and
+    absolute errors ``{mse,mae}_{mag,dir}_{nv,comb}``; combined errors
+    average the fused repetitions only, NaN if there are none.
     """
     rngs = _cell_rngs(cfg.seed, tag, keys)
     per_chunk = max(1, _CHUNK_ROWS // cfg.n_reps)
@@ -263,9 +267,9 @@ def _simulate_cells(deltas, cfg: SimConfig, tag: int, keys) -> dict[str, np.ndar
     else:
         batches = (deltas[k : k + per_chunk] for k in range(0, len(deltas), per_chunk))
         n, cal_error = cfg.n_reps, cfg.b_0_cal_error
-        # Each block is made inside its chunk's call, so that the kernel can free it.
+        # One block at a time: drawn as its chunk's call begins, freed as it returns.
         chunks = [
-            _simulate_chunk(d, cfg, lambda: _draw_block(_new_block(len(d), n, cal_error), rngs))
+            _simulate_chunk(d, cfg, _draw_block(_new_block(len(d), n, cal_error), rngs))
             for d in batches
         ]
     return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
@@ -276,7 +280,9 @@ def _one_cell_chunks(deltas, cfg: SimConfig, rngs) -> list[dict[str, np.ndarray]
     cell before it is scaled, fused and reduced on this thread.
 
     numpy's fill releases the GIL, so the two overlap on two cores.  This
-    thread takes the generators in order and allocates every block, and the
+    thread takes the generators in order and allocates the two blocks that
+    the cells fill in turn: a fresh block per cell could go back to the OS
+    and fault in again (about 300 page faults per 20,000-rep cell).  The
     helper only calls ``standard_normal``, so every stream and output bit is
     the inline draw's, and errstate and tracing see only this thread.  Blocks
     pass through C-level queues, so the helper takes the GIL only to start
@@ -295,8 +301,10 @@ def _one_cell_chunks(deltas, cfg: SimConfig, rngs) -> list[dict[str, np.ndarray]
             except BaseException as err:  # raised again on the calling thread
                 done.put(err)
 
-    def draw_next():
-        todo.put((_new_block(1, cfg.n_reps, cfg.b_0_cal_error), next(rngs)))
+    blocks = [_new_block(1, cfg.n_reps, cfg.b_0_cal_error) for _ in range(2)]
+
+    def draw_next(k):  # cell k takes cell k - 2's block, whose chunk has returned
+        todo.put((blocks[k % 2], next(rngs)))
 
     def filled():
         z = done.get()
@@ -307,12 +315,12 @@ def _one_cell_chunks(deltas, cfg: SimConfig, rngs) -> list[dict[str, np.ndarray]
     helper = threading.Thread(target=fill, name="comag-draw", daemon=True)
     helper.start()
     try:
-        draw_next()
+        draw_next(0)
         chunks = []
         for k in range(len(deltas)):
             if k + 1 < len(deltas):
-                draw_next()  # queued behind cell k, so the helper goes straight on to it
-            chunks.append(_simulate_chunk(deltas[k : k + 1], cfg, filled))
+                draw_next(k + 1)  # queued behind cell k, so the helper goes straight on to it
+            chunks.append(_simulate_chunk(deltas[k : k + 1], cfg, filled()))
     finally:
         todo.put(None)
         helper.join()
@@ -336,13 +344,11 @@ def _fused_readings(fields, b_0, sigma_nv, sigma_rb, cal_error, z):
     standard-normal block z[k], and their fusion.
 
     z (m, 7 n) holds row k's draws in the module docstring's order ((m, 4 n)
-    without calibration error), as ``_draw_block`` fills it.  With one cell
-    (m == 1) or one reading per cell (n == 1), the readings and the
-    calibrated backgrounds are formed in place in that block, whose slices
-    then flatten to batch_combined's rows without a copy; otherwise in new
-    arrays, since flattening a slice of a many-cell block copies it.
-    Returns nv (m, n, 3), rb (m, n), b_hat (m, n, 3) and ok (m, n); b_hat
-    is NaN where ok is False.
+    without calibration error), as ``_draw_block`` fills it.  The readings,
+    the clipped Rb values and the calibrated backgrounds are formed in place
+    in that block for every batch shape, and batch_combined takes their
+    strided views without a copy.  Returns nv (m, n, 3) and rb (m, n), both
+    views of z, b_hat (m, n, 3) and ok (m, n); b_hat is NaN where ok is False.
     """
     m = len(fields)
     cal = cal_error > 0
@@ -351,31 +357,27 @@ def _fused_readings(fields, b_0, sigma_nv, sigma_rb, cal_error, z):
     z[:, 3 * n : 4 * n] *= sigma_rb
     z[:, 4 * n :] *= cal_error  # empty without calibration error
     z += 0.0  # normal(0.0, s) is 0.0 + s * z: a -0.0 draw becomes +0.0
-    in_block = m == 1 or n == 1
     nv = z[:, : 3 * n].reshape(m, n, 3)
-    nv = np.add(nv, fields[:, None, :], out=nv if in_block else None)
+    b_0_hat = z[:, 4 * n :].reshape(m, n, 3) if cal else b_0
+    for k in range(3):  # axis by axis: an (m, n, 3) broadcast loops once per reading
+        nv[..., k] += fields[:, k, None]
+        if cal:
+            b_0_hat[..., k] += b_0[k]
     rb = z[:, 3 * n : 4 * n]
-    rb = np.add(rb, _norms(fields + b_0)[:, None], out=rb if in_block else None)
+    rb += _norms(fields + b_0)[:, None]
     np.clip(rb, 0.0, None, out=rb)
-    b_0_hat = b_0
-    if cal:
-        b_0_hat = z[:, 4 * n :].reshape(m, n, 3)
-        b_0_hat = np.add(b_0_hat, b_0, out=b_0_hat if in_block else None).reshape(-1, 3)
-    del z  # freed here unless the readings are views of it
-    b_hat, ok = batch_combined(nv.reshape(-1, 3), b_0_hat, rb.reshape(-1))
+    b_hat, ok = batch_combined(nv, b_0_hat, rb)
     return nv, rb, b_hat.reshape(m, n, 3), ok.reshape(m, n)
 
 
-def _simulate_chunk(deltas, cfg, drawn) -> dict[str, np.ndarray]:
-    """Statistics of one batch, whose filled block ``drawn()`` returns."""
+def _simulate_chunk(deltas, cfg, z) -> dict[str, np.ndarray]:
+    """Statistics of one batch from its filled standard-normal block z."""
     b_0, sigma_rb = cfg.b_0_true.as_array(), cfg.resolved_sigma_rb()
-    nv, _, b_hat, ok = _fused_readings(
-        deltas, b_0, cfg.sigma_nv, sigma_rb, cfg.b_0_cal_error, drawn()
-    )
-    true_mag = _norms(deltas)
+    nv, _, b_hat, ok = _fused_readings(deltas, b_0, cfg.sigma_nv, sigma_rb, cfg.b_0_cal_error, z)
+    true_mag, nv_mag, comb_mag = _norms(deltas), row_norms(nv), row_norms(b_hat)
     errors = {
-        "mag": (row_norms(nv) - true_mag[:, None], row_norms(b_hat) - true_mag[:, None]),
-        "dir": (_angles(nv, deltas), _angles(b_hat, deltas)),
+        "mag": (nv_mag - true_mag[:, None], comb_mag - true_mag[:, None]),
+        "dir": (_angles(nv, nv_mag, deltas, true_mag), _angles(b_hat, comb_mag, deltas, true_mag)),
     }
     stats = {"valid": ok.any(axis=1)}
     stats["dir_valid"] = stats["valid"] & (true_mag > 0)
@@ -410,7 +412,8 @@ def run_grid_simulation(cfg: SimConfig) -> ImprovementMap:
     """
     n = cfg.grid_points
     keys = np.indices((n, n))[::-1].reshape(2, -1).T  # (ix, iy) in row-major (iy, ix) order
-    cells = _simulate_cells(_grid_deltas(cfg), cfg, _TAG_GRID, keys)
+    deltas = _grid_deltas(cfg)
+    cells = _simulate_cells(deltas, cfg, _TAG_GRID, keys)
     stats = {name: v.reshape(n, n) for name, v in cells.items()}
     valid, dir_valid = stats["valid"], stats["dir_valid"]
     return ImprovementMap(
@@ -420,7 +423,7 @@ def run_grid_simulation(cfg: SimConfig) -> ImprovementMap:
         gain_mag_mae_db=_gains(stats, "mae_mag", valid),
         gain_dir_mse_db=_gains(stats, "mse_dir", dir_valid),
         gain_dir_mae_db=_gains(stats, "mae_dir", dir_valid),
-        orthogonality=orthogonality_map(cfg),
+        orthogonality=_orthogonality(deltas, cfg.b_0_true.as_array()).reshape(n, n),
         valid=valid,
         dir_valid=dir_valid,
     )

@@ -754,6 +754,59 @@ class TestFusionKernel:
             assert same_bits(x, y)
             assert not np.shares_memory(b_hat, x)
 
+    # Cut as _fused_readings cuts a many-cell block: NV, Rb, then backgrounds.
+    @pytest.mark.parametrize("per_row_b_0", [False, True], ids=["b_0_shared", "b_0_per_row"])
+    @pytest.mark.parametrize("degenerate", [True, False], ids=["some_invalid", "all_valid"])
+    def test_strided_block_views_give_flat_rows(self, per_row_b_0, degenerate):
+        m, n = 8, 50
+        nv, b_0, rb = self._inputs(3, per_row_b_0)
+        if not degenerate:
+            nv[:20] += 1.0
+        block = np.random.default_rng(4).normal(size=(m, 7 * n))
+        block[:, : 3 * n] = nv.reshape(m, 3 * n)
+        block[:, 3 * n : 4 * n] = rb.reshape(m, n)
+        b_0_view = b_0
+        if per_row_b_0:
+            block[:, 4 * n :] = b_0.reshape(m, 3 * n)
+            b_0_view = block[:, 4 * n :].reshape(m, n, 3)
+        before = block.copy()
+        b_hat, ok = batch_combined(
+            block[:, : 3 * n].reshape(m, n, 3), b_0_view, block[:, 3 * n : 4 * n]
+        )
+        # Flat rows, so a caller that counts len(ok) counts readings, not cells.
+        assert b_hat.shape == (m * n, 3) and ok.shape == (m * n,)
+        want_b_hat, want_ok = batch_combined(nv, b_0, rb)
+        assert same_bits(b_hat, want_b_hat)
+        assert np.array_equal(ok, want_ok)
+        assert ok.all() != degenerate
+        assert same_bits(block, before)
+
+    def test_many_cell_block_is_fused_in_place(self):
+        m, n = 4, 6
+        rng = np.random.default_rng(6)
+        fields, z = rng.normal(size=(m, 3)), rng.standard_normal((m, 7 * n))
+        b_0 = B0_MEASURED.as_array()
+        nv, rb, b_hat, ok = simulation._fused_readings(fields, b_0, 0.03, 3e-5, 1e-3, z)
+        assert np.shares_memory(nv, z) and np.shares_memory(rb, z)
+        assert nv.shape == b_hat.shape == (m, n, 3) and rb.shape == ok.shape == (m, n)
+
+
+class TestMaskedMean:
+    def test_matches_per_row_means(self):
+        rng = np.random.default_rng(5)
+        x = rng.lognormal(0.0, 2.0, (40, 50))
+        every = np.ones(x.shape, bool)
+        assert same_bits(simulation._masked_mean(x, every), np.mean(x, axis=1))
+        ok = rng.random(x.shape) < rng.uniform(0.2, 1.0, (40, 1))
+        ok[3], ok[4] = False, True
+        got = simulation._masked_mean(x, ok)
+        assert len(set(np.count_nonzero(ok, axis=1))) > 10
+        for r in range(len(x)):
+            if r == 3:
+                assert math.isnan(got[r])
+            else:
+                assert same_bits(got[r : r + 1], np.array([np.mean(x[r][ok[r]])])), r
+
 
 SCAN_CONFIGS = {
     "default": SpatialScanConfig(),
