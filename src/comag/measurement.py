@@ -11,7 +11,6 @@ so ``f = gamma * B`` with no 2*pi.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -116,23 +115,22 @@ class LeastSquaresResult(NamedTuple):
     nfev: int
 
 
-def least_squares(fun, x0, jac) -> LeastSquaresResult:
-    """Levenberg-Marquardt minimum of ``sum(fun(x)**2)`` from ``x0``, with Jacobian ``jac``.
+def least_squares(model, x0) -> LeastSquaresResult:
+    """Levenberg-Marquardt minimum of ``sum(r**2)`` from ``x0``, where ``model(x)`` returns
+    the residual vector r and its Jacobian J at x.
 
     Each trial step solves ``(J^T J + lam * D) dx = -J^T r`` with D = diag(J^T J), damped
     in place (Marquardt's scaling, as in Moré 1978); lam shrinks after a step that lowers
     the cost and grows after one that does not.  The predicted decrease |J dx|^2 +
-    2 lam dx.D.dx then equals lam dx.D.dx - dx.J^T r.  ``jac`` is called only at the point
-    of the last ``fun`` call.  Stops when the scaled gradient, the relative actual and
-    predicted cost decrease, or the scaled step falls to 1e-14, or after MINPACK's default
-    of 100 * (n + 1) evaluations of ``fun``.
+    2 lam dx.D.dx then equals lam dx.D.dx - dx.J^T r.  Stops when the scaled gradient,
+    the relative actual and predicted cost decrease, or the scaled step falls to 1e-14, or
+    after MINPACK's default of 100 * (n + 1) evaluations of ``model``.
     """
     x = np.array(x0, dtype=float)
-    r = fun(x)
+    r, j = model(x)
     cost, nfev, lam, nu, moved = float(r @ r), 1, 1e-3, 2.0, True
     while nfev < 100 * (len(x) + 1):
         if moved:
-            j = jac(x)
             a, g = j.T @ j, j.T @ r
             undamped = a.diagonal().copy()
             d = np.where(undamped == 0.0, 1.0, undamped)
@@ -141,7 +139,7 @@ def least_squares(fun, x0, jac) -> LeastSquaresResult:
         a.flat[:: len(x) + 1] = undamped + lam * d
         step = np.linalg.solve(a, -g)
         x_new = x + step
-        r_new = fun(x_new)
+        r_new, j_new = model(x_new)
         nfev += 1
         cost_new = float(r_new @ r_new)
         actual = cost - cost_new
@@ -151,19 +149,12 @@ def least_squares(fun, x0, jac) -> LeastSquaresResult:
         moved = actual > 0.0
         if moved:
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * actual / predicted - 1.0) ** 3)
-            x, r, cost, nu = x_new, r_new, cost_new, 2.0
+            x, r, j, cost, nu = x_new, r_new, j_new, cost_new, 2.0
         else:
             lam, nu = lam * nu, 2.0 * nu
         if flat or math.sqrt(scaled2) <= _FIT_TOL * math.sqrt(d @ x**2):
             break
     return LeastSquaresResult(x, r, nfev)
-
-
-def _last_point(jac):
-    """``jac`` of float arrays, remembered at the last point only (callers must not modify
-    it): a residual built from it leaves :func:`least_squares` the Jacobian at its point."""
-    cached = functools.lru_cache(maxsize=1)(lambda key: jac(np.frombuffer(key)))
-    return lambda p: cached(p.tobytes())
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -405,8 +396,8 @@ def fit_odmr(
     at the vertex of the parabola through its three samples, and all are refined
     by a joint Levenberg-Marquardt fit (:func:`least_squares`, numpy only) of
     baseline, contrasts, centers and widths.  The model is linear in the baseline
-    and contrasts, so each residual is built from the analytic Jacobian at its
-    point, which the next step then reuses.  Raises
+    and contrasts, so its callback builds the analytic Jacobian once per point
+    and forms the residual from it.  Raises
     :class:`UnresolvedPeaksError` when fewer dips than requested can be
     located (overlapping orientations, insufficient bias field).
     """
@@ -427,12 +418,11 @@ def fit_odmr(
     def unpack(p):
         return p[0], p[1::3], f_ref + p[2::3], p[3::3]
 
-    jac = _last_point(lambda p: _lorentzian_dips_jac(freqs, *unpack(p)[1:]))
+    def model(p):  # linear in the baseline and the contrasts
+        jac = _lorentzian_dips_jac(freqs, *unpack(p)[1:])
+        return p[0] + jac[:, 1::3] @ p[1::3] - pl, jac
 
-    def resid(p):  # the model is linear in the baseline and the contrasts
-        return p[0] + jac(p)[:, 1::3] @ p[1::3] - pl
-
-    sol = least_squares(resid, p0, jac)
+    sol = least_squares(model, p0)
     _, contrasts, centers, widths = unpack(sol.x)
     widths = np.abs(widths)
     contrasts = np.abs(contrasts)
@@ -654,11 +644,12 @@ def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:
     The resonance is located from the in-phase peak, confirmed by the Y
     sign change, and refined by a least-squares fit of the dispersive
     model (:func:`least_squares`, numpy only; exact at zero noise), whose
-    residual is the amplitude times the analytic Jacobian's amplitude column,
-    reused by the next step.  The uncertainty follows the slope method: the
-    closed-form least-squares line through Y over the region around the zero
-    crossing where the fitted lineshape stays within half its peak value gives
-    the slope m and the RMSE dY, and sigma = dY / (gamma * m).
+    callback builds the analytic Jacobian once per point and forms the
+    residual as the amplitude times its amplitude column.  The uncertainty
+    follows the slope method: the closed-form least-squares line through Y
+    over the region around the zero crossing where the fitted lineshape stays
+    within half its peak value gives the slope m and the RMSE dY, and
+    sigma = dY / (gamma * m).
     """
     freqs = np.asarray(signal.mod_freqs, dtype=float)
     y = np.asarray(signal.y, dtype=float)
@@ -694,8 +685,11 @@ def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:
     fit_span = np.abs(freqs - f0_guess) <= 3.0 * width_guess
     ff, yf = freqs[fit_span], y[fit_span]
 
-    jac = _last_point(lambda p: _dispersive_jac(ff, *p))
-    sol = least_squares(lambda p: p[0] * jac(p)[:, 0] - yf, [amp_guess, f0_guess, width_guess], jac)
+    def model(p):  # linear in the amplitude
+        jac = _dispersive_jac(ff, *p)
+        return p[0] * jac[:, 0] - yf, jac
+
+    sol = least_squares(model, [amp_guess, f0_guess, width_guess])
     f_res = float(sol.x[1])
     width_fit = abs(float(sol.x[2]))
     if not freqs[0] <= f_res <= freqs[-1]:

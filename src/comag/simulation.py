@@ -95,7 +95,7 @@ class SimConfig:
             raise ValueError("sigma_nv must be positive")
         if self.sigma_rb is not None and self.sigma_rb <= 0:
             raise ValueError("sigma_rb must be positive")
-        if self.b_0_cal_error < 0:
+        if not self.b_0_cal_error >= 0:  # NaN too
             raise ValueError("b_0_cal_error must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
@@ -257,8 +257,9 @@ def _simulate_cells(deltas, cfg: SimConfig, tag: int, keys) -> dict[str, np.ndar
     on a helper thread while the cell before it fuses (see
     ``_one_cell_chunks``); a many-cell batch draws inline.  Returns
     per-cell ``valid``, ``dir_valid`` and the NV/combined mean squared and
-    absolute errors ``{mse,mae}_{mag,dir}_{nv,comb}``; combined errors
-    average the fused repetitions only, NaN if there are none.
+    absolute errors ``{mse,mae}_{mag,dir}_{nv,comb}``; both estimators'
+    errors average the same samples, the fused repetitions, NaN if there
+    are none.
     """
     rngs = _cell_rngs(cfg.seed, tag, keys)
     per_chunk = max(1, _CHUNK_ROWS // cfg.n_reps)
@@ -383,7 +384,7 @@ def _simulate_chunk(deltas, cfg, z) -> dict[str, np.ndarray]:
     stats["dir_valid"] = stats["valid"] & (true_mag > 0)
     for quantity, (err_nv, err_comb) in errors.items():
         for metric, f in (("mse", np.square), ("mae", np.abs)):
-            stats[f"{metric}_{quantity}_nv"] = np.mean(f(err_nv), axis=1)
+            stats[f"{metric}_{quantity}_nv"] = _masked_mean(f(err_nv), ok)
             stats[f"{metric}_{quantity}_comb"] = _masked_mean(f(err_comb), ok)
     return stats
 
@@ -548,6 +549,8 @@ class SpatialScanConfig:
             raise ValueError("the stage brings the source onto the sensor")
         if self.sigma_nv <= 0 or self.sigma_rb <= 0:
             raise ValueError("sensor noise must be positive")
+        if not self.b_0_cal_error >= 0:  # NaN too
+            raise ValueError("b_0_cal_error must be >= 0")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
         _require_count("n_reps", self.n_reps)

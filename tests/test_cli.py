@@ -413,6 +413,11 @@ BAD_CONFIGS = [
         "inputs too extreme to compute (overflow encountered", id="overflowing-grid-field",
     ),
     pytest.param(
+        # The kernel draws calibration error only where it is positive.
+        "spatial-scan", "[spatial]\nb_0_cal_error = -1.0\n", EXIT_VALIDATION,
+        "b_0_cal_error must be >= 0", id="negative-spatial-cal-error",
+    ),
+    pytest.param(
         "spatial-scan", "[spatial]\nn_positions = 5\npoly_degree = 10\n", EXIT_VALIDATION,
         "poly_degree must be >= 1 and below n_positions", id="poly-degree-above-positions",
     ),
@@ -690,9 +695,7 @@ class TestImportPath:
         assert callable(measurement.least_squares)
         assert callable(measurement.brentq)
         # ...and reads the evaluation count off each least_squares result.
-        sol = measurement.least_squares(
-            lambda x: x - 2.0, [0.0], lambda x: np.ones((1, 1))
-        )
+        sol = measurement.least_squares(lambda x: (x - 2.0, np.ones((1, 1))), [0.0])
         assert isinstance(sol.nfev, int) and sol.nfev >= 1
 
 

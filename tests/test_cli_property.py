@@ -1,8 +1,9 @@
-"""Property test of the CLI boundary: no config value ends in a traceback.
+"""Property test of the CLI boundary: no config or pairs value ends in a traceback.
 
 Each example runs one command on a small base config with one to three keys
-set to edge values.  Whatever the values, the command must exit 0, 2, 3 or 4
-with at most one line on stderr and no warning.
+set to edge values, or ``calibrate`` on a pairs file with one to three cells
+set to edge numbers.  Whatever the values, the command must exit 0, 2, 3 or
+4 with at most one line on stderr and no warning.
 """
 
 import contextlib
@@ -35,9 +36,15 @@ values = st.one_of(
 )
 entries = st.sampled_from([(s, k) for s, keys in _KEYS.items() for k in keys])
 overrides = st.lists(st.tuples(entries, values), min_size=1, max_size=3)
+HEADER, *PAIR_ROWS = [line.split(",") for line in PAIRS.splitlines()]
+pair_cells = st.lists(
+    st.tuples(st.integers(0, len(PAIR_ROWS) - 1), st.integers(0, 3), st.sampled_from(NUMBERS)),
+    min_size=1,
+    max_size=3,
+)
 
 
-def run(command: str, changes) -> tuple[int, str, list]:
+def run(command: str, changes, pairs: str = PAIRS) -> tuple[int, str, list]:
     with tempfile.TemporaryDirectory() as tmp:
         sections = {s: dict(keys) for s, keys in BASE.items()}
         sections["calibrate"] = {"pairs_csv": os.path.join(tmp, "pairs.csv")}
@@ -48,7 +55,7 @@ def run(command: str, changes) -> tuple[int, str, list]:
             for s, keys in sections.items()
         )
         with open(os.path.join(tmp, "pairs.csv"), "w") as fh:
-            fh.write(PAIRS)
+            fh.write(pairs)
         cfg = os.path.join(tmp, "cfg.ini")
         with open(cfg, "w") as fh:
             fh.write(text)
@@ -61,6 +68,13 @@ def run(command: str, changes) -> tuple[int, str, list]:
             warnings.simplefilter("always")
             rc = main([command, "--config", cfg, "--out", os.path.join(tmp, "out")])
     return rc, err.getvalue(), [str(w.message) for w in caught]
+
+
+def assert_clean_exit(rc: int, err: str, caught: list) -> None:
+    assert rc in (0, 2, 3, 4), err
+    assert err.count("\n") <= 1, err
+    assert "Traceback" not in err
+    assert caught == []
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -82,8 +96,14 @@ def run(command: str, changes) -> tuple[int, str, list]:
 @example("scalar-demo", [(("spatial", key), "1e-320") for key in ("perp_offset", "standoff")])
 @example("angular-map", [(("angular", "sigma"), "1e-320")])
 def test_any_config_value_exits_cleanly(command, changes):
-    rc, err, caught = run(command, changes)
-    assert rc in (0, 2, 3, 4), err
-    assert err.count("\n") <= 1, err
-    assert "Traceback" not in err
-    assert caught == []
+    assert_clean_exit(*run(command, changes))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(pair_cells)
+def test_any_pairs_value_exits_cleanly(cells):
+    rows = [list(row) for row in PAIR_ROWS]
+    for i, j, value in cells:
+        rows[i][j] = value
+    pairs = "".join(",".join(row) + "\n" for row in [HEADER, *rows])
+    assert_clean_exit(*run("calibrate", [], pairs))

@@ -301,6 +301,13 @@ def recorded_calls(monkeypatch, name, run):
     return calls
 
 
+def minpack_fit(model, x0, **options):
+    """scipy's MINPACK fit of the residual and Jacobian that ``model`` returns."""
+    from scipy.optimize import least_squares as minpack
+
+    return minpack(lambda x: model(x)[0], x0, jac=lambda x: model(x)[1], **options)
+
+
 def brentq_readout(dpl, f_j, dip_i, fit_ref, df_others):
     """The root-finding form of ``_invert_working_point``: the readout equation as
     a function of the targeted dip's shift, and the bracket brentq solved it on."""
@@ -352,8 +359,6 @@ class TestSolvers:
 
     @pytest.mark.parametrize("kind", ["odmr", "lia"])
     def test_least_squares_matches_minpack(self, basis, monkeypatch, kind):
-        from scipy.optimize import least_squares as minpack
-
         if kind == "odmr":
             spectra = self.odmr_spectra(basis)
             calls = recorded_calls(
@@ -368,13 +373,13 @@ class TestSolvers:
             calls = recorded_calls(monkeypatch, "least_squares", lambda: [fit_lia(s) for s in signals])
         assert len(calls) == 50
         nfev, minpack_nfev = 0, 0
-        for (fun, x0, jac), _, sol in calls:
-            ref = minpack(fun, x0, jac=jac, **self.MINPACK)
-            j = jac(ref.x)
+        for (model, x0), _, sol in calls:
+            ref = minpack_fit(model, x0, **self.MINPACK)
+            j = model(ref.x)[1]
             s2 = ref.fun @ ref.fun / (len(ref.fun) - len(ref.x))
             se = np.sqrt(np.diag(np.linalg.inv(j.T @ j)) * s2)
             np.testing.assert_array_less(np.abs(sol.x - ref.x), self.SE_TOL * se)
-            np.testing.assert_array_equal(sol.fun, fun(sol.x))
+            np.testing.assert_array_equal(sol.fun, model(sol.x)[0])
             nfev, minpack_nfev = nfev + sol.nfev, minpack_nfev + ref.nfev
         # The cost-decrease test ends a fit in no more evaluations than MINPACK's tests.
         assert nfev <= minpack_nfev
@@ -385,7 +390,7 @@ class TestSolvers:
             monkeypatch, "least_squares", lambda: [fit_odmr(s, OdmrParams()) for s in spectra]
         )
         closer = 0
-        for spectrum, ((_, x0, _), _, sol) in zip(spectra, calls):
+        for spectrum, ((_, x0), _, sol) in zip(spectra, calls):
             freqs = spectrum.freqs
             grid = freqs[measurement._find_dips(spectrum, OdmrParams(), 4)[0]] - freqs[0]
             seeds, fitted = np.asarray(x0)[2::3], sol.x[2::3]
@@ -396,15 +401,15 @@ class TestSolvers:
         assert closer >= 0.9 * 4 * len(spectra)
         assert np.mean([sol.nfev for _, _, sol in calls]) < 10.16
 
-    def test_jacobian_recomputes_away_from_the_last_residual(self, basis, monkeypatch):
-        # Each fit's residual keeps the Jacobian at its point for least_squares'
-        # next call; called anywhere else, as MINPACK does, it must recompute.
+    def test_model_returns_the_forward_residual_and_jacobian(self, basis, monkeypatch):
+        # Each fit's callback gives, at any point, the residual of the forward
+        # model the Jacobian tests check and that model's analytic Jacobian.
         spectrum = synth_odmr(DEFAULT_BIAS + B0_MEASURED, basis, OdmrParams(), GAMMA_NV, 3)
         signal = synth_lia(1.0, GAMMA_RB, LiaParams(), 4)
-        [((fun, x0, jac), _, sol)] = recorded_calls(
+        [((odmr_fit_model, x0), _, sol)] = recorded_calls(
             monkeypatch, "least_squares", lambda: fit_odmr(spectrum, OdmrParams())
         )
-        [((lia_fun, lia_x0, lia_jac), _, lia_sol)] = recorded_calls(
+        [((lia_fit_model, lia_x0), _, lia_sol)] = recorded_calls(
             monkeypatch, "least_squares", lambda: fit_lia(signal)
         )
         freqs = spectrum.freqs
@@ -418,10 +423,9 @@ class TestSolvers:
             return _lorentzian_dips_jac(freqs, p[1::3], freqs[0] + p[2::3], p[3::3])
 
         cases = [
-            (fun, jac, np.asarray(x0, dtype=float), sol.x, odmr_model, odmr_jac, spectrum.pl),
+            (odmr_fit_model, np.asarray(x0, dtype=float), sol.x, odmr_model, odmr_jac, spectrum.pl),
             (
-                lia_fun,
-                lia_jac,
+                lia_fit_model,
                 np.asarray(lia_x0, dtype=float),
                 lia_sol.x,
                 lambda p: _dispersive(ff, *p),
@@ -429,16 +433,13 @@ class TestSolvers:
                 yf,
             ),
         ]
-        for fun, jac, start, end, model, want, data in cases:
-            for here, there in ((start, end), (end, start)):
-                # The residual is the model the Jacobian tests check.
-                np.testing.assert_allclose(fun(here) + data, model(here), rtol=0, atol=1e-15)
-                np.testing.assert_array_equal(jac(there), want(there))
-                np.testing.assert_array_equal(jac(here), want(here))
+        for fit_model, start, end, forward, want, data in cases:
+            for p in (start, end):
+                r, j = fit_model(p)
+                np.testing.assert_allclose(r + data, forward(p), rtol=0, atol=1e-15)
+                np.testing.assert_array_equal(j, want(p))
 
     def test_noiseless_spectrum_returns_exact_parameters(self, basis, monkeypatch):
-        from scipy.optimize import least_squares as minpack
-
         params = OdmrParams(pl_noise=0.0)
         fields = [DEFAULT_BIAS + FieldVector(0.1 * k, -0.05 * k, 0.02) for k in range(5)]
         fits = []
@@ -447,26 +448,26 @@ class TestSolvers:
             "least_squares",
             lambda: fits.extend(fit_odmr(synth_odmr(b, basis, params), params) for b in fields),
         )
-        for b, fit, ((fun, x0, jac), _, sol) in zip(fields, fits, calls):
+        for b, fit, ((model, x0), _, sol) in zip(fields, fits, calls):
             centers = np.sort(params.center_frequency + GAMMA_NV * project_field(basis, b))
             np.testing.assert_allclose(fit.peak_freqs, centers, rtol=1e-12)
             np.testing.assert_allclose(fit.contrasts, params.contrast, rtol=1e-9)
             np.testing.assert_allclose(fit.linewidths, params.linewidth, rtol=1e-9)
             assert sol.x[0] == pytest.approx(1.0, abs=1e-12)  # the fitted baseline
             # At the exact solution the scaled-step test stops the fit.
-            assert sol.nfev <= minpack(fun, x0, jac=jac, **self.MINPACK).nfev + 1
+            assert sol.nfev <= minpack_fit(model, x0, **self.MINPACK).nfev + 1
 
     def test_starting_at_the_minimum_costs_one_evaluation(self):
         a = np.vander(np.linspace(0.0, 1.0, 9), 3)
         b = np.cos(np.linspace(0.0, 3.0, 9))
         x0 = np.linalg.lstsq(a, b, rcond=None)[0]
-        sol = least_squares(lambda x: a @ x - b, x0, lambda x: a)
+        sol = least_squares(lambda x: (a @ x - b, a), x0)
         assert sol.nfev == 1
         np.testing.assert_array_equal(sol.x, x0)
 
     def test_stops_at_minpack_evaluation_cap(self):
         # r = x**2 converges linearly to 0, where no relative test can fire.
-        sol = least_squares(lambda x: x**2, [1.0], lambda x: np.diag(2.0 * x))
+        sol = least_squares(lambda x: (x**2, np.diag(2.0 * x)), [1.0])
         assert sol.nfev == 100 * (1 + 1)
         assert 0.0 < sol.x[0] < 1e-50
 

@@ -31,6 +31,15 @@ from test_estimator import monte_carlo_angles
 B0_MEASURED = FieldVector(0.004, -0.7454, 0.6451)
 
 
+@pytest.mark.parametrize("cls", [SimConfig, SpatialScanConfig])
+@pytest.mark.parametrize("cal_error", [-1.0, math.nan], ids=["negative", "nan"])
+def test_bad_calibration_error_is_rejected(cls, cal_error):
+    # Both harnesses draw calibration error only where it is positive, so a
+    # bad value would run silently as a study without any.
+    with pytest.raises(ValueError, match="b_0_cal_error must be >= 0"):
+        cls(b_0_cal_error=cal_error)
+
+
 class TestGridSimulation:
     def test_determinism(self):
         cfg = SimConfig(grid_points=7, n_reps=20)
@@ -377,9 +386,71 @@ class TestSweep:
             assert np.array_equal(imp.gain_mag_mse_db, rung.gain_mag_mse_db, equal_nan=True)
 
 
+def first_order_gains(c, s_nv, s_rb, s_cal):
+    """Small-noise dB gains of the combined estimator, magnitude and direction MSE.
+
+    To first order the combined error is the NV error across u, the unit
+    vector of delta + b_0, and Rb noise minus calibration error along u
+    (variance s_rb^2 + s_cal^2); c = |cos| between u and delta.
+    """
+    s_par2 = s_rb**2 + s_cal**2
+    mag = 10.0 * np.log10(s_nv**2 / ((1.0 - c**2) * s_nv**2 + c**2 * s_par2))
+    direction = 10.0 * np.log10(2.0 * s_nv**2 / (s_par2 * (1.0 - c**2) + s_nv**2 * (1.0 + c**2)))
+    return mag, direction
+
+
+class TestFirstOrderGains:
+    """The grid harness against the closed-form gains, within Monte-Carlo error.
+
+    Each MSE is a mean of n squared Gaussian errors, whose relative variance
+    is at most 2/n; the NV and combined errors are positively correlated, so
+    a dB gain has a standard deviation of at most 10/ln(10) sqrt(4/n), 0.194 dB
+    at n = 2,000.  A mean absolute error has a relative variance of
+    (pi/2 - 1)/n, so an MAE gain has at most 10/ln(10) sqrt((pi - 2)/n).  Over
+    N cells the median difference must lie within 4 of its standard errors,
+    1.2533 sd/sqrt(N), and the 90th percentile of |difference| below |N(0, sd)|'s,
+    1.6449 sd, plus 4 of its standard errors, sqrt(0.09/N)/(2 phi(1.6449)) sd.
+    """
+
+    N_REPS = 2000
+
+    @staticmethod
+    def assert_within(diff, sd):
+        n_cells = len(diff)
+        assert n_cells > 300
+        assert abs(np.median(diff)) <= 4 * 1.2533 * sd / math.sqrt(n_cells)
+        density = 2.0 * math.exp(-(1.6449**2) / 2.0) / math.sqrt(2.0 * math.pi)
+        spread = 1.6449 + 4 * math.sqrt(0.09 / n_cells) / density
+        assert np.percentile(np.abs(diff), 90) <= spread * sd
+
+    # Calibration error dominates the Rb noise at b_0 = 0.5 x; without either,
+    # the Rb noise alone sets the gain.
+    @pytest.mark.parametrize(
+        "b_0, cal_error", [((0.5, 0.0, 0.0), 1.3e-3), ((0.0, 0.0, 0.0), 0.0)], ids=["cal", "rb"]
+    )
+    def test_grid_matches_closed_form(self, b_0, cal_error):
+        cfg = SimConfig(
+            grid_points=21, n_reps=self.N_REPS, b_0_true=FieldVector(*b_0), b_0_cal_error=cal_error
+        )
+        imp = run_grid_simulation(cfg)
+        c = orthogonality_map(cfg)
+        mag, direction = first_order_gains(c, cfg.sigma_nv, cfg.resolved_sigma_rb(), cal_error)
+        x, y = np.meshgrid(imp.bx, imp.by)
+        # First order needs the noise small against the field and the field plus b_0.
+        far = 20.0 * cfg.sigma_nv
+        cells = imp.dir_valid & (np.hypot(x, y) > far) & (np.hypot(x + b_0[0], y + b_0[1]) > far)
+        sd_mse = 10.0 / math.log(10.0) * math.sqrt(4.0 / self.N_REPS)
+        sd_mae = 10.0 / math.log(10.0) * math.sqrt((math.pi - 2.0) / self.N_REPS)
+        self.assert_within(imp.gain_mag_mse_db[cells] - mag[cells], sd_mse)
+        self.assert_within(imp.gain_dir_mse_db[cells] - direction[cells], sd_mse)
+        # Gaussian magnitude errors: the MAE gain is half the MSE gain in dB.
+        self.assert_within(imp.gain_mag_mae_db[cells] - mag[cells] / 2.0, sd_mae)
+
+
 # Per-cell reference: the loop the batched kernel replaced, with the fusion
-# of batch_combined inlined as it was (np.linalg.norm row norms).  Only a
-# zero error denominator differs: it gives NaN here instead of raising.
+# of batch_combined inlined as it was (np.linalg.norm row norms), and both
+# estimators' errors averaged over the same fused repetitions.  Only a zero
+# error denominator differs: it gives NaN here instead of raising.
 def _oracle_angle_between(v, u):
     nv = np.linalg.norm(v, axis=1)
     nu = np.linalg.norm(u)
@@ -418,16 +489,15 @@ def _oracle_cell(delta, cfg, rng):
     b_hat, ok = _oracle_fuse(nv, b_0_hat, rb)
 
     true_mag = float(np.linalg.norm(delta))
-    mag_err_comb = np.linalg.norm(b_hat[ok], axis=1) - true_mag
-    mag_err_nv = np.linalg.norm(nv, axis=1) - true_mag
     out = {"valid": bool(np.any(ok)), "dir_valid": bool(true_mag > 0 and np.any(ok))}
-    out["mse_mag"] = (np.mean(mag_err_nv**2), np.mean(mag_err_comb**2) if ok.any() else math.nan)
-    out["mae_mag"] = (
-        np.mean(np.abs(mag_err_nv)),
-        np.mean(np.abs(mag_err_comb)) if ok.any() else math.nan,
-    )
+    if not out["valid"]:
+        return out
+    mag_err_comb = np.linalg.norm(b_hat[ok], axis=1) - true_mag
+    mag_err_nv = np.linalg.norm(nv[ok], axis=1) - true_mag
+    out["mse_mag"] = (np.mean(mag_err_nv**2), np.mean(mag_err_comb**2))
+    out["mae_mag"] = (np.mean(np.abs(mag_err_nv)), np.mean(np.abs(mag_err_comb)))
     if out["dir_valid"]:
-        ang_nv = _oracle_angle_between(nv, delta)
+        ang_nv = _oracle_angle_between(nv[ok], delta)
         ang_comb = _oracle_angle_between(b_hat[ok], delta)
         out["mse_dir"] = (np.mean(ang_nv**2), np.mean(ang_comb**2))
         out["mae_dir"] = (np.mean(np.abs(ang_nv)), np.mean(np.abs(ang_comb)))
