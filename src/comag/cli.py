@@ -3,7 +3,10 @@
 Commands, declared once in ``_COMMANDS``, cover the simulation reports
 (each writes ``<stem>.csv``, a key-value ``<stem>_summary.txt`` and a
 ``plot_<stem>.py`` script), background calibration from a CSV of paired
-readings, and a one-shot combined estimate.
+readings, and a one-shot combined estimate.  ``calibrate`` and
+``estimate`` also take the keys of their config section as flags
+(``--pairs``; ``--b-nv``, ``--b-0``, ``--b-rb``), parsed and checked as the
+file's values are; an empty flag value unsets the key.
 
 Exit codes: 0 success, 2 config/usage parse error, 3 validation error,
 4 runtime failure.
@@ -21,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import RunSettings, parse_config, parse_vector
+from .config import _KEYS, RunSettings, parse_config, rendered
 from .errors import ComagError, ConfigParseError, ConfigValidationError
 from .estimator import CalibrationSet, calibrate_background, combined_estimate
 from .geometry import FieldVector
@@ -49,24 +52,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"comag {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, *flags) in _COMMANDS.items():
+    for name, (help_text, _, *sections) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="INI config file (defaults apply if omitted)")
         p.add_argument("--out", default="comag-results", help="output directory")
-        p.add_argument("--seed", type=int, help="override the configured RNG seed")
+        p.add_argument("--seed", help="override the configured RNG seed")
         p.add_argument("-v", "--verbose", action="store_true")
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
+        for section in sections:
+            for key, (field_name, _) in _KEYS[section].items():
+                p.add_argument(_flag(field_name), help=f"override [{section}] {key}")
     return parser
+
+
+def _flag(field_name: str) -> str:
+    return "--" + field_name.replace("_", "-")
 
 
 def _load_settings(args) -> RunSettings:
     settings = parse_config(args.config) if args.config else RunSettings()
     if args.seed is not None:
+        seed = _KEYS["simulation"]["seed"][1](args.seed, "flag --seed")
         try:
-            settings = settings.with_seed(args.seed)
+            settings = settings.with_seed(seed)
         except ValueError as err:
             raise ConfigValidationError(f"--seed {args.seed}: {err}")
+    for section in _COMMANDS[args.command][2:]:
+        given = {
+            name: parse(getattr(args, name), f"flag {_flag(name)}")
+            for name, parse in _KEYS[section].values()
+            if getattr(args, name) is not None
+        }
+        try:
+            settings = replace(settings, **{section: replace(getattr(settings, section), **given)})
+        except ValueError as err:
+            raise ConfigValidationError(str(err))
     return settings
 
 
@@ -75,19 +94,10 @@ def _out(args, name: str) -> str:
 
 
 def _config_echo(settings: RunSettings) -> dict:
+    """Every [simulation] key, sigma_rb resolved.  Not by replace(): a resolved
+    sigma_rb that underflows to 0 would fail the section's check."""
     sim = settings.simulation
-    return {
-        "grid_min": sim.grid_min,
-        "grid_max": sim.grid_max,
-        "grid_points": sim.grid_points,
-        "n_reps": sim.n_reps,
-        "sigma_nv": sim.sigma_nv,
-        "sigma_rb": sim.resolved_sigma_rb(),
-        "sigma_ratio": sim.sigma_ratio,
-        "b_0": ",".join(repr(float(v)) for v in sim.b_0_true.as_array()),
-        "b_0_cal_error": sim.b_0_cal_error,
-        "seed": sim.seed,
-    }
+    return {**rendered(sim), "sigma_rb": sim.resolved_sigma_rb()}
 
 
 def _grid_xy(bx: np.ndarray, by: np.ndarray) -> dict[str, np.ndarray]:
@@ -255,7 +265,7 @@ def _angular_map(settings: RunSettings) -> Report:
 
 def _read_pairs_csv(path: str) -> CalibrationSet:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -285,7 +295,7 @@ def _read_pairs_csv(path: str) -> CalibrationSet:
 
 
 def _cmd_calibrate(args, settings: RunSettings) -> int:
-    path = args.pairs or settings.calibrate.pairs_csv
+    path = settings.calibrate.pairs
     if not path:
         raise ConfigValidationError(
             "calibrate needs --pairs or [calibrate] pairs_csv in the config"
@@ -310,19 +320,12 @@ def _cmd_calibrate(args, settings: RunSettings) -> int:
 
 
 def _cmd_estimate(args, settings: RunSettings) -> int:
-    est_cfg = settings.estimate
-    b_nv = parse_vector(args.b_nv, "flag --b-nv") if args.b_nv else est_cfg.b_nv
-    b_0 = parse_vector(args.b_0, "flag --b-0") if args.b_0 else est_cfg.b_0
-    b_rb = args.b_rb if args.b_rb is not None else est_cfg.b_rb
+    b_nv, b_0, b_rb = settings.estimate.b_nv, settings.estimate.b_0, settings.estimate.b_rb
     if b_nv is None or b_rb is None:
         raise ConfigValidationError(
             "estimate needs --b-nv and --b-rb (flags or [estimate] section)"
         )
-    if not math.isfinite(b_rb):
-        raise ConfigValidationError(f"flag --b-rb: value must be finite, got {b_rb!r}")
-    if b_rb < 0:
-        raise ConfigValidationError("estimate b_rb must be >= 0")
-    est = combined_estimate(FieldVector(*b_nv), FieldVector(*b_0), float(b_rb))
+    est = combined_estimate(FieldVector(*b_nv), FieldVector(*b_0), b_rb)
     print(f"b_hat        = ({est.b_hat.bx:.6f}, {est.b_hat.by:.6f}, {est.b_hat.bz:.6f}) G")
     print(
         f"correction   = ({est.correction.bx:.6f}, {est.correction.by:.6f}, "
@@ -349,8 +352,8 @@ def _cmd_estimate(args, settings: RunSettings) -> int:
     return EXIT_OK
 
 
-# Each command, declared once: name -> (help text, handler, *its own flags as
-# (flag, add_argument keywords) pairs).
+# Each command, declared once: name -> (help text, handler, *the config
+# section it also takes as flags, one per key: [estimate] b_nv is --b-nv).
 _COMMANDS = {
     "simulate-grid": ("Monte-Carlo improvement map over a field grid", _grid),
     "orthogonality": ("noiseless correction-orthogonality map", _orthogonality),
@@ -358,18 +361,8 @@ _COMMANDS = {
     "spatial-scan": ("dipole scan measured by Rb, NV, and combined", _spatial_scan),
     "scalar-demo": ("vector vs naive scalar background subtraction", _scalar_demo),
     "angular-map": ("angular uncertainty of a vector reading", _angular_map),
-    "calibrate": (
-        "solve the background field from paired readings",
-        _cmd_calibrate,
-        ("--pairs", dict(help="CSV of calibration pairs (bx,by,bz,b_rb)")),
-    ),
-    "estimate": (
-        "one combined estimate from a reading pair",
-        _cmd_estimate,
-        ("--b-nv", dict(help="NV vector reading, comma separated (G)")),
-        ("--b-0", dict(help="background field vector, comma separated (G)")),
-        ("--b-rb", dict(type=float, help="Rb scalar reading (G)")),
-    ),
+    "calibrate": ("solve the background field from paired readings", _cmd_calibrate, "calibrate"),
+    "estimate": ("one combined estimate from a reading pair", _cmd_estimate, "estimate"),
 }
 
 

@@ -1,8 +1,8 @@
 """Config-file schema: INI sections per module, validated with defaults.
 
-One file drives every command; flags override file values.  Unknown
-sections or keys are rejected with a suggestion, malformed values report
-the key, and constraint violations name the constraint.
+One file drives every command, and flags, parsed and checked as keys,
+override its values.  Unknown sections or keys are rejected with a suggestion,
+malformed values report the key, and constraint violations name the constraint.
 
 Each section is a field of :class:`RunSettings` holding a frozen
 dataclass, and each field of that dataclass is one INI key, declared
@@ -40,7 +40,7 @@ class EstimateSettings:
 
 @dataclass(frozen=True)
 class CalibrateSettings:
-    pairs_csv: str | None = None
+    pairs: str | None = field(default=None, metadata={"ini": "pairs_csv"})
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def _parse_int(text: str, name: str) -> int:
         raise ConfigParseError(f"{name}: expected an integer, got {text!r}")
 
 
-def parse_vector(text: str, name: str) -> tuple[float, float, float]:
+def _parse_vector(text: str, name: str) -> tuple[float, float, float]:
     """Three comma-separated finite numbers; ``name`` labels the error messages."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
@@ -91,8 +91,8 @@ _LEAF_PARSERS = {
     float: _parse_float,
     int: _parse_int,
     str: lambda text, name: text.strip(),
-    tuple[float, float, float]: parse_vector,
-    FieldVector: lambda text, name: FieldVector(*parse_vector(text, name)),
+    tuple[float, float, float]: _parse_vector,
+    FieldVector: lambda text, name: FieldVector(*_parse_vector(text, name)),
 }
 
 
@@ -125,14 +125,15 @@ def _suggest(name: str, candidates) -> str:
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
-def parse_config_text(text: str) -> RunSettings:
-    """Parse and validate configuration text; empty text gives all defaults."""
+def parse_config_text(text: str, source: str = "<string>") -> RunSettings:
+    """Parse and validate configuration text, named ``source`` in syntax
+    errors; empty text gives all defaults."""
     # No default section: a [DEFAULT] in the file is an unknown section like any other.
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        cp.read_string(text)
+        cp.read_string(text, source=source)
     except configparser.Error as err:
-        raise ConfigParseError(str(err))
+        raise ConfigParseError(" ".join(line.strip() for line in str(err).splitlines()))
 
     values: dict[str, dict] = {}
     for section in cp.sections():
@@ -163,11 +164,11 @@ def parse_config_text(text: str) -> RunSettings:
 def parse_config(path: str) -> RunSettings:
     """Parse and validate a configuration file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigParseError(f"cannot read config file {path!r}: {err}")
-    return parse_config_text(text)
+    return parse_config_text(text, path)
 
 
 def _fmt(value) -> str:
@@ -182,14 +183,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def rendered(values) -> dict[str, str]:
+    """INI key -> value text for each field of a section dataclass instance."""
+    return {key: _fmt(getattr(values, name)) for key, (name, _) in _keys(type(values)).items()}
+
+
 def default_config_text() -> str:
     """Render every key of every section with its default value."""
     defaults = RunSettings()
     out = []
-    for section, keys in _KEYS.items():
-        values = getattr(defaults, section)
+    for section in _SECTIONS:
         out.append(f"[{section}]\n")
-        for key, (name, _) in keys.items():
-            out.append(f"{key} = {_fmt(getattr(values, name))}\n")
+        out.extend(f"{k} = {v}\n" for k, v in rendered(getattr(defaults, section)).items())
         out.append("\n")
     return "".join(out)

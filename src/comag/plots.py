@@ -36,14 +36,14 @@ data = {{name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(he
 '''
 
 _HEATMAP_BODY = '''
-xs = np.unique(data["{xcol}"])
-ys = np.unique(data["{ycol}"])
+xs = np.unique(data["bx"])
+ys = np.unique(data["by"])
 grid = data["{zcol}"].reshape(len(ys), len(xs))
 fig, ax = plt.subplots(figsize=(6.2, 5.0))
 mesh = ax.pcolormesh(xs, ys, grid, shading="nearest", cmap="viridis")
 fig.colorbar(mesh, ax=ax, label="{zlabel}")
-ax.set_xlabel("{xlabel}")
-ax.set_ylabel("{ylabel}")
+ax.set_xlabel("Bx (G)")
+ax.set_ylabel("By (G)")
 ax.set_title("{title}")
 fig.tight_layout()
 fig.savefig("{stem}.png", dpi=160)
@@ -66,32 +66,20 @@ print("wrote {stem}.png")
 _KINDS = {
     "grid": dict(
         body=_HEATMAP_BODY,
-        xcol="bx",
-        ycol="by",
         zcol="gain_mag_mse_db",
         zlabel="magnitude MSE gain (dB)",
-        xlabel="Bx (G)",
-        ylabel="By (G)",
         title="Combined vs NV-only improvement",
     ),
     "orthogonality": dict(
         body=_HEATMAP_BODY,
-        xcol="bx",
-        ycol="by",
         zcol="orthogonality",
         zlabel="|cos| correction vs field",
-        xlabel="Bx (G)",
-        ylabel="By (G)",
         title="Correction orthogonality diagnostic",
     ),
     "angular_map": dict(
         body=_HEATMAP_BODY,
-        xcol="bx",
-        ycol="by",
         zcol="total_db",
         zlabel="angular uncertainty (dB)",
-        xlabel="Bx (G)",
-        ylabel="By (G)",
         title="Vector-reading angular uncertainty",
     ),
     "marginal": dict(

@@ -112,6 +112,35 @@ class TestEstimateCommand:
         rc = main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "flags, code, fragment",
+        [
+            (["--b-rb", "abc"], EXIT_PARSE, "flag --b-rb: expected a number, got 'abc'"),
+            (["--b-rb", "1,2"], EXIT_PARSE, "flag --b-rb: expected a number, got '1,2'"),
+            (["--b-nv", "1,0"], EXIT_PARSE, "flag --b-nv: expected three comma-separated numbers"),
+            (["--seed", "x"], EXIT_PARSE, "flag --seed: expected an integer, got 'x'"),
+            (["--b-rb", "-1"], EXIT_VALIDATION, "estimate b_rb must be >= 0"),
+            # An empty value unsets the key, as in the INI file.
+            (["--b-rb="], EXIT_VALIDATION, "estimate needs --b-nv and --b-rb"),
+        ],
+        ids=["b-rb-text", "b-rb-pair", "b-nv-pair", "seed-text", "b-rb-negative", "b-rb-empty"],
+    )
+    def test_bad_flag_value_is_one_line(self, tmp_path, capsys, flags, code, fragment):
+        cfg = write_cfg(tmp_path, "[estimate]\nb_nv = 1.1,0,0\nb_rb = 1.0\n")
+        rc = main(["estimate", "--config", cfg, *flags, "--out", str(tmp_path / "o")])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and fragment in err
+        assert not (tmp_path / "o").exists()
+
+    def test_flags_override_config_section(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[estimate]\nb_nv = 9,9,9\nb_0 = 9,9,9\nb_rb = 9\n")
+        flags = ["--b-nv", "0.5,0,0", "--b-0", "0.004,-0.7454,0.6451", "--b-rb", "1.1"]
+        assert main(["estimate", "--config", cfg, *flags, "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main(["estimate", *flags, "--out", str(tmp_path / "b")]) == EXIT_OK
+        a = (tmp_path / "a" / "estimate.csv").read_bytes()
+        assert a == (tmp_path / "b" / "estimate.csv").read_bytes()
+
 
 class TestSimulationCommands:
     def test_simulate_grid(self, tmp_path):
@@ -365,6 +394,24 @@ BAD_CONFIGS = [
         "angular-map", "[DEFAULT]\nseed = 3\n[angular]\n", EXIT_PARSE,
         "unknown section [DEFAULT]", id="default-section-beside-angular",
     ),
+    # Syntax errors name the file, on one line.
+    pytest.param(
+        "simulate-grid", "not an ini file at all\n", EXIT_PARSE,
+        "cfg.ini', line: 1 'not an ini file at all\\n'", id="no-section-header",
+    ),
+    pytest.param(
+        "simulate-grid", "[simulation]\nseed\n", EXIT_PARSE,
+        "cfg.ini' [line  2]: 'seed\\n'", id="line-without-equals",
+    ),
+    pytest.param(
+        "simulate-grid", "[simulation]\nseed = 1\nseed = 2\n", EXIT_PARSE,
+        "cfg.ini' [line  3]: option 'seed' in section 'simulation' already exists",
+        id="duplicate-key",
+    ),
+    pytest.param(
+        "simulate-grid", "[simulation]\n[simulation]\n", EXIT_PARSE,
+        "cfg.ini' [line  2]: section 'simulation' already exists", id="duplicate-section",
+    ),
     pytest.param(
         "simulate-grid", "[SIMULATION]\n", EXIT_PARSE,
         "unknown section [SIMULATION]; did you mean 'simulation'?", id="upper-case-section",
@@ -463,6 +510,13 @@ class TestBadConfigs:
         assert rc == code
         assert err.count("\n") == 1 and fragment in err
 
+    def test_utf8_bom_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(b"\xef\xbb\xbf" + (FAST_SIM + "seed = 7\n").encode())
+        rc = main(["simulate-grid", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        assert "seed=7\n" in (tmp_path / "o" / "grid_summary.txt").read_text()
+
     def test_undecodable_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
         cfg.write_bytes(b"[simulation]\nseed = \xff\n")
@@ -522,6 +576,14 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and fragment in err
         assert not (tmp_path / "o").exists()
+
+    def test_utf8_bom_pairs_file(self, tmp_path):
+        p = tmp_path / "pairs.csv"
+        rows = "bx,by,bz,b_rb\n1,0,0,1.2\n0,1,0,0.4\n0,0,1,1.6\n0.5,0.5,0,0.9\n"
+        p.write_bytes(b"\xef\xbb\xbf" + rows.encode())
+        rc = main(["calibrate", "--pairs", str(p), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        assert "pairs=4\n" in (tmp_path / "o" / "calibration_summary.txt").read_text()
 
     def test_undecodable_pairs_file(self, tmp_path, capsys):
         p = tmp_path / "pairs.csv"

@@ -1,9 +1,9 @@
 """Property test of the CLI boundary: no config or pairs value ends in a traceback.
 
 Each example runs one command on a small base config with one to three keys
-set to edge values, or ``calibrate`` on a pairs file with one to three cells
-set to edge numbers.  Whatever the values, the command must exit 0, 2, 3 or
-4 with at most one line on stderr and no warning.
+or flags set to edge values, or ``calibrate`` on a pairs file with one to
+three cells set to edge numbers.  Whatever the values, the command must exit
+0, 2, 3 or 4 with at most one line on stderr and no warning.
 """
 
 import contextlib
@@ -34,7 +34,17 @@ values = st.one_of(
     st.sampled_from(NUMBERS + ["", "1,2", "1e308,1e308"]),
     st.tuples(*[st.sampled_from(NUMBERS)] * 3).map(",".join),
 )
-entries = st.sampled_from([(s, k) for s, keys in _KEYS.items() for k in keys])
+# The flags each command takes with a value, besides --config and --out.
+FLAGS = {c: ("--seed",) for c in _COMMANDS} | {
+    "estimate": ("--seed", "--b-nv", "--b-0", "--b-rb"),
+    "calibrate": ("--seed", "--pairs"),
+}
+# An entry is an INI (section, key), or ("flag", name); a flag the command
+# does not take is left out.  Half the entries are flags.
+entries = st.one_of(
+    st.sampled_from([(s, k) for s, keys in _KEYS.items() for k in keys]),
+    st.sampled_from([("flag", f) for f in sorted(set().union(*FLAGS.values()))]),
+)
 overrides = st.lists(st.tuples(entries, values), min_size=1, max_size=3)
 HEADER, *PAIR_ROWS = [line.split(",") for line in PAIRS.splitlines()]
 pair_cells = st.lists(
@@ -48,8 +58,12 @@ def run(command: str, changes, pairs: str = PAIRS) -> tuple[int, str, list]:
     with tempfile.TemporaryDirectory() as tmp:
         sections = {s: dict(keys) for s, keys in BASE.items()}
         sections["calibrate"] = {"pairs_csv": os.path.join(tmp, "pairs.csv")}
+        flags = []
         for (section, key), value in changes:
-            sections.setdefault(section, {})[key] = value
+            if section != "flag":
+                sections.setdefault(section, {})[key] = value
+            elif key in FLAGS[command]:
+                flags.append(f"{key}={value}")  # the = form takes a leading minus
         text = "".join(
             f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
             for s, keys in sections.items()
@@ -66,7 +80,7 @@ def run(command: str, changes, pairs: str = PAIRS) -> tuple[int, str, list]:
             contextlib.redirect_stderr(err),
         ):
             warnings.simplefilter("always")
-            rc = main([command, "--config", cfg, "--out", os.path.join(tmp, "out")])
+            rc = main([command, "--config", cfg, "--out", os.path.join(tmp, "out"), *flags])
     return rc, err.getvalue(), [str(w.message) for w in caught]
 
 
@@ -77,7 +91,7 @@ def assert_clean_exit(rc: int, err: str, caught: list) -> None:
     assert caught == []
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from(tuple(_COMMANDS)), overrides)
 # The four traceback classes of the first boundary search, now one-line exits.
 @example("angular-map", [(("angular", "grid_min"), "1e-160")])
@@ -95,6 +109,11 @@ def assert_clean_exit(rc: int, err: str, caught: list) -> None:
 @example("spatial-scan", [(("spatial", "standoff"), "1e-320")])
 @example("scalar-demo", [(("spatial", key), "1e-320") for key in ("perp_offset", "standoff")])
 @example("angular-map", [(("angular", "sigma"), "1e-320")])
+# Flags were argparse's: a bad value printed three lines of usage.
+@example("estimate", [(("flag", "--b-rb"), "1,2")])
+@example("estimate", [(("flag", "--b-rb"), "abc"), (("flag", "--b-nv"), "1,0")])
+@example("simulate-grid", [(("flag", "--seed"), "x")])
+@example("calibrate", [(("flag", "--pairs"), ""), (("flag", "--seed"), "-1")])
 def test_any_config_value_exits_cleanly(command, changes):
     assert_clean_exit(*run(command, changes))
 

@@ -423,28 +423,62 @@ class TestFirstOrderGains:
         spread = 1.6449 + 4 * math.sqrt(0.09 / n_cells) / density
         assert np.percentile(np.abs(diff), 90) <= spread * sd
 
+    SD_MSE = 10.0 / math.log(10.0) * math.sqrt(4.0 / N_REPS)
+    SD_MAE = 10.0 / math.log(10.0) * math.sqrt((math.pi - 2.0) / N_REPS)
+
+    @staticmethod
+    def first_order_cells(cfg, fields):
+        """Cells whose field and field plus b_0 are both far above the NV noise,
+        as first order needs."""
+        far = 20.0 * cfg.sigma_nv
+        b_0 = cfg.b_0_true.as_array()
+        return (row_norms(fields) > far) & (row_norms(fields + b_0) > far)
+
+    def assert_grid_matches(self, imp, cfg):
+        mag, direction = first_order_gains(
+            orthogonality_map(cfg), cfg.sigma_nv, cfg.resolved_sigma_rb(), cfg.b_0_cal_error
+        )
+        x, y = np.meshgrid(imp.bx, imp.by)
+        fields = np.stack([x, y, np.zeros_like(x)], axis=-1)
+        cells = imp.dir_valid & self.first_order_cells(cfg, fields)
+        self.assert_within(imp.gain_mag_mse_db[cells] - mag[cells], self.SD_MSE)
+        self.assert_within(imp.gain_dir_mse_db[cells] - direction[cells], self.SD_MSE)
+        # Gaussian magnitude errors: the MAE gain is half the MSE gain in dB.
+        self.assert_within(imp.gain_mag_mae_db[cells] - mag[cells] / 2.0, self.SD_MAE)
+
     # Calibration error dominates the Rb noise at b_0 = 0.5 x; without either,
     # the Rb noise alone sets the gain.
-    @pytest.mark.parametrize(
+    CASES = pytest.mark.parametrize(
         "b_0, cal_error", [((0.5, 0.0, 0.0), 1.3e-3), ((0.0, 0.0, 0.0), 0.0)], ids=["cal", "rb"]
     )
+
+    @CASES
     def test_grid_matches_closed_form(self, b_0, cal_error):
         cfg = SimConfig(
             grid_points=21, n_reps=self.N_REPS, b_0_true=FieldVector(*b_0), b_0_cal_error=cal_error
         )
-        imp = run_grid_simulation(cfg)
-        c = orthogonality_map(cfg)
-        mag, direction = first_order_gains(c, cfg.sigma_nv, cfg.resolved_sigma_rb(), cal_error)
-        x, y = np.meshgrid(imp.bx, imp.by)
-        # First order needs the noise small against the field and the field plus b_0.
-        far = 20.0 * cfg.sigma_nv
-        cells = imp.dir_valid & (np.hypot(x, y) > far) & (np.hypot(x + b_0[0], y + b_0[1]) > far)
-        sd_mse = 10.0 / math.log(10.0) * math.sqrt(4.0 / self.N_REPS)
-        sd_mae = 10.0 / math.log(10.0) * math.sqrt((math.pi - 2.0) / self.N_REPS)
-        self.assert_within(imp.gain_mag_mse_db[cells] - mag[cells], sd_mse)
-        self.assert_within(imp.gain_dir_mse_db[cells] - direction[cells], sd_mse)
-        # Gaussian magnitude errors: the MAE gain is half the MSE gain in dB.
-        self.assert_within(imp.gain_mag_mae_db[cells] - mag[cells] / 2.0, sd_mae)
+        self.assert_grid_matches(run_grid_simulation(cfg), cfg)
+
+    # The sweep along y, across b_0 = 0.5 x, spans c from 0.72 to 0.95.
+    @CASES
+    def test_marginal_matches_closed_form(self, b_0, cal_error):
+        cfg = SimConfig(n_reps=self.N_REPS, b_0_true=FieldVector(*b_0), b_0_cal_error=cal_error)
+        sweep = MarginalSettings(axis="y", field_min=-1.6, field_max=1.6, n_points=601)
+        prof = marginal_improvement(cfg, sweep)
+        mag, _ = first_order_gains(
+            prof.orthogonality, cfg.sigma_nv, cfg.resolved_sigma_rb(), cal_error
+        )
+        fields = np.zeros((sweep.n_points, 3))
+        fields[:, 1] = prof.b_applied
+        cells = np.isfinite(prof.gain_mag_mse_db) & self.first_order_cells(cfg, fields)
+        self.assert_within(prof.gain_mag_mse_db[cells] - mag[cells], self.SD_MSE)
+        self.assert_within(prof.gain_mag_mae_db[cells] - mag[cells] / 2.0, self.SD_MAE)
+
+    def test_sweep_rungs_match_closed_form(self):
+        cfg = SimConfig(grid_points=21, n_reps=self.N_REPS, b_0_true=FieldVector(0.5, 0.0, 0.0))
+        # Two rungs of the ladder, 0.02 and 0.1 of sigma_nv.
+        for cal_error, imp in sweep_calibration_error(cfg, (5.2e-4, 2.6e-3)).items():
+            self.assert_grid_matches(imp, replace(cfg, b_0_cal_error=cal_error))
 
 
 # Per-cell reference: the loop the batched kernel replaced, with the fusion
