@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -205,13 +204,7 @@ def _calibration_jacobian(nv: np.ndarray, x: np.ndarray) -> np.ndarray:
     return shifted / safe[:, None]
 
 
-def _damped_gauss_newton(
-    nv: np.ndarray,
-    rb: np.ndarray,
-    start: np.ndarray,
-    step_tol: float = 1e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
+def _damped_gauss_newton(nv: np.ndarray, rb: np.ndarray, start: np.ndarray) -> np.ndarray:
     x = np.array(start, dtype=float)
     lam = 1e-3
 
@@ -220,7 +213,7 @@ def _damped_gauss_newton(
 
     r = residuals(x)
     cost = float(r @ r)
-    for _ in range(max_iter):
+    for _ in range(200):
         jac = _calibration_jacobian(nv, x)
         g = jac.T @ r
         h = jac.T @ jac
@@ -231,7 +224,7 @@ def _damped_gauss_newton(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            if np.linalg.norm(step) < step_tol:
+            if np.linalg.norm(step) < 1e-10:
                 return x
             r_new = residuals(x + step)
             cost_new = float(r_new @ r_new)
@@ -248,27 +241,21 @@ def _damped_gauss_newton(
     raise NonConvergenceError("calibration solver hit the iteration cap")
 
 
-def linearized_angles(
-    v: np.ndarray, sigma: Sequence[float] | float
-) -> tuple[np.ndarray, np.ndarray]:
+def linearized_angles(v: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """First-order (d_theta, d_phi) of each field row of ``v`` (m, 3) at the
-    per-lab-axis deviations ``sigma`` (a scalar applies isotropically), each
-    capped at pi.  theta is the polar angle from z, phi the azimuth.
+    deviation ``sigma`` of each lab component, each capped at pi.  theta is
+    the polar angle from z, phi the azimuth.
 
-    d_theta = |(xz sx, yz sy, rho^2 sz)| / (rho |v|^2), d_phi = |(y sx, x sy)|
-    / rho^2.  Angular error shrinks as 1/|v| at fixed sigma.  Raises
+    d_theta = s |(xz, yz, rho^2)| / (rho |v|^2), d_phi = s |(y, x)| / rho^2.
+    Angular error shrinks as 1/|v| at fixed sigma.  Raises
     :class:`ZeroFieldError` if |v|^2 or rho |v|^2 is 0 in any row.  rho
     |v|^2 and d_theta's quotients overflow to inf or nan quietly, as Python
     floats do; every other step raises or warns as the caller's
     ``np.errstate`` says.
     """
-    sig = np.asarray(sigma, dtype=float)
-    if sig.ndim == 0:
-        sig = np.full(3, float(sig))
-    if sig.shape != (3,):
-        raise ValueError("sigma must be a scalar or three per-axis values")
-    if np.any(sig < 0):
+    if not sigma >= 0:  # NaN too
         raise ValueError("sigma must be >= 0")
+    sig = np.full(3, float(sigma))
     v = np.asarray(v, dtype=float)
     r2 = row_dots(v, v)
     x, y, z = v.T

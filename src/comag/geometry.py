@@ -1,7 +1,7 @@
 """NV crystallographic frame handling.
 
 Projects lab-frame magnetic fields onto the four NV symmetry axes and
-gives the matrix that recovers lab-frame vectors from axis-frame data.
+gives the matrix that recovers lab-frame vectors from three of them.
 All fields are in Gauss, directions are dimensionless direction cosines in
 the laboratory (x, y, z) frame.
 """
@@ -63,7 +63,7 @@ class OrientationBasis:
     """The four NV axis directions, as read-only unit rows of ``axes`` (4x3).
 
     ``axes @ b`` gives the per-axis components of the lab-frame field ``b``;
-    :func:`recovery_matrix` maps them back.
+    :func:`recovery_matrix` maps any three of them back.
     """
 
     axes: np.ndarray
@@ -92,32 +92,27 @@ def project_field(basis: OrientationBasis, b: FieldVector) -> np.ndarray:
 
 
 def recovery_matrix(basis: OrientationBasis, idx: Sequence[int]) -> np.ndarray:
-    """Transition matrix W mapping the components on axes ``idx`` (3 or 4
-    distinct indices in 0-3, as :func:`select_best_axes` returns them) to the
-    lab frame: exact inverse for three axes, least-squares pseudo-inverse for
-    four.  Raises :class:`RankDeficientError` when the selected rows do not
-    span the lab frame.
+    """Transition matrix W, the inverse of the rows ``idx`` of ``basis.axes``,
+    that maps the components on those axes (three distinct indices in 0-3, as
+    :func:`select_best_axes` returns them) to the lab frame.  Raises
+    :class:`RankDeficientError` when the selected rows do not span the lab
+    frame, as in a hand-built basis.
     """
     idx = list(idx)
-    if len(idx) < 3 or len(set(idx)) != len(idx) or not set(idx) <= {0, 1, 2, 3}:
-        raise ValueError(f"need three or four distinct axis indices in 0-3, got {idx}")
+    if len(idx) != 3 or len(set(idx) & {0, 1, 2, 3}) != 3:
+        raise ValueError(f"need three distinct axis indices in 0-3, got {idx}")
     rows = basis.axes[idx]
     if np.linalg.matrix_rank(rows, tol=1e-10) < 3:
         raise RankDeficientError("selected axis rows are singular")
-    if len(idx) == 3:
-        return np.linalg.inv(rows)
-    return np.linalg.pinv(rows)
+    return np.linalg.inv(rows)
 
 
-def select_best_axes(sigma_axes: Sequence[float], count: int = 3) -> tuple[int, ...]:
-    """Indices of the ``count`` axes with the smallest uncertainty.
+def select_best_axes(sigma_axes: Sequence[float]) -> tuple[int, ...]:
+    """Indices, ascending, of the three axes with the smallest uncertainty.
 
     Ties go to the lower axis index.
     """
     sig = np.asarray(sigma_axes, dtype=float)
     if sig.shape != (4,):
         raise ValueError("expected four per-axis uncertainties")
-    if not 3 <= count <= 4:
-        raise ValueError("count must be 3 or 4")
-    order = np.argsort(sig, kind="stable")[:count]
-    return tuple(sorted(int(i) for i in order))
+    return tuple(sorted(int(i) for i in np.argsort(sig, kind="stable")[:3]))

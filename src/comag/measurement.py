@@ -65,7 +65,7 @@ class OdmrParams:
             raise ValueError("linewidth must be positive")
         if self.n_freqs < 3:
             raise ValueError("n_freqs must be >= 3")
-        if self.pl_noise < 0:
+        if not self.pl_noise >= 0:
             raise ValueError("pl_noise must be >= 0")
         if self.n_averages < 1:
             raise ValueError("n_averages must be >= 1")
@@ -96,7 +96,7 @@ class LiaParams:
     def __post_init__(self):
         if not self.linewidth > 0:
             raise ValueError("linewidth must be positive")
-        if self.y_noise < 0:
+        if not self.y_noise >= 0:
             raise ValueError("y_noise must be >= 0")
         if self.n_points < 5:
             raise ValueError("n_points must be >= 5")
@@ -219,7 +219,7 @@ class OdmrSpectrum:
 @dataclass(frozen=True)
 class OdmrFit:
     """Fitted ODMR lineshape: the center (MHz), contrast and width (MHz) of each
-    resolved dip, in ascending frequency, and ``delta_pl``, the RMS residual
+    of the four dips, in ascending frequency, and ``delta_pl``, the RMS residual
     of the fit, which estimates the per-point PL noise.
     """
 
@@ -356,10 +356,10 @@ def _percentile_90(xs: list) -> float:
     return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def _find_dips(spectrum: OdmrSpectrum, params: OdmrParams, n_peaks: int):
-    """Grid indices (ascending) of the ``n_peaks`` most prominent dips, the depth
-    below the estimated baseline, the prominence threshold and that baseline.
-    Raises :class:`UnresolvedPeaksError` when fewer dips are found."""
+def _find_dips(spectrum: OdmrSpectrum, params: OdmrParams):
+    """Grid indices (ascending) of the four most prominent dips, one per NV
+    axis, the depth below the estimated baseline, the prominence threshold and
+    that baseline.  Raises :class:`UnresolvedPeaksError` when fewer dips are found."""
     freqs = np.asarray(spectrum.freqs, dtype=float)
     pl = np.asarray(spectrum.pl, dtype=float)
     spacing = _median(sorted(np.diff(freqs).tolist()))
@@ -375,22 +375,15 @@ def _find_dips(spectrum: OdmrSpectrum, params: OdmrParams, n_peaks: int):
     prominence = max(0.12 * max_depth, 4.0 * noise_est, 1e-12)
     distance = max(1, int(0.6 * params.linewidth / spacing))
     idx, prominences = _find_peaks(depth, prominence, distance)
-    if len(idx) < n_peaks:
-        raise UnresolvedPeaksError(
-            f"found {len(idx)} dips, expected {n_peaks}; peaks likely overlap"
-        )
-    if len(idx) > n_peaks:
-        keep = np.argsort(prominences)[-n_peaks:]
-        idx = np.sort(idx[keep])
+    if len(idx) < 4:
+        raise UnresolvedPeaksError(f"found {len(idx)} dips, expected 4; peaks likely overlap")
+    if len(idx) > 4:
+        idx = np.sort(idx[np.argsort(prominences)[-4:]])
     return idx, depth, prominence, baseline0
 
 
-def fit_odmr(
-    spectrum: OdmrSpectrum,
-    params: OdmrParams,
-    n_peaks: int = 4,
-) -> OdmrFit:
-    """Least-squares multi-Lorentzian fit of an ODMR spectrum.
+def fit_odmr(spectrum: OdmrSpectrum, params: OdmrParams) -> OdmrFit:
+    """Least-squares fit of the four NV dips of an ODMR spectrum.
 
     Each dip a prominence-based peak search finds is seeded between grid points,
     at the vertex of the parabola through its three samples, and all are refined
@@ -398,12 +391,12 @@ def fit_odmr(
     baseline, contrasts, centers and widths.  The model is linear in the baseline
     and contrasts, so its callback builds the analytic Jacobian once per point
     and forms the residual from it.  Raises
-    :class:`UnresolvedPeaksError` when fewer dips than requested can be
-    located (overlapping orientations, insufficient bias field).
+    :class:`UnresolvedPeaksError` when fewer than four dips can be located
+    (overlapping orientations, insufficient bias field).
     """
     freqs = np.asarray(spectrum.freqs, dtype=float)
     pl = np.asarray(spectrum.pl, dtype=float)
-    idx, depth, prominence, baseline0 = _find_dips(spectrum, params, n_peaks)
+    idx, depth, prominence, baseline0 = _find_dips(spectrum, params)
 
     f_ref = float(freqs[0])
     # Parameters: baseline, then (contrast, center offset, width) per dip.
@@ -443,7 +436,6 @@ def nv_measure(
     params: OdmrParams,
     gamma: float = GAMMA_NV,
     rng_seed: int | None = 0,
-    axes_used: int = 3,
 ) -> tuple[FieldVector, np.ndarray]:
     """Differential NV vector measurement of the small field delta_b.
 
@@ -459,13 +451,10 @@ def nv_measure(
     left flank instead, with that point's slope.  Bias and background cancel
     in the difference, so the expectation depends only on delta_b.
 
-    ``axes_used`` selects how many orientations feed the lab-frame
-    recovery (the 3 with the smallest per-axis uncertainty, or all 4).
-    Returns the recovered lab-frame field and the per-lab-axis standard
-    deviation of the reading.
+    The three orientations with the smallest per-axis uncertainty feed the
+    lab-frame recovery.  Returns the recovered lab-frame field and the
+    per-lab-axis standard deviation of the reading.
     """
-    if axes_used not in (3, 4):
-        raise ValueError("axes_used must be 3 or 4")
     seq = np.random.SeedSequence(rng_seed)
     seed_sig, seed_ref = seq.spawn(2)
     total_sig = b_bias + delta_b + b_0
@@ -473,8 +462,7 @@ def nv_measure(
     spec_sig = synth_odmr(total_sig, basis, params, gamma, seed_sig)
     spec_ref = synth_odmr(total_ref, basis, params, gamma, seed_ref)
     fit_ref = fit_odmr(spec_ref, params)
-    n_dips = len(fit_ref.peak_freqs)
-    _find_dips(spec_sig, params, n_dips)
+    _find_dips(spec_sig, params)
 
     # Dips are reported in ascending frequency; the bias field dominates
     # the shifts, so the frequency order of the bias projections maps dips
@@ -486,8 +474,8 @@ def nv_measure(
     # The model's slope in frequency: minus the sum of its center derivatives.
     jac = _lorentzian_dips_jac(freqs, fit_ref.contrasts, fit_ref.peak_freqs, fit_ref.linewidths)
     slopes = -jac[:, 2::3].sum(axis=1)
-    readout_idx = [_working_point_index(freqs, slopes, fit_ref, i) for i in range(n_dips)]
-    dpl, df_dips = spec_ref.pl - spec_sig.pl, np.zeros(n_dips)
+    readout_idx = [_working_point_index(freqs, slopes, fit_ref, i) for i in range(4)]
+    dpl, df_dips = spec_ref.pl - spec_sig.pl, np.zeros(4)
 
     def invert(dip_i):
         j = readout_idx[dip_i]
@@ -497,7 +485,7 @@ def nv_measure(
     # shifts in the signal model: the tails of neighbouring dips move with
     # their own shifts, and ignoring that leaves a few-mG systematic.
     for _ in range(3):
-        for dip_i in range(n_dips):
+        for dip_i in range(4):
             try:
                 df_dips[dip_i] = invert(dip_i)
             except UnresolvedPeaksError:
@@ -507,7 +495,7 @@ def nv_measure(
                 df_dips[dip_i] = invert(dip_i)
 
     delta_f, sigma_axis = np.zeros(4), np.zeros(4)
-    for dip_i in range(n_dips):
+    for dip_i in range(4):
         axis_i = int(axis_order[dip_i])
         delta_f[axis_i] = df_dips[dip_i]
         if fit_ref.delta_pl > 0:
@@ -518,7 +506,7 @@ def nv_measure(
 
     # The lab-frame field and its independent-noise sigmas, sqrt(diag(W S W^T)),
     # from one recovery matrix W.
-    idx = list(select_best_axes(np.where(sigma_axis > 0, sigma_axis, np.inf), axes_used))
+    idx = list(select_best_axes(np.where(sigma_axis > 0, sigma_axis, np.inf)))
     w = recovery_matrix(basis, idx)
     b_lab = FieldVector.from_array(w @ (delta_f / gamma)[idx])
     return b_lab, np.sqrt(w**2 @ sigma_axis[idx] ** 2)

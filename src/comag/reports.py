@@ -2,14 +2,13 @@
 
 All files are written atomically (temp file in the target directory, then
 rename), so an interrupted run never leaves a truncated artifact.  CSVs
-are UTF-8 with a header row, comma separator, and '.' decimal point.
+are UTF-8 with a header row, comma separator, and '.' decimal point, and
+hold only numbers and 0/1 flags, so no cell needs quoting.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import math
 import os
 import tempfile
 from typing import Mapping
@@ -34,16 +33,13 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def write_csv(path: str, columns: Mapping[str, object]) -> None:
     """One column per entry, named by its key; arrays are flattened in C order
-    and must all hold the same number of values."""
+    and must all hold the same number of values.  A column of any dtype but
+    bool, integer or float raises :class:`TypeError`, and no file is written."""
     flat = [np.ravel(v) for v in columns.values()]
     rows = zip(*map(_column_cells, flat), strict=True)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    if all(v.dtype.kind in "biuf" for v in flat):  # no cell of these needs quoting
-        buf.writelines(",".join(row) + "\n" for row in rows)
-    else:
-        writer.writerows(rows)
+    buf.write(",".join(columns) + "\n")
+    buf.writelines(",".join(row) + "\n" for row in rows)
     atomic_write_text(path, buf.getvalue())
 
 
@@ -59,15 +55,15 @@ def _column_cells(values: np.ndarray) -> list[str]:
         distinct, index = np.unique(floats.view(np.uint64), return_inverse=True)
         text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
         return text[index].tolist()
-    return [_cell(v) for v in values.tolist()]
+    if values.dtype.kind in "iu":
+        return [str(v) for v in values.tolist()]
+    raise TypeError(f"CSV columns hold numbers or flags, got dtype {values.dtype}")
 
 
 def _cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (float, np.floating)):
-        if math.isnan(value):
-            return "nan"
         return repr(float(value))
     return str(value)
 

@@ -91,9 +91,9 @@ class SimConfig:
             raise ValueError("grid_points must be >= 2")
         _require_count("n_reps", self.n_reps)
         _require_count("grid_points", self.grid_points, _MAX_SIDE)
-        if self.sigma_nv <= 0:
+        if not self.sigma_nv > 0:
             raise ValueError("sigma_nv must be positive")
-        if self.sigma_rb is not None and self.sigma_rb <= 0:
+        if self.sigma_rb is not None and not self.sigma_rb > 0:
             raise ValueError("sigma_rb must be positive")
         if not self.b_0_cal_error >= 0:  # NaN too
             raise ValueError("b_0_cal_error must be >= 0")
@@ -532,7 +532,7 @@ class SpatialScanConfig:
         _require_count("n_positions", self.n_positions)
         if not 1 <= self.poly_degree < self.n_positions:
             raise ValueError("poly_degree must be >= 1 and below n_positions")
-        if self.stage_range <= 0 or self.standoff <= 0:
+        if not self.stage_range > 0 or not self.standoff > 0:
             raise ValueError("stage geometry must be positive")
         # Keep the fit's sum of position**(2 * poly_degree) and the distance**3 finite.
         half = self.stage_range / 2.0
@@ -547,7 +547,7 @@ class SpatialScanConfig:
         closest = math.hypot(max(self.standoff - half, 0.0), self.perp_offset)
         if closest**3 < np.finfo(float).tiny:
             raise ValueError("the stage brings the source onto the sensor")
-        if self.sigma_nv <= 0 or self.sigma_rb <= 0:
+        if not self.sigma_nv > 0 or not self.sigma_rb > 0:
             raise ValueError("sensor noise must be positive")
         if not self.b_0_cal_error >= 0:  # NaN too
             raise ValueError("b_0_cal_error must be >= 0")
@@ -735,7 +735,7 @@ class AngularSettings:
     sigma: float = 0.1
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("angular sigma must be positive")
         if self.grid_points < 2:
             raise ValueError("angular grid_points must be >= 2")

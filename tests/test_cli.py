@@ -863,3 +863,47 @@ class TestPublicSurface:
             if name not in reads
         ]
         assert unread == []
+
+    def test_every_defaulted_argument_is_passed(self, sources):
+        # By name, as above, for module-level functions only: a method may
+        # implement another library's interface, as PresetState.generate_state
+        # implements numpy's.
+        modules, bench_modules = sources
+        calls = {}
+        for tree in [*modules.values(), *bench_modules.values()]:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+        unpassed = []
+        for module, tree in modules.items():
+            for fn in tree.body:
+                if isinstance(fn, ast.FunctionDef):
+                    for name, position in _defaulted_parameters(fn.args):
+                        if not any(_passes(c, name, position) for c in calls.get(fn.name, [])):
+                            unpassed.append(f"{fn.name}.{name}")
+        assert unpassed == []
+
+
+def _defaulted_parameters(args):
+    """(name, position) of each parameter with a default; keyword-only ones
+    have position None."""
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    for position, arg in enumerate(positional[first:], first):
+        yield arg.arg, position
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, position) -> bool:
+    """Whether ``call`` passes the parameter: by keyword, by position, or
+    through ``*args`` or ``**kwargs``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return starred or len(call.args) > position

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from comag.cli import _COMMANDS
+from comag.cli import _COMMANDS, main
 from comag.config import (
     RunSettings,
     default_config_text,
@@ -58,6 +58,21 @@ class TestDefaults:
         for stem in _KINDS:
             for name in (f"{stem}.csv", f"{stem}_summary.txt", f"plot_{stem}.py"):
                 assert f"`{name}`" in listed
+
+    def test_readme_lists_every_csv_header(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = dict(re.findall(r"^- `(\w+\.csv)`: `([\w,]+)`$", readme, re.M))
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(
+            "[simulation]\ngrid_points = 5\nn_reps = 4\n[spatial]\nn_positions = 12\nn_reps = 4\n"
+            "[marginal]\nn_points = 5\n[angular]\ngrid_points = 5\n"
+            "[estimate]\nb_nv = 1.1,0,0\nb_rb = 1.0\n"
+        )
+        out = tmp_path / "out"
+        for command in set(_COMMANDS) - {"calibrate"}:  # calibrate writes no CSV
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        written = {p.name: p.read_text().split("\n", 1)[0] for p in out.glob("*.csv")}
+        assert written == listed
 
     def test_missing_file(self):
         with pytest.raises(ConfigParseError):

@@ -290,11 +290,6 @@ class TestAngularUncertainty:
         assert d_phi == pytest.approx(math.pi)
         assert d_theta == pytest.approx(0.1, rel=1e-9)
 
-    def test_anisotropic_sigma(self):
-        d_theta, d_phi = angles(FieldVector(1, 0, 0), [0.0, 0.2, 0.0])
-        assert d_phi == pytest.approx(0.2, rel=1e-9)
-        assert d_theta == pytest.approx(0.0, abs=1e-12)
-
     def test_results_capped_at_pi(self):
         d_theta, d_phi = angles(FieldVector(0.001, 0, 0), 10.0)
         assert d_phi <= math.pi and d_theta <= math.pi

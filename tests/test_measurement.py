@@ -232,7 +232,7 @@ class TestOrderStatistics:
     def test_find_dips_baseline_is_the_90th_percentile(self, basis):
         for seed in range(20):
             spectrum = synth_odmr(DEFAULT_BIAS, basis, OdmrParams(), GAMMA_NV, seed)
-            baseline = measurement._find_dips(spectrum, OdmrParams(), 4)[3]
+            baseline = measurement._find_dips(spectrum, OdmrParams())[3]
             assert baseline.hex() == float(np.percentile(spectrum.pl, 90)).hex()
 
 
@@ -392,7 +392,7 @@ class TestSolvers:
         closer = 0
         for spectrum, ((_, x0), _, sol) in zip(spectra, calls):
             freqs = spectrum.freqs
-            grid = freqs[measurement._find_dips(spectrum, OdmrParams(), 4)[0]] - freqs[0]
+            grid = freqs[measurement._find_dips(spectrum, OdmrParams())[0]] - freqs[0]
             seeds, fitted = np.asarray(x0)[2::3], sol.x[2::3]
             closer += np.count_nonzero(np.abs(seeds - fitted) < np.abs(grid - fitted))
         # Bounds set before the seeds were measured: the grid step is 3.4 MHz against
@@ -555,11 +555,8 @@ class TestNvMeasure:
     def test_noiseless_exact(self, basis):
         params = OdmrParams(pl_noise=0.0)
         delta = FieldVector(0.5, 0.0, 0.0)
-        for axes_used in (3, 4):
-            v, _ = nv_measure(
-                delta, DEFAULT_BIAS, B0_MEASURED, basis, params, GAMMA_NV, 0, axes_used
-            )
-            assert v.as_array() == pytest.approx(delta.as_array(), abs=1e-6)
+        v, _ = nv_measure(delta, DEFAULT_BIAS, B0_MEASURED, basis, params, GAMMA_NV, 0)
+        assert v.as_array() == pytest.approx(delta.as_array(), abs=1e-6)
 
     def test_null_measurement(self, basis):
         params = OdmrParams()

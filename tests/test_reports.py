@@ -161,9 +161,11 @@ class TestCsvBytes:
         write_csv(str(p), columns)
         assert p.read_text() == per_cell_csv(columns)
 
-    def test_text_columns_keep_csv_quoting(self, tmp_path):
-        columns = {"label": np.array(["a,b", 'say "hi"', "plain"]), "v": [1.0, -0.0, np.nan]}
-        p = tmp_path / "text.csv"
-        write_csv(str(p), columns)
-        assert p.read_text() == per_cell_csv(columns)
-        assert p.read_text().splitlines()[1] == '"a,b",1.0'
+    @pytest.mark.parametrize(
+        "bad", [["a,b", "plain"], [None, 1.0], [1j, 2.0]], ids=["text", "object", "complex"]
+    )
+    def test_other_columns_are_rejected(self, tmp_path, bad):
+        p = tmp_path / "other.csv"
+        with pytest.raises(TypeError, match="numbers or flags"):
+            write_csv(str(p), {"v": [1.0, -0.0], "bad": bad})
+        assert not p.exists() and os.listdir(tmp_path) == []

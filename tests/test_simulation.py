@@ -11,6 +11,7 @@ from scipy.stats import spearmanr
 from comag.estimator import batch_combined, linearized_angles, row_norms
 from comag import simulation
 from comag.geometry import FieldVector
+from comag.measurement import LiaParams, OdmrParams
 from comag.simulation import (
     AngularSettings,
     MarginalSettings,
@@ -38,6 +39,26 @@ def test_bad_calibration_error_is_rejected(cls, cal_error):
     # bad value would run silently as a study without any.
     with pytest.raises(ValueError, match="b_0_cal_error must be >= 0"):
         cls(b_0_cal_error=cal_error)
+
+
+@pytest.mark.parametrize(
+    "cls, field, match",
+    [
+        (SimConfig, "sigma_nv", "sigma_nv must be positive"),
+        (SimConfig, "sigma_rb", "sigma_rb must be positive"),
+        (SpatialScanConfig, "sigma_nv", "sensor noise must be positive"),
+        (SpatialScanConfig, "sigma_rb", "sensor noise must be positive"),
+        (SpatialScanConfig, "stage_range", "stage geometry must be positive"),
+        (SpatialScanConfig, "standoff", "stage geometry must be positive"),
+        (AngularSettings, "sigma", "angular sigma must be positive"),
+        (OdmrParams, "pl_noise", "pl_noise must be >= 0"),
+        (LiaParams, "y_noise", "y_noise must be >= 0"),
+    ],
+)
+def test_nan_is_rejected(cls, field, match):
+    # A NaN fails every comparison, so each sign check reads "not x > 0".
+    with pytest.raises(ValueError, match=match):
+        cls(**{field: math.nan})
 
 
 class TestGridSimulation:
@@ -356,17 +377,18 @@ class TestAngularErrorMapBits:
         rng = np.random.default_rng(5)
         v = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(-4, 4, size=(20_000, 3))
         v[::4, :2] = 0.0  # on the pole
-        for sig in (np.full(3, 0.1), 10.0 ** rng.uniform(-8, 1, size=3)):
-            d_theta, d_phi = linearized_angles(v, sig)
+        for sigma in (0.1, *10.0 ** rng.uniform(-8, 1, size=2)):
+            sig = np.full(3, sigma)
+            d_theta, d_phi = linearized_angles(v, sigma)
             want = np.array([per_vector_angles(row, sig) for row in v])
             assert same_bits(d_theta, want[:, 0]) and same_bits(d_phi, want[:, 1])
             for row in v[:40]:
-                one = np.concatenate(linearized_angles(row[None, :], sig))
+                one = np.concatenate(linearized_angles(row[None, :], sigma))
                 assert same_bits(one, np.array(per_vector_angles(row, sig)))
 
-    @pytest.mark.parametrize("sigma", [-0.1, [0.1, -0.1, 0.1], [0.1, 0.1]])
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan])
     def test_bad_sigma_rejected(self, sigma):
-        # AngularSettings holds one positive sigma; the kernel checks every form.
+        # AngularSettings holds one positive sigma; the kernel checks it too.
         with pytest.raises(ValueError, match="sigma"):
             linearized_angles(np.array([[0.3, -1.2, 0.5]]), sigma)
 
