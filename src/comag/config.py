@@ -34,7 +34,7 @@ class EstimateSettings:
     b_rb: float | None = None
 
     def __post_init__(self):
-        if self.b_rb is not None and self.b_rb < 0:
+        if self.b_rb is not None and not self.b_rb >= 0:  # NaN too
             raise ValueError("estimate b_rb must be >= 0")
 
 

@@ -82,7 +82,7 @@ def combined_estimate(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Combi
     correction is parallel to s, so the |cos| diagnostic is computed from
     s, which stays well-defined even when the correction is zero.
     """
-    if b_rb < 0:
+    if not b_rb >= 0:  # NaN too
         raise ValueError("b_rb must be >= 0")
     nv = b_nv.as_array()
     s = nv + b_0.as_array()

@@ -15,10 +15,12 @@ sqrt(n_reps), then calibration error (3,) as above.  The scalar demo's two
 backgrounds redraw the same streams: the same noise and calibration error.
 Every batch is fused in place in its block: the readings, the clipped Rb
 values and the calibrated backgrounds overwrite the draws they come from.
-Where a batch holds one cell (n_reps above 4,096), a helper thread fills
-the next cell's block while this one fuses; it draws each stream exactly as
-the inline fill does, so every output bit is unchanged.  Many-cell batches
-fill inline, one short call per cell, which would only contend for the GIL.
+Where a batch holds one cell (n_reps above 4,096), a helper thread and the
+calling thread share the draws: either claims the next cell and fills its
+block while the calling thread fuses the cells in order.  Each cell draws
+its own stream exactly as the inline fill does, so every output bit is the
+same whichever thread draws.  Many-cell batches fill inline, one short call
+per cell, which would only contend for the GIL.
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ class SimConfig:
     def __post_init__(self):
         if not self.grid_min < self.grid_max:
             raise ValueError("grid_min must be below grid_max")
+        if not math.isfinite(self.grid_min) or not math.isfinite(self.grid_max):
+            raise ValueError("grid_min and grid_max must be finite")
         if self.n_reps < 2:
             raise ValueError("n_reps must be >= 2")
         if not self.sigma_ratio > 0:
@@ -210,6 +214,9 @@ def _db_cells(ratios) -> np.ndarray:
 # a cell with more reps (perfbench's mc_deep has 20,000) is a batch alone.
 _CHUNK_ROWS = 8192
 
+# Blocks a study of one-cell batches fills in turn (see _one_cell_chunks).
+_RING = 4
+
 
 def _norms(a: np.ndarray) -> np.ndarray:
     """Row-wise np.linalg.norm(a[k]) of an (m, 3) array, to the last bit."""
@@ -254,8 +261,9 @@ def _simulate_cells(deltas, cfg: SimConfig, tag: int, keys) -> dict[str, np.ndar
     depend on the cells batched with it.  Each batch is fused in place in
     its block by ``_fused_readings``, the kernel the scans call with n = 1.
     A batch of one cell (n_reps above _CHUNK_ROWS / 2) has its block filled
-    on a helper thread while the cell before it fuses (see
-    ``_one_cell_chunks``); a many-cell batch draws inline.  Returns
+    by a helper thread or by this one, whichever claims it first, while
+    this thread fuses the cells in order (see ``_one_cell_chunks``); a
+    many-cell batch draws inline.  Returns
     per-cell ``valid``, ``dir_valid`` and the NV/combined mean squared and
     absolute errors ``{mse,mae}_{mag,dir}_{nv,comb}``; both estimators'
     errors average the same samples, the fused repetitions, NaN if there
@@ -277,53 +285,83 @@ def _simulate_cells(deltas, cfg: SimConfig, tag: int, keys) -> dict[str, np.ndar
 
 
 def _one_cell_chunks(deltas, cfg: SimConfig, rngs) -> list[dict[str, np.ndarray]]:
-    """One chunk per cell; a helper thread fills each cell's block while the
-    cell before it is scaled, fused and reduced on this thread.
+    """One chunk per cell, its block filled by a helper thread or by this
+    one, whichever claims the cell first; this thread scales, fuses and
+    reduces every cell in order.
 
-    numpy's fill releases the GIL, so the two overlap on two cores.  This
-    thread takes the generators in order and allocates the two blocks that
-    the cells fill in turn: a fresh block per cell could go back to the OS
-    and fault in again (about 300 page faults per 20,000-rep cell).  The
-    helper only calls ``standard_normal``, so every stream and output bit is
-    the inline draw's, and errstate and tracing see only this thread.  Blocks
-    pass through C-level queues, so the helper takes the GIL only to start
-    and end a fill (a concurrent.futures handoff made the study about a
-    quarter slower on a 2-core VM).  The helper is joined before this
-    returns or raises.
+    numpy's fill releases the GIL, so fills and fusions overlap on two
+    cores.  Claims go in cell order under one lock, and each takes the
+    cell's generator and a free block from a ring of _RING blocks: a fresh
+    block per cell could go back to the OS and fault in again (about 300
+    page faults per 20,000-rep cell).  The helper claims whenever a block
+    is free.  When this thread's next cell is not filled yet, it fills the
+    next unclaimed cell itself instead of waiting, and waits only when
+    every block is taken or every cell claimed, so the helper is drawing
+    that cell.  It cannot deadlock: while cell k is unclaimed no later cell
+    is, so all blocks but the one the helper may hold are free.  Each cell
+    fills its own block from its own stream, so every output bit is the
+    inline draw's whichever thread draws, and errstate and tracing see only
+    this thread.  Blocks pass through C-level queues (a concurrent.futures
+    handoff made the study about a quarter slower on a 2-core VM).  A
+    failed draw on either thread is raised here, and the helper is joined
+    before this returns or raises.
     """
-    from queue import SimpleQueue  # off the CLI's import path
+    from queue import Empty, SimpleQueue  # off the CLI's import path
 
-    todo, done = SimpleQueue(), SimpleQueue()
+    free, done = SimpleQueue(), SimpleQueue()  # blocks to fill; the helper's filled blocks
+    for _ in range(_RING):
+        free.put(_new_block(1, cfg.n_reps, cfg.b_0_cal_error))
+    lock = threading.Lock()
+    claimed = 0  # cells 0 .. claimed - 1 have a thread and a block
+    mine = {}  # cells this thread filled ahead of the one it fuses
+
+    def claim():
+        """The next unclaimed cell and its generator; None once all are claimed."""
+        nonlocal claimed
+        with lock:
+            if claimed == len(deltas):
+                return None
+            rng = next(rngs)
+            claimed += 1
+            return claimed - 1, rng
 
     def fill():
-        for z, rng in iter(todo.get, None):
-            try:
-                done.put(_draw_block(z, [rng]))
-            except BaseException as err:  # raised again on the calling thread
-                done.put(err)
+        try:
+            while (z := free.get()) is not None and (cell := claim()) is not None:
+                done.put(_draw_block(z, [cell[1]]))
+        except BaseException as err:  # raised again on the calling thread
+            done.put(err)
 
-    blocks = [_new_block(1, cfg.n_reps, cfg.b_0_cal_error) for _ in range(2)]
-
-    def draw_next(k):  # cell k takes cell k - 2's block, whose chunk has returned
-        todo.put((blocks[k % 2], next(rngs)))
-
-    def filled():
-        z = done.get()
-        if isinstance(z, BaseException):
-            raise z
-        return z
+    def draw_here():
+        """Fill the next unclaimed cell on this thread; False if none is free."""
+        try:
+            z = free.get_nowait()
+        except Empty:
+            return False
+        cell = claim()
+        if cell is None:
+            free.put(z)
+            return False
+        mine[cell[0]] = _draw_block(z, [cell[1]])
+        return True
 
     helper = threading.Thread(target=fill, name="comag-draw", daemon=True)
     helper.start()
     try:
-        draw_next(0)
         chunks = []
         for k in range(len(deltas)):
-            if k + 1 < len(deltas):
-                draw_next(k + 1)  # queued behind cell k, so the helper goes straight on to it
-            chunks.append(_simulate_chunk(deltas[k : k + 1], cfg, filled()))
+            # Unless this thread filled cell k, the helper's next block is k's.
+            while k not in mine and done.empty() and draw_here():
+                pass
+            z = mine.pop(k) if k in mine else done.get()
+            if isinstance(z, BaseException):
+                raise z
+            chunks.append(_simulate_chunk(deltas[k : k + 1], cfg, z))
+            free.put(z)  # the chunk keeps no view of its block
     finally:
-        todo.put(None)
+        with lock:
+            claimed = len(deltas)  # no more claims
+        free.put(None)
         helper.join()
     return chunks
 
@@ -470,6 +508,8 @@ class MarginalSettings:
         _require_count("marginal n_points", self.n_points)
         if not self.field_min < self.field_max:
             raise ValueError("marginal field_min must be below field_max")
+        if not math.isfinite(self.field_min) or not math.isfinite(self.field_max):
+            raise ValueError("marginal field_min and field_max must be finite")
 
 
 def marginal_improvement(cfg: SimConfig, sweep: MarginalSettings) -> MarginalProfile:
@@ -534,6 +574,10 @@ class SpatialScanConfig:
             raise ValueError("poly_degree must be >= 1 and below n_positions")
         if not self.stage_range > 0 or not self.standoff > 0:
             raise ValueError("stage geometry must be positive")
+        if not math.isfinite(self.perp_offset):
+            raise ValueError("perp_offset must be finite")
+        if not math.isfinite(self.dipole_moment):
+            raise ValueError("dipole_moment must be finite")
         # Keep the fit's sum of position**(2 * poly_degree) and the distance**3 finite.
         half = self.stage_range / 2.0
         fit_log = math.log(self.n_positions) + 2 * self.poly_degree * math.log(max(half, 1.0))

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from comag.cli import _COMMANDS, main
 from comag.config import (
+    EstimateSettings,
     RunSettings,
     default_config_text,
     parse_config,
@@ -126,6 +128,10 @@ class TestErrors:
     def test_malformed_ini(self):
         with pytest.raises(ConfigParseError):
             parse_config_text("not an ini file at all\n")
+
+    def test_nan_rb_rejected(self):
+        with pytest.raises(ValueError, match="estimate b_rb must be >= 0"):
+            EstimateSettings(b_rb=math.nan)
 
     def test_bad_marginal_axis(self):
         with pytest.raises(ConfigValidationError):

@@ -92,6 +92,10 @@ class TestCorrectionVector:
         with pytest.raises(ValueError):
             combined_estimate(FieldVector(1, 0, 0), FieldVector(0, 0, 0), -0.1)
 
+    def test_nan_rb_rejected(self):
+        with pytest.raises(ValueError, match="b_rb must be >= 0"):
+            combined_estimate(FieldVector(1, 0, 0), FieldVector(0, 0, 0), math.nan)
+
     @settings(max_examples=200, deadline=None)
     @given(finite3, finite3, st.floats(0.0, 5.0))
     def test_sphere_constraint_and_parallelism(self, nv, b0, rb):

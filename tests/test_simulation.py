@@ -1,6 +1,8 @@
+import itertools
 import math
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -50,6 +52,8 @@ def test_bad_calibration_error_is_rejected(cls, cal_error):
         (SpatialScanConfig, "sigma_rb", "sensor noise must be positive"),
         (SpatialScanConfig, "stage_range", "stage geometry must be positive"),
         (SpatialScanConfig, "standoff", "stage geometry must be positive"),
+        (SpatialScanConfig, "perp_offset", "perp_offset must be finite"),
+        (SpatialScanConfig, "dipole_moment", "dipole_moment must be finite"),
         (AngularSettings, "sigma", "angular sigma must be positive"),
         (OdmrParams, "pl_noise", "pl_noise must be >= 0"),
         (LiaParams, "y_noise", "y_noise must be >= 0"),
@@ -59,6 +63,24 @@ def test_nan_is_rejected(cls, field, match):
     # A NaN fails every comparison, so each sign check reads "not x > 0".
     with pytest.raises(ValueError, match=match):
         cls(**{field: math.nan})
+
+
+@pytest.mark.parametrize(
+    "cls, field, value, match",
+    [
+        (SimConfig, "grid_min", -math.inf, "grid_min and grid_max must be finite"),
+        (SimConfig, "grid_max", math.inf, "grid_min and grid_max must be finite"),
+        (MarginalSettings, "field_min", -math.inf, "field_min and field_max must be finite"),
+        (MarginalSettings, "field_max", math.inf, "field_min and field_max must be finite"),
+        (SpatialScanConfig, "perp_offset", math.inf, "perp_offset must be finite"),
+        (SpatialScanConfig, "dipole_moment", math.inf, "dipole_moment must be finite"),
+        (SpatialScanConfig, "dipole_moment", -math.inf, "dipole_moment must be finite"),
+    ],
+)
+def test_infinite_range_is_rejected(cls, field, value, match):
+    # An infinite end turns linspace's points or the dipole field into NaN.
+    with pytest.raises(ValueError, match=match):
+        cls(**{field: value})
 
 
 class TestGridSimulation:
@@ -799,19 +821,49 @@ class TestOneCellBatches:
             expected["b_applied"] = np.linspace(-1.0, 1.0, 3)
             _assert_same(marginal_improvement(cfg, sweep), expected, PROFILE_ARRAYS)
 
-    def test_blocks_are_drawn_off_the_calling_thread(self, monkeypatch):
-        threads = []
-        draw = simulation._draw_block
+    @staticmethod
+    def _drawing(monkeypatch, before=None):
+        """Record each draw's thread and starting stream state; before(main)
+        runs ahead of each draw, main telling whether on the calling thread."""
+        draws, main, draw = [], threading.get_ident(), simulation._draw_block
 
         def recording(z, rngs):
-            threads.append(threading.get_ident())
+            (rng,) = rngs
+            draws.append((threading.get_ident(), rng.bit_generator.state["state"]["state"]))
+            if before is not None:
+                before(draws[-1][0] == main)
             return draw(z, rngs)
 
         monkeypatch.setattr(simulation, "_draw_block", recording)
+        return draws
+
+    @staticmethod
+    def _slow_helper(on_main):
+        if not on_main:
+            time.sleep(0.02)
+
+    def test_each_block_is_drawn_once(self, monkeypatch):
+        cfg = ONE_CELL_CONFIG
+        draws = self._drawing(monkeypatch)
         before = threading.active_count()
-        run_grid_simulation(ONE_CELL_CONFIG)
-        assert len(threads) == ONE_CELL_CONFIG.grid_points**2
-        assert threading.get_ident() not in threads
+        run_grid_simulation(cfg)
+        cells = itertools.product(range(cfg.grid_points), repeat=2)
+        rngs = (np.random.default_rng([cfg.seed, simulation._TAG_GRID, *key]) for key in cells)
+        starts = [rng.bit_generator.state["state"]["state"] for rng in rngs]
+        assert sorted(state for _, state in draws) == sorted(starts)
+        assert len({thread for thread, _ in draws} - {threading.get_ident()}) <= 1
+        assert threading.active_count() == before
+
+    def test_calling_thread_draws_while_the_helper_is_slow(self, monkeypatch):
+        cfg = ONE_CELL_CONFIG
+        draws = self._drawing(monkeypatch, self._slow_helper)
+        before = threading.active_count()
+        imp = run_grid_simulation(cfg)
+        assert threading.get_ident() in {thread for thread, _ in draws}
+        assert len(draws) == cfg.grid_points**2
+        expected = _oracle_grid(cfg)
+        expected["bx"] = expected["by"] = cfg.axis_values()
+        _assert_same(imp, expected, MAP_ARRAYS)
         assert threading.active_count() == before
 
     def test_concurrent_studies_under_fast_switching(self):
@@ -830,21 +882,32 @@ class TestOneCellBatches:
         for imp in maps:
             _assert_same(imp, reference, MAP_ARRAYS)
 
-    # The second draw fails on the helper; the second fusion on this thread.
-    @pytest.mark.parametrize("name", ["_draw_block", "batch_combined"])
+    # The second draw fails on whichever thread makes it, and the second
+    # fusion on this thread.  In the last case the helper is slow, so this
+    # thread draws too, and its first draw fails.
+    @pytest.mark.parametrize("name", ["_draw_block", "batch_combined", "calling_thread_draw"])
     def test_failure_reaches_the_caller_and_stops_the_helper(self, name, monkeypatch):
-        calls = []
-        original = getattr(simulation, name)
+        if name == "calling_thread_draw":
 
-        def failing(*args):
-            calls.append(None)
-            if len(calls) == 2:
-                raise RuntimeError("second call failed")
-            return original(*args)
+            def failing_here(on_main):
+                if on_main:
+                    raise RuntimeError("the calling thread's draw failed")
+                self._slow_helper(on_main)
 
-        monkeypatch.setattr(simulation, name, failing)
+            self._drawing(monkeypatch, failing_here)
+        else:
+            calls = []
+            original = getattr(simulation, name)
+
+            def failing(*args):
+                calls.append(None)
+                if len(calls) == 2:
+                    raise RuntimeError("second call failed")
+                return original(*args)
+
+            monkeypatch.setattr(simulation, name, failing)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="second call failed"):
+        with pytest.raises(RuntimeError, match="draw failed|second call failed"):
             run_grid_simulation(ONE_CELL_CONFIG)
         assert threading.active_count() == before
 
