@@ -8,6 +8,7 @@ the laboratory (x, y, z) frame.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -96,15 +97,25 @@ def recovery_matrix(basis: OrientationBasis, idx: Sequence[int]) -> np.ndarray:
     that maps the components on those axes (three distinct indices in 0-3, as
     :func:`select_best_axes` returns them) to the lab frame.  Raises
     :class:`RankDeficientError` when the selected rows do not span the lab
-    frame, as in a hand-built basis.
+    frame, as in a hand-built basis.  W is computed once per basis and subset
+    (cached by the selected rows' values) and is read-only.
     """
     idx = list(idx)
     if len(idx) != 3 or len(set(idx) & {0, 1, 2, 3}) != 3:
         raise ValueError(f"need three distinct axis indices in 0-3, got {idx}")
-    rows = basis.axes[idx]
+    return _inverse(np.asarray(basis.axes, dtype=float)[idx].tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _inverse(rows: bytes) -> np.ndarray:
+    """Read-only inverse of the three float64 rows whose bytes are ``rows``.  The
+    cache keeps no exception, so singular rows raise on every call."""
+    rows = np.frombuffer(rows).reshape(3, -1)
     if np.linalg.matrix_rank(rows, tol=1e-10) < 3:
         raise RankDeficientError("selected axis rows are singular")
-    return np.linalg.inv(rows)
+    w = np.linalg.inv(rows)
+    w.setflags(write=False)
+    return w
 
 
 def select_best_axes(sigma_axes: Sequence[float]) -> tuple[int, ...]:

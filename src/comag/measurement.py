@@ -11,6 +11,7 @@ so ``f = gamma * B`` with no 2*pi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,6 +40,11 @@ _FIT_TOL = 1e-14  # of least_squares' scaled-gradient, cost-decrease and step te
 GAMMA_NV = 2.857
 # Round-number scalar ratio for the Rb vapor channel, kHz/G.
 GAMMA_RB = 700.0
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -73,9 +79,14 @@ class OdmrParams:
             raise ValueError("scan_span must be positive")
 
     def frequencies(self) -> np.ndarray:
+        """The scan grid, MHz: built once per params object, and read-only."""
+        return self._frequencies
+
+    @functools.cached_property
+    def _frequencies(self) -> np.ndarray:
         half = self.scan_span / 2.0
-        return np.linspace(
-            self.center_frequency - half, self.center_frequency + half, self.n_freqs
+        return _read_only(
+            np.linspace(self.center_frequency - half, self.center_frequency + half, self.n_freqs)
         )
 
     def effective_noise(self) -> float:
@@ -104,7 +115,12 @@ class LiaParams:
             raise ValueError("chirp_max must exceed chirp_min")
 
     def frequencies(self) -> np.ndarray:
-        return np.linspace(self.chirp_min, self.chirp_max, self.n_points)
+        """The chirp grid, kHz: built once per params object, and read-only."""
+        return self._frequencies
+
+    @functools.cached_property
+    def _frequencies(self) -> np.ndarray:
+        return _read_only(np.linspace(self.chirp_min, self.chirp_max, self.n_points))
 
 
 class LeastSquaresResult(NamedTuple):
@@ -123,8 +139,11 @@ def least_squares(model, x0) -> LeastSquaresResult:
     in place (Marquardt's scaling, as in Moré 1978); lam shrinks after a step that lowers
     the cost and grows after one that does not.  The predicted decrease |J dx|^2 +
     2 lam dx.D.dx then equals lam dx.D.dx - dx.J^T r.  Stops when the scaled gradient,
-    the relative actual and predicted cost decrease, or the scaled step falls to 1e-14, or
-    after MINPACK's default of 100 * (n + 1) evaluations of ``model``.
+    the relative predicted cost decrease or the scaled step falls to 1e-14, or after
+    MINPACK's default of 100 * (n + 1) evaluations of ``model``.  The cost-decrease test
+    reads the predicted decrease of the solved step before ``model`` evaluates it, and
+    returns the current point, so no fit ends by evaluating a step predicted to gain
+    less than the cost's rounding.
     """
     x = np.array(x0, dtype=float)
     r, j = model(x)
@@ -133,26 +152,27 @@ def least_squares(model, x0) -> LeastSquaresResult:
         if moved:
             a, g = j.T @ j, j.T @ r
             undamped = a.diagonal().copy()
-            d = np.where(undamped == 0.0, 1.0, undamped)
+            d = undamped if undamped.all() else np.where(undamped == 0.0, 1.0, undamped)
             if (np.abs(g) / np.sqrt(d)).max() <= _FIT_TOL * math.sqrt(cost):
                 break
         a.flat[:: len(x) + 1] = undamped + lam * d
         step = np.linalg.solve(a, -g)
+        scaled2 = float(d @ step**2)
+        predicted = lam * scaled2 - float(step @ g)
+        if predicted <= _FIT_TOL * cost:
+            break
         x_new = x + step
         r_new, j_new = model(x_new)
         nfev += 1
         cost_new = float(r_new @ r_new)
         actual = cost - cost_new
-        scaled2 = float(d @ step**2)
-        predicted = lam * scaled2 - float(step @ g)
-        flat = actual <= _FIT_TOL * cost and predicted <= _FIT_TOL * cost
         moved = actual > 0.0
         if moved:
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * actual / predicted - 1.0) ** 3)
             x, r, j, cost, nu = x_new, r_new, j_new, cost_new, 2.0
         else:
             lam, nu = lam * nu, 2.0 * nu
-        if flat or math.sqrt(scaled2) <= _FIT_TOL * math.sqrt(d @ x**2):
+        if math.sqrt(scaled2) <= _FIT_TOL * math.sqrt(d @ x**2):
             break
     return LeastSquaresResult(x, r, nfev)
 
@@ -623,7 +643,11 @@ def _dispersive_jac(freqs, amp, f0, gam):
     u = (freqs - f0) / (abs(gam) / 2.0)
     q = 1.0 + u**2
     dy_du = amp * (1.0 - u**2) / q**2
-    return np.column_stack([u / q, dy_du * (-2.0 / abs(gam)), dy_du * (-u / gam)])
+    jac = np.empty((len(freqs), 3))
+    jac[:, 0] = u / q
+    jac[:, 1] = dy_du * (-2.0 / abs(gam))
+    jac[:, 2] = dy_du * (-u / gam)
+    return jac
 
 
 def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:

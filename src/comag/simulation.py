@@ -53,6 +53,13 @@ def _require_count(name: str, count: int, limit: int = _MAX_COUNT) -> None:
         raise ValueError(f"{name} must be at most {limit}")
 
 
+def _require_finite(config, *names: str) -> None:
+    """Reject an infinite setting, which the sign checks let through (None passes)."""
+    for name in names:
+        if math.isinf(getattr(config, name) or 0.0):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Grid Monte-Carlo configuration.
@@ -101,6 +108,7 @@ class SimConfig:
             raise ValueError("sigma_rb must be positive")
         if not self.b_0_cal_error >= 0:  # NaN too
             raise ValueError("b_0_cal_error must be >= 0")
+        _require_finite(self, "sigma_nv", "sigma_rb", "sigma_ratio", "b_0_cal_error")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -595,6 +603,7 @@ class SpatialScanConfig:
             raise ValueError("sensor noise must be positive")
         if not self.b_0_cal_error >= 0:  # NaN too
             raise ValueError("b_0_cal_error must be >= 0")
+        _require_finite(self, "sigma_nv", "sigma_rb", "b_0_cal_error")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
         _require_count("n_reps", self.n_reps)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -119,6 +120,31 @@ class TestRecovery:
         b = OrientationBasis.from_axes(axes)
         with pytest.raises(RankDeficientError):
             recovery_matrix(b, [0, 1, 2])
+
+    def test_rank_deficient_basis_raises_on_every_call(self):
+        b = OrientationBasis.from_axes([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1, 0]])
+        for _ in range(2):
+            with pytest.raises(RankDeficientError):
+                recovery_matrix(b, [0, 1, 2])
+
+    def test_equals_the_inverse_of_the_selected_rows(self, basis):
+        rot = random_rotation(np.random.default_rng(2))
+        rotated = OrientationBasis.from_axes(basis.axes @ rot.T)
+        for b in (basis, rotated):
+            for subset in SUBSETS:
+                for _ in range(2):
+                    w = recovery_matrix(b, subset)
+                    assert w.tobytes() == np.linalg.inv(b.axes[subset]).tobytes()
+
+    def test_writes_cannot_change_a_later_result(self):
+        axes = np.array(default_basis().axes)  # writable, as a hand-built basis may hold
+        b = OrientationBasis(axes=axes)
+        w = recovery_matrix(b, THREE_AXES)
+        with contextlib.suppress(ValueError):  # read-only, or the caller's own copy
+            w[:] = 0.0
+        assert recovery_matrix(b, THREE_AXES).tobytes() == np.linalg.inv(axes[:3]).tobytes()
+        axes[1] = [1.0, 0.0, 0.0]
+        assert recovery_matrix(b, THREE_AXES).tobytes() == np.linalg.inv(axes[:3]).tobytes()
 
     def test_too_few_axes(self, basis):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -136,6 +137,21 @@ class TestScanSettings:
     def test_invalid_value_rejected(self, cls, kwargs, message):
         with pytest.raises(ValueError, match=message):
             cls(**kwargs)
+
+    @pytest.mark.parametrize(
+        "params, expect",
+        [
+            (OdmrParams(scan_span=150.0), np.linspace(2795.0, 2945.0, 60)),
+            (LiaParams(n_points=601), np.linspace(300.0, 1500.0, 601)),
+        ],
+        ids=["odmr", "lia"],
+    )
+    def test_frequencies_match_linspace_and_cannot_be_changed(self, params, expect):
+        freqs = params.frequencies()
+        assert freqs.tobytes() == expect.tobytes()
+        with contextlib.suppress(ValueError):  # read-only, or the caller's own copy
+            freqs[:] = 0.0
+        assert params.frequencies().tobytes() == expect.tobytes()
 
 
 class TestFitOdmr:
@@ -383,6 +399,30 @@ class TestSolvers:
             nfev, minpack_nfev = nfev + sol.nfev, minpack_nfev + ref.nfev
         # The cost-decrease test ends a fit in no more evaluations than MINPACK's tests.
         assert nfev <= minpack_nfev
+
+    @staticmethod
+    def lia_signals():
+        """The 50 signals of ``test_least_squares_matches_minpack``'s LIA case."""
+        rng = np.random.default_rng(18)
+        return [
+            synth_lia(rng.uniform(0.6, 2.0), GAMMA_RB, LiaParams(), int(rng.integers(2**31)))
+            for _ in range(50)
+        ]
+
+    @pytest.mark.parametrize("kind, bound", [("odmr", 7.5), ("lia", 7.1)])
+    def test_predicted_decrease_ends_a_fit_before_its_step_is_evaluated(
+        self, basis, monkeypatch, kind, bound
+    ):
+        # Bounds set before the cost-decrease test read the predicted decrease
+        # ahead of the step: fits that evaluated that last, sub-rounding step
+        # took 8.38 (ODMR) and 7.6 (LIA) evaluations each on these sets.
+        if kind == "odmr":
+            inputs, fit = self.odmr_spectra(basis), lambda s: fit_odmr(s, OdmrParams())
+        else:
+            inputs, fit = self.lia_signals(), fit_lia
+        calls = recorded_calls(monkeypatch, "least_squares", lambda: [fit(x) for x in inputs])
+        assert len(calls) == 50
+        assert np.mean([sol.nfev for _, _, sol in calls]) <= bound
 
     def test_dips_are_seeded_between_grid_points(self, basis, monkeypatch):
         spectra = self.odmr_spectra(basis)

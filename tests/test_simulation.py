@@ -83,6 +83,25 @@ def test_infinite_range_is_rejected(cls, field, value, match):
         cls(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "cls, field",
+    [
+        (SimConfig, "sigma_nv"),
+        (SimConfig, "sigma_rb"),
+        (SimConfig, "sigma_ratio"),
+        (SimConfig, "b_0_cal_error"),
+        (SpatialScanConfig, "sigma_nv"),
+        (SpatialScanConfig, "sigma_rb"),
+        (SpatialScanConfig, "b_0_cal_error"),
+    ],
+)
+def test_infinite_noise_is_rejected(cls, field):
+    # The sign checks pass inf, which gives all-NaN gains, or about 285 dB
+    # when sigma_ratio = inf makes sigma_rb 0.
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        cls(**{field: math.inf})
+
+
 class TestGridSimulation:
     def test_determinism(self):
         cfg = SimConfig(grid_points=7, n_reps=20)
