@@ -152,7 +152,7 @@ def least_squares(model, x0) -> LeastSquaresResult:
         if moved:
             a, g = j.T @ j, j.T @ r
             undamped = a.diagonal().copy()
-            d = undamped if undamped.all() else np.where(undamped == 0.0, 1.0, undamped)
+            d = np.where(undamped == 0.0, 1.0, undamped)
             if (np.abs(g) / np.sqrt(d)).max() <= _FIT_TOL * math.sqrt(cost):
                 break
         a.flat[:: len(x) + 1] = undamped + lam * d

@@ -53,13 +53,6 @@ def _require_count(name: str, count: int, limit: int = _MAX_COUNT) -> None:
         raise ValueError(f"{name} must be at most {limit}")
 
 
-def _require_finite(config, *names: str) -> None:
-    """Reject an infinite setting, which the sign checks let through (None passes)."""
-    for name in names:
-        if math.isinf(getattr(config, name) or 0.0):
-            raise ValueError(f"{name} must be finite")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Grid Monte-Carlo configuration.
@@ -98,17 +91,24 @@ class SimConfig:
             raise ValueError("n_reps must be >= 2")
         if not self.sigma_ratio > 0:
             raise ValueError("sigma_ratio must be positive")
+        if not math.isfinite(self.sigma_ratio):
+            raise ValueError("sigma_ratio must be finite")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
         _require_count("n_reps", self.n_reps)
         _require_count("grid_points", self.grid_points, _MAX_SIDE)
         if not self.sigma_nv > 0:
             raise ValueError("sigma_nv must be positive")
+        if not math.isfinite(self.sigma_nv):
+            raise ValueError("sigma_nv must be finite")
         if self.sigma_rb is not None and not self.sigma_rb > 0:
             raise ValueError("sigma_rb must be positive")
+        if self.sigma_rb is not None and not math.isfinite(self.sigma_rb):
+            raise ValueError("sigma_rb must be finite")
         if not self.b_0_cal_error >= 0:  # NaN too
             raise ValueError("b_0_cal_error must be >= 0")
-        _require_finite(self, "sigma_nv", "sigma_rb", "sigma_ratio", "b_0_cal_error")
+        if not math.isfinite(self.b_0_cal_error):
+            raise ValueError("b_0_cal_error must be finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -601,9 +601,12 @@ class SpatialScanConfig:
             raise ValueError("the stage brings the source onto the sensor")
         if not self.sigma_nv > 0 or not self.sigma_rb > 0:
             raise ValueError("sensor noise must be positive")
+        if not math.isfinite(self.sigma_nv) or not math.isfinite(self.sigma_rb):
+            raise ValueError("sensor noise must be finite")
         if not self.b_0_cal_error >= 0:  # NaN too
             raise ValueError("b_0_cal_error must be >= 0")
-        _require_finite(self, "sigma_nv", "sigma_rb", "b_0_cal_error")
+        if not math.isfinite(self.b_0_cal_error):
+            raise ValueError("b_0_cal_error must be finite")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
         _require_count("n_reps", self.n_reps)
