@@ -97,7 +97,7 @@ def _config_echo(settings: RunSettings) -> dict:
     """Every [simulation] key, sigma_rb resolved.  Not by replace(): a resolved
     sigma_rb that underflows to 0 would fail the section's check."""
     sim = settings.simulation
-    return {**rendered(sim), "sigma_rb": sim.resolved_sigma_rb()}
+    return {**rendered(settings, "simulation"), "sigma_rb": sim.resolved_sigma_rb()}
 
 
 def _grid_xy(bx: np.ndarray, by: np.ndarray) -> dict[str, np.ndarray]:
@@ -366,8 +366,15 @@ _COMMANDS = {
 }
 
 
+# Built once, at import; parse_args leaves it unchanged, so every main() call shares it.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command and return its exit code; may be called repeatedly in
+    one process.  argparse usage errors, ``--help`` and ``--version`` raise
+    ``SystemExit`` as before."""
+    args = _PARSER.parse_args(argv)
     try:
         settings = _load_settings(args)
         # Extreme inputs can overflow a computation: exit 4, never warn.

@@ -183,9 +183,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def rendered(values) -> dict[str, str]:
-    """INI key -> value text for each field of a section dataclass instance."""
-    return {key: _fmt(getattr(values, name)) for key, (name, _) in _keys(type(values)).items()}
+def rendered(settings: RunSettings, section: str) -> dict[str, str]:
+    """INI key -> value text for each key of one section of ``settings``."""
+    values = getattr(settings, section)
+    return {key: _fmt(getattr(values, name)) for key, (name, _) in _KEYS[section].items()}
 
 
 def default_config_text() -> str:
@@ -194,6 +195,6 @@ def default_config_text() -> str:
     out = []
     for section in _SECTIONS:
         out.append(f"[{section}]\n")
-        out.extend(f"{k} = {v}\n" for k, v in rendered(getattr(defaults, section)).items())
+        out.extend(f"{k} = {v}\n" for k, v in rendered(defaults, section).items())
         out.append("\n")
     return "".join(out)

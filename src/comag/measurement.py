@@ -65,18 +65,26 @@ class OdmrParams:
     n_averages: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.center_frequency):
+            raise ValueError("center_frequency must be finite")
         if not 0.0 <= self.contrast < 1.0:
             raise ValueError("contrast must be in [0, 1)")
         if not self.linewidth > 0:
             raise ValueError("linewidth must be positive")
+        if not math.isfinite(self.linewidth):
+            raise ValueError("linewidth must be finite")
         if self.n_freqs < 3:
             raise ValueError("n_freqs must be >= 3")
         if not self.pl_noise >= 0:
             raise ValueError("pl_noise must be >= 0")
+        if not math.isfinite(self.pl_noise):
+            raise ValueError("pl_noise must be finite")
         if self.n_averages < 1:
             raise ValueError("n_averages must be >= 1")
         if not self.scan_span > 0:
             raise ValueError("scan_span must be positive")
+        if not math.isfinite(self.scan_span):
+            raise ValueError("scan_span must be finite")
 
     def frequencies(self) -> np.ndarray:
         """The scan grid, MHz: built once per params object, and read-only."""
@@ -107,12 +115,20 @@ class LiaParams:
     def __post_init__(self):
         if not self.linewidth > 0:
             raise ValueError("linewidth must be positive")
+        if not math.isfinite(self.linewidth):
+            raise ValueError("linewidth must be finite")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
         if not self.y_noise >= 0:
             raise ValueError("y_noise must be >= 0")
+        if not math.isfinite(self.y_noise):
+            raise ValueError("y_noise must be finite")
         if self.n_points < 5:
             raise ValueError("n_points must be >= 5")
         if not self.chirp_max > self.chirp_min:
             raise ValueError("chirp_max must exceed chirp_min")
+        if not math.isfinite(self.chirp_min) or not math.isfinite(self.chirp_max):
+            raise ValueError("chirp_min and chirp_max must be finite")
 
     def frequencies(self) -> np.ndarray:
         """The chirp grid, kHz: built once per params object, and read-only."""

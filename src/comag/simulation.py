@@ -793,11 +793,15 @@ class AngularSettings:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("angular sigma must be positive")
+        if not math.isfinite(self.sigma):
+            raise ValueError("angular sigma must be finite")
         if self.grid_points < 2:
             raise ValueError("angular grid_points must be >= 2")
         _require_count("angular grid_points", self.grid_points, _MAX_SIDE)
         if not self.grid_min < self.grid_max:
             raise ValueError("angular grid_min must be below grid_max")
+        if not math.isfinite(self.grid_min) or not math.isfinite(self.grid_max):
+            raise ValueError("angular grid_min and grid_max must be finite")
 
 
 def angular_error_map(settings: AngularSettings) -> AngularErrorMap:

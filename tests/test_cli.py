@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import comag
+from comag import cli
 from comag.cli import _COMMANDS, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from comag.config import parse_config
 from comag.geometry import FieldVector
@@ -599,6 +601,59 @@ class TestCalibrateCommand:
         p.write_text("bx,by,bz,b_rb\n1,0,0,oops\n")
         rc = main(["calibrate", "--pairs", str(p), "--out", str(tmp_path / "o")])
         assert rc == EXIT_PARSE
+
+
+class TestSharedParser:
+    """main() parses with the one parser built at import, as a fresh parser would."""
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        flags = ["--b-nv", "1.1,0,0", "--b-rb", "1.0", "--out", str(tmp_path)]
+        for _ in range(3):
+            assert main(["estimate", *flags]) == EXIT_OK
+        assert calls == []
+
+    def test_repeated_calls_match_a_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path, "[estimate]\nb_nv = 0.5,0,0\nb_rb = 1.1\n")
+        out = str(tmp_path / "o")
+        runs = [
+            ["no-such-command"],
+            ["--version"],
+            ["estimate", "--help"],
+            ["estimate", "--b-nv", "1.1,0,0", "--b-0", "0,0,0.3", "--b-rb", "1.0", "--out", out],
+            # No flags: none of the previous call's values may carry over.
+            ["estimate", "--config", cfg, "--out", out],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = stop.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        shared = [run(argv) for argv in runs]
+        fresh = []
+        for argv in runs:
+            monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+            fresh.append(run(argv))
+        assert shared == fresh
+        unknown, version, help_, flags, config = shared
+        assert unknown[0] == EXIT_PARSE and unknown[2].startswith("usage: comag")
+        assert "invalid choice: 'no-such-command'" in unknown[2]
+        assert version == (0, f"comag {comag.__version__}\n", "")
+        assert help_[0] == 0 and "--b-nv B_NV" in help_[1] and help_[2] == ""
+        assert flags[0] == EXIT_OK and "b_0          = (0.000000, 0.000000, 0.300000) G" in flags[1]
+        assert config[0] == EXIT_OK and "b_0          = (0.000000, 0.000000, 0.000000) G" in config[1]
+        assert "b_hat        = (1.100000, 0.000000, 0.000000) G" in config[1]
 
 
 class TestPlotScripts:

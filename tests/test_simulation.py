@@ -57,6 +57,8 @@ def test_bad_calibration_error_is_rejected(cls, cal_error):
         (AngularSettings, "sigma", "angular sigma must be positive"),
         (OdmrParams, "pl_noise", "pl_noise must be >= 0"),
         (LiaParams, "y_noise", "y_noise must be >= 0"),
+        (OdmrParams, "center_frequency", "center_frequency must be finite"),
+        (LiaParams, "amplitude", "amplitude must be finite"),
     ],
 )
 def test_nan_is_rejected(cls, field, match):
@@ -82,12 +84,25 @@ def test_nan_is_rejected(cls, field, match):
         (SpatialScanConfig, "sigma_nv", math.inf, "sensor noise must be finite"),
         (SpatialScanConfig, "sigma_rb", math.inf, "sensor noise must be finite"),
         (SpatialScanConfig, "b_0_cal_error", math.inf, "b_0_cal_error must be finite"),
+        (AngularSettings, "sigma", math.inf, "angular sigma must be finite"),
+        (AngularSettings, "grid_min", -math.inf, "angular grid_min and grid_max must be finite"),
+        (AngularSettings, "grid_max", math.inf, "angular grid_min and grid_max must be finite"),
+        (OdmrParams, "center_frequency", math.inf, "center_frequency must be finite"),
+        (OdmrParams, "linewidth", math.inf, "linewidth must be finite"),
+        (OdmrParams, "scan_span", math.inf, "scan_span must be finite"),
+        (OdmrParams, "pl_noise", math.inf, "pl_noise must be finite"),
+        (LiaParams, "amplitude", math.inf, "amplitude must be finite"),
+        (LiaParams, "linewidth", math.inf, "linewidth must be finite"),
+        (LiaParams, "chirp_max", math.inf, "chirp_min and chirp_max must be finite"),
+        (LiaParams, "chirp_min", -math.inf, "chirp_min and chirp_max must be finite"),
+        (LiaParams, "y_noise", math.inf, "y_noise must be finite"),
     ],
 )
 def test_infinite_range_is_rejected(cls, field, value, match):
     # An infinite end turns linspace's points or the dipole field into NaN, and
     # an infinite noise setting passes the sign checks and gives all-NaN gains,
-    # or about 285 dB when sigma_ratio = inf makes sigma_rb 0.
+    # or about 285 dB when sigma_ratio = inf makes sigma_rb 0.  An infinite
+    # scan or line-shape setting makes the spectral readings warn or fail.
     with pytest.raises(ValueError, match=match):
         cls(**{field: value})
 
