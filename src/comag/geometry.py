@@ -74,7 +74,10 @@ class OrientationBasis:
         axes = np.array(axes, dtype=float)
         if axes.shape != (4, 3):
             raise ValueError("expected four 3-component axis vectors")
-        norms = np.linalg.norm(axes, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(axes, axis=1)
+        if not np.all(np.isfinite(norms)):
+            raise ValueError("axis vectors and their lengths must be finite")
         if np.any(norms == 0.0):
             raise ValueError("axis vectors must be nonzero")
         axes = axes / norms[:, None]

@@ -52,8 +52,7 @@ class OdmrParams:
     """Scan and noise parameters for a synthetic ODMR spectrum.
 
     ``pl_noise`` is the per-point standard deviation of the normalized
-    photoluminescence at one average; the effective noise of a spectrum is
-    ``pl_noise / sqrt(n_averages)``.
+    photoluminescence.
     """
 
     center_frequency: float = 2870.0
@@ -62,7 +61,6 @@ class OdmrParams:
     n_freqs: int = 60
     scan_span: float = 200.0
     pl_noise: float = 0.6e-3
-    n_averages: int = 1
 
     def __post_init__(self):
         if not math.isfinite(self.center_frequency):
@@ -79,26 +77,18 @@ class OdmrParams:
             raise ValueError("pl_noise must be >= 0")
         if not math.isfinite(self.pl_noise):
             raise ValueError("pl_noise must be finite")
-        if self.n_averages < 1:
-            raise ValueError("n_averages must be >= 1")
         if not self.scan_span > 0:
             raise ValueError("scan_span must be positive")
         if not math.isfinite(self.scan_span):
             raise ValueError("scan_span must be finite")
 
+    @functools.cached_property
     def frequencies(self) -> np.ndarray:
         """The scan grid, MHz: built once per params object, and read-only."""
-        return self._frequencies
-
-    @functools.cached_property
-    def _frequencies(self) -> np.ndarray:
         half = self.scan_span / 2.0
         return _read_only(
             np.linspace(self.center_frequency - half, self.center_frequency + half, self.n_freqs)
         )
-
-    def effective_noise(self) -> float:
-        return self.pl_noise / math.sqrt(self.n_averages)
 
 
 @dataclass(frozen=True)
@@ -130,12 +120,9 @@ class LiaParams:
         if not math.isfinite(self.chirp_min) or not math.isfinite(self.chirp_max):
             raise ValueError("chirp_min and chirp_max must be finite")
 
+    @functools.cached_property
     def frequencies(self) -> np.ndarray:
         """The chirp grid, kHz: built once per params object, and read-only."""
-        return self._frequencies
-
-    @functools.cached_property
-    def _frequencies(self) -> np.ndarray:
         return _read_only(np.linspace(self.chirp_min, self.chirp_max, self.n_points))
 
 
@@ -239,17 +226,18 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
 
 @dataclass(frozen=True)
 class OdmrSpectrum:
-    """Synthetic ODMR trace: frequencies (MHz), normalized PL, per-point sigma."""
+    """Synthetic ODMR trace: frequencies (MHz), normalized PL, and the standard
+    deviation of the PL noise, the same at every point."""
 
     freqs: np.ndarray
     pl: np.ndarray
-    pl_sigma: np.ndarray
+    noise: float
 
     def __post_init__(self):
-        if not (len(self.freqs) == len(self.pl) == len(self.pl_sigma)):
+        if len(self.freqs) != len(self.pl):
             raise ValueError("spectrum arrays must have equal length")
-        if np.any(self.pl_sigma < 0):
-            raise ValueError("pl_sigma must be >= 0")
+        if not 0.0 <= self.noise < math.inf:
+            raise ValueError("noise must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -273,6 +261,10 @@ class LiaSignal:
     x: np.ndarray
     y: np.ndarray
 
+    def __post_init__(self):
+        if not len(self.mod_freqs) == len(self.x) == len(self.y):
+            raise ValueError("signal arrays must have equal length")
+
 
 @dataclass(frozen=True)
 class LiaFit:
@@ -282,25 +274,16 @@ class LiaFit:
     sigma_rb: float
 
 
-def odmr_sensitivity(delta_pl: float, slope: float, gamma: float) -> float:
-    """Per-axis field sensitivity from PL scatter and ODMR slope, Gauss.
+def slope_sensitivity(scatter: float, slope: float, gamma: float) -> float:
+    """Field sensitivity of a signal read at a working point, Gauss.
 
-    sigma = dPL / (gamma * m): the field equivalent of one PL sample read
-    at the maximum-slope point of the dip.
+    sigma = scatter / (gamma * m), with the slope m of the signal per frequency
+    unit: dPL / (gamma * m) for one PL sample at the maximum-slope point of an
+    ODMR dip, dY / (gamma * m) for the lock-in quadrature at its zero crossing.
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
-    return delta_pl / (gamma * slope)
-
-
-def lia_sensitivity(delta_y: float, slope: float, gamma: float) -> float:
-    """Scalar field sensitivity from Y scatter and LIA slope, Gauss.
-
-    sigma = dY / (gamma * m), with the slope in V per frequency unit.
-    """
-    if slope <= 0:
-        raise ValueError("slope must be positive")
-    return delta_y / (gamma * slope)
+    return scatter / (gamma * slope)
 
 
 def _lorentzian_dips(freqs, baseline, contrasts, centers, widths):
@@ -336,18 +319,16 @@ def synth_odmr(
 
     One Lorentzian dip per NV axis at center_frequency plus the signed
     Larmor shift of that axis projection, on a unit baseline, plus
-    Gaussian noise of std pl_noise/sqrt(n_averages) per point.
-    Deterministic for a fixed seed.
+    Gaussian noise of std pl_noise per point.  Deterministic for a fixed seed.
     """
-    freqs = params.frequencies()
+    freqs = params.frequencies
     proj = project_field(basis, b_total)
     centers = params.center_frequency + gamma * proj
     pl = _lorentzian_dips(freqs, 1.0, [params.contrast] * 4, centers, [params.linewidth] * 4)
-    noise = params.effective_noise()
-    if noise > 0:
+    if params.pl_noise > 0:
         rng = np.random.default_rng(rng_seed)
-        pl = pl + rng.normal(0.0, noise, size=freqs.shape)
-    return OdmrSpectrum(freqs=freqs, pl=pl, pl_sigma=np.full_like(freqs, noise))
+        pl = pl + rng.normal(0.0, params.pl_noise, size=freqs.shape)
+    return OdmrSpectrum(freqs=freqs, pl=pl, noise=params.pl_noise)
 
 
 def _find_peaks(x: np.ndarray, prominence: float, distance: int):
@@ -404,7 +385,7 @@ def _find_dips(spectrum: OdmrSpectrum, params: OdmrParams):
     baseline0 = _percentile_90(pl_sorted)
     depth = baseline0 - pl
     max_depth = baseline0 - pl_sorted[0]
-    noise_est = _median(sorted(spectrum.pl_sigma.tolist()))
+    noise_est = spectrum.noise
     if noise_est == 0.0:
         diffs = np.diff(pl)
         noise_est = float(np.median(np.abs(diffs - np.median(diffs)))) / 0.6745 / math.sqrt(2)
@@ -536,7 +517,7 @@ def nv_measure(
         delta_f[axis_i] = df_dips[dip_i]
         if fit_ref.delta_pl > 0:
             # Two independent scans contribute to the PL difference.
-            sigma_axis[axis_i] = math.sqrt(2.0) * odmr_sensitivity(
+            sigma_axis[axis_i] = math.sqrt(2.0) * slope_sensitivity(
                 fit_ref.delta_pl, abs(slopes[readout_idx[dip_i]]), gamma
             )
 
@@ -638,7 +619,7 @@ def synth_lia(
             f"resonance at {f_res:.1f} kHz outside chirp "
             f"[{params.chirp_min:.0f}, {params.chirp_max:.0f}] kHz"
         )
-    freqs = params.frequencies()
+    freqs = params.frequencies
     u = (freqs - f_res) / (params.linewidth / 2.0)
     x = params.amplitude / (1.0 + u**2)
     y = _dispersive(freqs, params.amplitude, f_res, params.linewidth)
@@ -738,7 +719,7 @@ def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:
     delta_y = math.sqrt(float(fit_resid @ fit_resid) / dof)
 
     b_rb = f_res / gamma_rb
-    sigma_rb = lia_sensitivity(delta_y, slope, gamma_rb) if delta_y > 0 else 0.0
+    sigma_rb = slope_sensitivity(delta_y, slope, gamma_rb) if delta_y > 0 else 0.0
     return LiaFit(b_rb=b_rb, sigma_rb=sigma_rb)
 
 

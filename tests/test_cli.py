@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,11 +152,11 @@ class TestSimulationCommands:
         assert main(["simulate-grid", "--config", cfg, "--out", out]) == EXIT_OK
         assert os.path.exists(os.path.join(out, "grid.csv"))
         assert os.path.exists(os.path.join(out, "grid_summary.txt"))
-        script = open(os.path.join(out, "plot_grid.py")).read()
+        script = Path(out, "plot_grid.py").read_text()
         assert "no data" in script  # empty-data guard present
         summary = dict(
             line.split("=", 1)
-            for line in open(os.path.join(out, "grid_summary.txt")).read().splitlines()
+            for line in Path(out, "grid_summary.txt").read_text().splitlines()
         )
         assert summary["grid_points"] == "7"
         assert "median_gain_mag_mse_db" in summary
@@ -212,7 +213,7 @@ class TestSimulationCommands:
         cfg = write_cfg(tmp_path, FAST_SIM + "b_0 = 0.5,0,0\n")
         out = str(tmp_path / "ortho")
         assert main(["orthogonality", "--config", cfg, "--out", out]) == EXIT_OK
-        rows = open(os.path.join(out, "orthogonality.csv")).read().splitlines()
+        rows = Path(out, "orthogonality.csv").read_text().splitlines()
         assert rows[0] == "bx,by,orthogonality"
         assert len(rows) == 1 + 7 * 7
 
@@ -226,14 +227,14 @@ class TestSimulationCommands:
         cfg = write_cfg(tmp_path, FAST_SPATIAL)
         out = str(tmp_path / "scan")
         assert main(["spatial-scan", "--config", cfg, "--out", out]) == EXIT_OK
-        summary = open(os.path.join(out, "spatial_scan_summary.txt")).read()
+        summary = Path(out, "spatial_scan_summary.txt").read_text()
         assert "rmse_nv=" in summary and "gain_db=" in summary
 
     def test_scalar_demo(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SPATIAL)
         out = str(tmp_path / "demo")
         assert main(["scalar-demo", "--config", cfg, "--out", out]) == EXIT_OK
-        rows = open(os.path.join(out, "scalar_demo.csv")).read().splitlines()
+        rows = Path(out, "scalar_demo.csv").read_text().splitlines()
         assert rows[0].startswith("position_mm,true_mag,combined,naive")
 
     def test_scalar_demo_draws_calibration_error(self, tmp_path):
@@ -243,7 +244,7 @@ class TestSimulationCommands:
             cfg = write_cfg(tmp_path, FAST_SPATIAL + spatial)
             out = str(tmp_path / f"demo{i}")
             assert main(["scalar-demo", "--config", cfg, "--out", out]) == EXIT_OK
-            lines = open(os.path.join(out, "scalar_demo.csv")).read().splitlines()
+            lines = Path(out, "scalar_demo.csv").read_text().splitlines()
             tables.append(dict(zip(lines[0].split(","), zip(*(r.split(",") for r in lines[1:])))))
         plain, calibrated = tables
         assert plain.keys() == calibrated.keys()
@@ -265,9 +266,9 @@ class TestSimulationCommands:
         main(["simulate-grid", "--config", cfg, "--out", out_a, "--seed", "1"])
         main(["simulate-grid", "--config", cfg, "--out", out_b, "--seed", "1"])
         main(["simulate-grid", "--config", cfg, "--out", out_c, "--seed", "2"])
-        a = open(os.path.join(out_a, "grid.csv")).read()
-        assert a == open(os.path.join(out_b, "grid.csv")).read()
-        assert a != open(os.path.join(out_c, "grid.csv")).read()
+        a = Path(out_a, "grid.csv").read_text()
+        assert a == Path(out_b, "grid.csv").read_text()
+        assert a != Path(out_c, "grid.csv").read_text()
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[simulation]\nsigmaNv = 1\n")
@@ -543,9 +544,7 @@ class TestCalibrateCommand:
         assert rc == EXIT_OK
         summary = dict(
             line.split("=", 1)
-            for line in open(os.path.join(out, "calibration_summary.txt"))
-            .read()
-            .splitlines()
+            for line in Path(out, "calibration_summary.txt").read_text().splitlines()
         )
         assert float(summary["b0_x"]) == pytest.approx(0.004, abs=1e-7)
         assert float(summary["b0_y"]) == pytest.approx(-0.7454, abs=1e-7)
@@ -661,7 +660,7 @@ class TestPlotScripts:
         cfg = write_cfg(tmp_path, FAST_SIM)
         out = str(tmp_path / "grid")
         main(["simulate-grid", "--config", cfg, "--out", out])
-        script = open(os.path.join(out, "plot_grid.py")).read()
+        script = Path(out, "plot_grid.py").read_text()
         assert 'load_csv("grid.csv")' in script
         assert "colorbar" in script
         assert "dB" in script
@@ -670,7 +669,7 @@ class TestPlotScripts:
         cfg = write_cfg(tmp_path, FAST_SPATIAL)
         out = str(tmp_path / "scan")
         main(["spatial-scan", "--config", cfg, "--out", out])
-        script = open(os.path.join(out, "plot_spatial_scan.py")).read()
+        script = Path(out, "plot_spatial_scan.py").read_text()
         for label in ("Rb scalar", "NV poly fit", "combined"):
             assert label in script
 
@@ -876,7 +875,7 @@ def _attribute_reads(tree) -> set:
 
 def _parse_folder(folder) -> dict:
     return {
-        name[:-3]: ast.parse(open(os.path.join(folder, name), encoding="utf-8").read())
+        name[:-3]: ast.parse(Path(folder, name).read_text(encoding="utf-8"))
         for name in sorted(os.listdir(folder))
         if name.endswith(".py")
     }

@@ -75,6 +75,16 @@ class TestBasis:
         with pytest.raises(ValueError):
             OrientationBasis.from_axes(axes)
 
+    @pytest.mark.parametrize(
+        "row", [[np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [1e308, 1e308, 0.0]],
+        ids=["nan", "inf", "overflowing-length"],
+    )
+    def test_rejects_non_finite_axis(self, row):
+        axes = np.array(default_basis().axes).copy()
+        axes[1] = row
+        with pytest.raises(ValueError, match="axis vectors and their lengths must be finite"):
+            OrientationBasis.from_axes(axes)
+
 
 class TestProjection:
     def test_zero_field(self, basis):

@@ -24,14 +24,15 @@ from comag.measurement import (
     GAMMA_NV,
     GAMMA_RB,
     LiaParams,
+    LiaSignal,
     OdmrParams,
+    OdmrSpectrum,
     fit_lia,
     fit_odmr,
     least_squares,
-    lia_sensitivity,
     nv_measure,
-    odmr_sensitivity,
     rb_measure,
+    slope_sensitivity,
     synth_lia,
     synth_odmr,
 )
@@ -61,18 +62,18 @@ def assert_jacobian(model, jac, p, step=1e-4):
 class TestLarmorAndSensitivity:
     def test_odmr_sensitivity_reported_arithmetic(self):
         # dPL = 0.6e-3, slope 1.4e-3 /MHz, gamma 2.857 MHz/G -> 150 mG.
-        s = odmr_sensitivity(0.6e-3, 1.4e-3, 2.857)
+        s = slope_sensitivity(0.6e-3, 1.4e-3, 2.857)
         assert s == pytest.approx(0.150, rel=5e-4)
 
     def test_odmr_sensitivity_linearity(self):
-        s1 = odmr_sensitivity(0.6e-3, 1.4e-3, GAMMA_NV)
-        s2 = odmr_sensitivity(1.2e-3, 1.4e-3, GAMMA_NV)
+        s1 = slope_sensitivity(0.6e-3, 1.4e-3, GAMMA_NV)
+        s2 = slope_sensitivity(1.2e-3, 1.4e-3, GAMMA_NV)
         assert s2 == pytest.approx(2.0 * s1, rel=1e-12)
 
     def test_lia_sensitivity_reported_arithmetic(self):
         # dY = 5.5e-6 V, slope 1e-6 V/kHz and the ratio implied by the
         # reported trio -> 790 uG.
-        s = lia_sensitivity(5.5e-6, 1e-6, GAMMA_RB_IMPLIED_KHZ_PER_G)
+        s = slope_sensitivity(5.5e-6, 1e-6, GAMMA_RB_IMPLIED_KHZ_PER_G)
         assert s == pytest.approx(7.90e-4, rel=5e-4)
 
 
@@ -99,17 +100,6 @@ class TestSynthOdmr:
         fit = fit_odmr(spec, params)
         assert fit.peak_freqs == pytest.approx(expected, abs=1e-6)
 
-    def test_noise_scales_with_averages(self, basis):
-        p1 = OdmrParams(contrast=0.0, pl_noise=1e-3, n_averages=1)
-        p4 = OdmrParams(contrast=0.0, pl_noise=1e-3, n_averages=4)
-        flat1 = np.concatenate(
-            [synth_odmr(DEFAULT_BIAS, basis, p1, GAMMA_NV, s).pl - 1.0 for s in range(60)]
-        )
-        flat4 = np.concatenate(
-            [synth_odmr(DEFAULT_BIAS, basis, p4, GAMMA_NV, s).pl - 1.0 for s in range(60)]
-        )
-        assert flat1.std() == pytest.approx(2.0 * flat4.std(), rel=0.08)
-
     def test_param_validation(self):
         with pytest.raises(ValueError):
             OdmrParams(contrast=1.5)
@@ -125,14 +115,23 @@ class TestScanSettings:
     @pytest.mark.parametrize(
         "cls, kwargs, message",
         [
-            (OdmrParams, {"n_averages": 0}, "n_averages must be >= 1"),
             (OdmrParams, {"scan_span": 0.0}, "scan_span must be positive"),
             (LiaParams, {"linewidth": 0.0}, "linewidth must be positive"),
             (LiaParams, {"y_noise": -1e-6}, "y_noise must be >= 0"),
             (LiaParams, {"n_points": 4}, "n_points must be >= 5"),
             (LiaParams, {"chirp_min": 1500.0}, "chirp_max must exceed chirp_min"),
+            (OdmrSpectrum, dict(freqs=np.ones(3), pl=np.ones(3), noise=math.nan), "noise must be"),
+            (OdmrSpectrum, dict(freqs=np.ones(3), pl=np.ones(3), noise=-1e-3), "noise must be"),
+            (OdmrSpectrum, dict(freqs=np.ones(3), pl=np.ones(3), noise=math.inf), "noise must be"),
+            (LiaSignal, dict(mod_freqs=np.ones(4), x=np.ones(5), y=np.ones(5)), "equal length"),
+            (LiaSignal, dict(mod_freqs=np.ones(5), x=np.ones(4), y=np.ones(5)), "equal length"),
+            (LiaSignal, dict(mod_freqs=np.ones(5), x=np.ones(5), y=np.ones(4)), "equal length"),
         ],
-        ids=["odmr-averages", "odmr-span", "lia-linewidth", "lia-noise", "lia-points", "lia-chirp"],
+        ids=[
+            "odmr-span", "lia-linewidth", "lia-noise", "lia-points", "lia-chirp",
+            "spectrum-nan-noise", "spectrum-negative-noise", "spectrum-inf-noise",
+            "signal-short-mod_freqs", "signal-short-x", "signal-short-y",
+        ],
     )
     def test_invalid_value_rejected(self, cls, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -147,11 +146,14 @@ class TestScanSettings:
         ids=["odmr", "lia"],
     )
     def test_frequencies_match_linspace_and_cannot_be_changed(self, params, expect):
-        freqs = params.frequencies()
+        freqs = params.frequencies
         assert freqs.tobytes() == expect.tobytes()
         with contextlib.suppress(ValueError):  # read-only, or the caller's own copy
             freqs[:] = 0.0
-        assert params.frequencies().tobytes() == expect.tobytes()
+        with pytest.raises(AttributeError):  # frozen: the attribute cannot be rebound
+            params.frequencies = expect + 1.0
+        assert params.frequencies is freqs
+        assert params.frequencies.tobytes() == expect.tobytes()
 
 
 class TestFitOdmr:
@@ -176,18 +178,19 @@ class TestFitOdmr:
         for seed in range(80):
             spec = synth_odmr(DEFAULT_BIAS, basis, params, GAMMA_NV, seed)
             rmses.append(fit_odmr(spec, params).delta_pl)
-        assert np.mean(rmses) == pytest.approx(params.effective_noise(), rel=0.10)
+        assert np.mean(rmses) == pytest.approx(params.pl_noise, rel=0.10)
 
     def test_averaging_halves_sigma(self, basis):
-        # The per-lab-axis sigma nv_measure reports follows the fitted delta_pl.
+        # Averaging four scans halves the per-point PL noise; the per-lab-axis
+        # sigma nv_measure reports follows the fitted delta_pl, so it halves too.
         zero = FieldVector(0.0, 0.0, 0.0)
-        p1 = OdmrParams(n_averages=1)
-        p4 = OdmrParams(n_averages=4)
-        s1, s4 = [], []
+        full = OdmrParams()
+        half = OdmrParams(pl_noise=full.pl_noise / 2.0)
+        s_full, s_half = [], []
         for seed in range(60):
-            s1.append(nv_measure(zero, DEFAULT_BIAS, B0_MEASURED, basis, p1, GAMMA_NV, seed)[1].mean())
-            s4.append(nv_measure(zero, DEFAULT_BIAS, B0_MEASURED, basis, p4, GAMMA_NV, seed)[1].mean())
-        assert np.mean(s4) == pytest.approx(0.5 * np.mean(s1), rel=0.10)
+            s_full.append(nv_measure(zero, DEFAULT_BIAS, B0_MEASURED, basis, full, GAMMA_NV, seed)[1].mean())
+            s_half.append(nv_measure(zero, DEFAULT_BIAS, B0_MEASURED, basis, half, GAMMA_NV, seed)[1].mean())
+        assert np.mean(s_half) == pytest.approx(0.5 * np.mean(s_full), rel=0.10)
 
 
 class TestFindPeaks:
@@ -227,7 +230,7 @@ class TestFindPeaks:
 
 
 class TestOrderStatistics:
-    """``_find_dips``' 90th percentile and medians are numpy's, bit for bit."""
+    """``_find_dips``' 90th percentile and median are numpy's, bit for bit."""
 
     def test_match_numpy(self):
         rng = np.random.default_rng(23)
@@ -236,7 +239,7 @@ class TestOrderStatistics:
                 rng.normal(size=n),
                 np.round(rng.normal(size=n), 1),  # ties
                 rng.integers(0, 4, n).astype(float),  # ties everywhere
-                np.full(n, OdmrParams().effective_noise()),  # a constant pl_sigma
+                np.diff(np.linspace(2770.0, 2970.0, n)),  # an even grid's spacings
             ):
                 # == on floats is bit equality but for the sign of a zero: among
                 # equal elements numpy's partition and Python's sort may pick
@@ -254,7 +257,7 @@ class TestOrderStatistics:
 
 class TestJacobians:
     def test_lorentzian_dips(self):
-        freqs = OdmrParams().frequencies()
+        freqs = OdmrParams().frequencies
         rng = np.random.default_rng(5)
 
         def unpack(p):
@@ -278,7 +281,7 @@ class TestJacobians:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["gam>0", "gam<0"])
     def test_dispersive(self, sign):
-        freqs = LiaParams().frequencies()
+        freqs = LiaParams().frequencies
         rng = np.random.default_rng(6)
         for _ in range(8):
             p = np.array(
@@ -679,7 +682,7 @@ class TestNvMeasure:
     def test_left_flank_inversion_is_exact_without_noise(self, basis, shift):
         params = OdmrParams(pl_noise=0.0)
         fit = fit_odmr(synth_odmr(DEFAULT_BIAS, basis, params, GAMMA_NV, 0), params)
-        freqs = params.frequencies()
+        freqs = params.frequencies
         jac = _lorentzian_dips_jac(freqs, fit.contrasts, fit.peak_freqs, fit.linewidths)
         slopes = -jac[:, 2::3].sum(axis=1)
         j = _working_point_index(freqs, slopes, fit, 1, side=-1)
@@ -756,7 +759,7 @@ class TestFitLia:
         def run():
             sensitivities.extend(
                 recorded_calls(
-                    monkeypatch, "lia_sensitivity", lambda: fits.extend(map(fit_lia, signals))
+                    monkeypatch, "slope_sensitivity", lambda: fits.extend(map(fit_lia, signals))
                 )
             )
 
@@ -778,8 +781,6 @@ class TestFitLia:
 
     def test_no_resonance(self):
         freqs = np.linspace(300.0, 1500.0, 401)
-        from comag.measurement import LiaSignal
-
         flat = LiaSignal(mod_freqs=freqs, x=np.full_like(freqs, 1e-5), y=np.full_like(freqs, 1e-5))
         with pytest.raises(NoResonanceError):
             fit_lia(flat, GAMMA_RB)

@@ -53,12 +53,11 @@ class TestTraceSerialization:
     def test_spectrum_columns(self, tmp_path):
         spec = synth_odmr(DEFAULT_BIAS, default_basis(), OdmrParams(), GAMMA_NV, 0)
         p = tmp_path / "spectrum.csv"
-        write_csv(str(p), {"freq_mhz": spec.freqs, "pl": spec.pl, "pl_sigma": spec.pl_sigma})
+        write_csv(str(p), {"freq_mhz": spec.freqs, "pl": spec.pl})
         header, rows = read_csv(p)
-        assert header == ["freq_mhz", "pl", "pl_sigma"]
+        assert header == ["freq_mhz", "pl"]
         assert len(rows) == len(spec.freqs)
-        assert rows[0][0] == pytest.approx(float(spec.freqs[0]))
-        assert rows[0][2] == pytest.approx(OdmrParams().effective_noise())
+        assert rows[0] == [float(spec.freqs[0]), float(spec.pl[0])]
 
     def test_lia_columns(self, tmp_path):
         sig = synth_lia(1.0, GAMMA_RB, LiaParams(), 0)
