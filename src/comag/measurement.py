@@ -236,6 +236,8 @@ class OdmrSpectrum:
     def __post_init__(self):
         if len(self.freqs) != len(self.pl):
             raise ValueError("spectrum arrays must have equal length")
+        if not (np.isfinite(self.freqs).all() and np.isfinite(self.pl).all()):
+            raise ValueError("spectrum freqs and pl must be finite")
         if not 0.0 <= self.noise < math.inf:
             raise ValueError("noise must be finite and >= 0")
 
@@ -264,6 +266,8 @@ class LiaSignal:
     def __post_init__(self):
         if not len(self.mod_freqs) == len(self.x) == len(self.y):
             raise ValueError("signal arrays must have equal length")
+        if not all(np.isfinite(a).all() for a in (self.mod_freqs, self.x, self.y)):
+            raise ValueError("signal mod_freqs, x and y must be finite")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ hold only numbers and 0/1 flags, so no cell needs quoting.
 
 from __future__ import annotations
 
-import io
 import os
 import tempfile
 from typing import Mapping
@@ -17,13 +16,14 @@ import numpy as np
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text via a temp file and rename, never leaving partial output."""
+    """Write text as UTF-8 via a temp file and rename, never leaving partial output."""
+    data = text.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -37,10 +37,7 @@ def write_csv(path: str, columns: Mapping[str, object]) -> None:
     bool, integer or float raises :class:`TypeError`, and no file is written."""
     flat = [np.ravel(v) for v in columns.values()]
     rows = zip(*map(_column_cells, flat), strict=True)
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    buf.writelines(",".join(row) + "\n" for row in rows)
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_text(path, "\n".join([",".join(columns), *map(",".join, rows)]) + "\n")
 
 
 def _column_cells(values: np.ndarray) -> list[str]:
@@ -50,7 +47,9 @@ def _column_cells(values: np.ndarray) -> list[str]:
         return ["1" if v else "0" for v in values.tolist()]
     if values.dtype.kind == "f":
         floats = values.astype(np.float64)
-        if floats.size < 32:  # np.unique costs about as much as 30 reprs
+        # Dedupe from 128 values (Python 3.11, numpy 2.4, Xeon): 128 equal 0.0s took 12.9 us
+        # with it and 12.1 without, 256 15.2 against 24.9, 50 distinct ones 38.6 against 26.4.
+        if floats.size < 128:
             return [repr(v) for v in floats.tolist()]
         distinct, index = np.unique(floats.view(np.uint64), return_inverse=True)
         text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)

@@ -11,8 +11,9 @@ marginal cell draws one standard-normal block: NV (n_reps, 3), Rb
 (n_reps,), then calibration error (n_reps, 3) if b_0_cal_error > 0, each
 scaled as ``Generator.normal(0.0, sigma)`` scales it.  A scan position
 draws one block of its averaged readings: NV (3,) and Rb (1,) at sigma /
-sqrt(n_reps), then calibration error (3,) as above.  The scalar demo's two
-backgrounds redraw the same streams: the same noise and calibration error.
+sqrt(n_reps), then calibration error (3,) as above.  The scalar demo draws
+each position's stream once, and its two backgrounds fuse copies of that
+block: the same noise and calibration error.
 Every batch is fused in place in its block: the readings, the clipped Rb
 values and the calibrated backgrounds overwrite the draws they come from.
 Where a batch holds one cell (n_reps above 4,096), a helper thread and the
@@ -25,7 +26,7 @@ per cell, which would only contend for the GIL.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -149,17 +150,32 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix on uint32 arrays; its multiplier advances per call."""
+@functools.cache
+def _hash_table(const: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """(calls, 1) uint32 xor and multiplier columns of SeedSequence's hashmix calls."""
+    table = np.array([const * pow(mult, k, 2**32) & _MASK32 for k in range(calls + 1)], np.uint32)
+    table.flags.writeable = False  # shared by every caller
+    return table[:-1, None], table[1:, None]
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
 
-    return hashmix
+@functools.cache
+def _preset_state():
+    from numpy.random.bit_generator import ISeedSequence  # off the CLI's import path
+
+    class PresetState(ISeedSequence):  # hands PCG64 a precomputed state
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return PresetState
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of values, one output row per constant row."""
+    values = (values ^ xor) * mult
+    return values ^ (values >> np.uint32(16))
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -172,31 +188,24 @@ def _cell_rngs(seed: int, tag: int, keys):
 
     SeedSequence's pool mixing and ``generate_state(4, np.uint64)`` run once
     on uint32 arrays over all keys (parts below 2**32; the seed enters as its
-    little-endian 32-bit words); each PCG64 is built when its rng is taken.
+    little-endian 32-bit words), one hashmix call per source word on a (dsts,
+    keys) array, constants from cached tables; each PCG64 is built when taken.
     """
-    from numpy.random.bit_generator import ISeedSequence  # off the CLI's import path
-
-    class PresetState(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
     keys = np.asarray(keys, dtype=np.uint32)
-    seed_words = [seed >> s & _MASK32 for s in range(0, max(int(seed).bit_length(), 1), 32)]
-    entropy = [np.full(len(keys), w, np.uint32) for w in (*seed_words, tag)] + list(keys.T)
-    entropy += [np.zeros(len(keys), np.uint32)] * (4 - len(entropy))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word, dst in itertools.product(entropy[4:], range(4)):
-        pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    words = np.stack([hashmix(pool[k % 4]) for k in range(8)], axis=1)
-    states = words.astype("<u4").view("<u8").astype(np.uint64)
-    return (np.random.Generator(np.random.PCG64(PresetState(row))) for row in states)
+    head = [seed >> s & _MASK32 for s in range(0, max(int(seed).bit_length(), 1), 32)] + [tag]
+    entropy = np.zeros((max(len(head) + keys.shape[1], 4), len(keys)), np.uint32)
+    entropy[: len(head)] = np.array(head, np.uint32)[:, None]
+    entropy[len(head) : len(head) + keys.shape[1]] = keys.T
+    xor, mult = _hash_table(_INIT_A, _MULT_A, 4 * len(entropy))  # 4 + 12 + 4 a word past 4
+    pool = _hashmix(entropy[:4], xor[:4], mult[:4])
+    for src in range(4):
+        dst, k = [d for d in range(4) if d != src], slice(4 + 3 * src, 7 + 3 * src)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k], mult[k]))
+    for k, word in zip(range(16, 4 * len(entropy), 4), entropy[4:]):
+        pool = _mix(pool, _hashmix(word, xor[k : k + 4], mult[k : k + 4]))
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_hash_table(_INIT_B, _MULT_B, 8))
+    states = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return map(np.random.Generator, map(np.random.PCG64, map(_preset_state(), states)))
 
 
 def _db(ratio: float) -> float:
@@ -650,17 +659,18 @@ def source_fields(cfg: SpatialScanConfig) -> np.ndarray:
     return dipole_field(cfg.dipole_moment * axis, -dipole_pos)
 
 
-def _scan_readings(cfg: SpatialScanConfig, tag: int, src, b_0):
+def _scan_readings(cfg: SpatialScanConfig, tag: int, src, *b_0s):
     """Each position's n_reps-averaged reading pair, as one draw at sigma /
-    sqrt(n_reps), and its fusion with a calibrated b_0: (nv (m, 3), rb (m,),
-    b_hat (m, 3))."""
+    sqrt(n_reps), fused with each calibrated b_0 of b_0s: (nv (m, 3), rb (m,),
+    b_hat (m, 3)) per b_0.  The draws are made once; the last b_0 fuses them
+    in their block, the others in copies of it."""
     keys = np.column_stack([np.arange(cfg.n_positions), np.zeros(cfg.n_positions, int)])
-    scale = math.sqrt(cfg.n_reps)
     z = _draw_block(_new_block(len(src), 1, cfg.b_0_cal_error), _cell_rngs(cfg.seed, tag, keys))
-    nv, rb, b_hat, _ = _fused_readings(
-        src, b_0, cfg.sigma_nv / scale, cfg.sigma_rb / scale, cfg.b_0_cal_error, z
-    )
-    return nv[:, 0], rb[:, 0], b_hat[:, 0]
+    blocks = [z.copy() for _ in b_0s[1:]] + [z]
+    scale = math.sqrt(cfg.n_reps)
+    sigmas = cfg.sigma_nv / scale, cfg.sigma_rb / scale, cfg.b_0_cal_error
+    fused = (_fused_readings(src, b_0, *sigmas, block) for b_0, block in zip(b_0s, blocks))
+    return [(nv[:, 0], rb[:, 0], b_hat[:, 0]) for nv, rb, b_hat, _ in fused]
 
 
 def _perpendicular_unit(axis: np.ndarray) -> np.ndarray:
@@ -705,7 +715,7 @@ def spatial_scan_sim(cfg: SpatialScanConfig) -> SpatialScanReport:
     """
     positions = cfg.positions()
     src = source_fields(cfg)
-    nv, rb_mag, b_hat = _scan_readings(cfg, _TAG_SPATIAL, src, cfg.b_0.as_array())
+    [(nv, rb_mag, b_hat)] = _scan_readings(cfg, _TAG_SPATIAL, src, cfg.b_0.as_array())
     true_mag, nv_mag, comb_mag = _norms(src), _norms(nv), _norms(b_hat)
 
     nv_fit = _polyfit_curve(positions, nv_mag, cfg.poly_degree)
@@ -755,11 +765,8 @@ def scalar_vs_vector_demo(cfg: SpatialScanConfig) -> ScalarDemoReport:
     b_0 = cfg.b_0.as_array()
     b_0_mag = float(np.linalg.norm(b_0))
     src = source_fields(cfg)
-    # Both backgrounds redraw the same per-position streams: the same noise
-    # and the same calibration error.
-    (_, rb, b_hat), (_, rb_rev, b_hat_rev) = (
-        _scan_readings(cfg, _TAG_DEMO, src, b) for b in (b_0, -b_0)
-    )
+    # Both backgrounds fuse the same draws: the same noise and calibration error.
+    (_, rb, b_hat), (_, rb_rev, b_hat_rev) = _scan_readings(cfg, _TAG_DEMO, src, b_0, -b_0)
     return ScalarDemoReport(
         positions=cfg.positions(),
         true_mag=_norms(src),

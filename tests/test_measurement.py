@@ -126,11 +126,19 @@ class TestScanSettings:
             (LiaSignal, dict(mod_freqs=np.ones(4), x=np.ones(5), y=np.ones(5)), "equal length"),
             (LiaSignal, dict(mod_freqs=np.ones(5), x=np.ones(4), y=np.ones(5)), "equal length"),
             (LiaSignal, dict(mod_freqs=np.ones(5), x=np.ones(5), y=np.ones(4)), "equal length"),
+            (OdmrSpectrum, dict(freqs=[1.0, math.nan], pl=np.ones(2), noise=0.0), "be finite"),
+            (OdmrSpectrum, dict(freqs=np.ones(2), pl=[1.0, math.nan], noise=0.0), "be finite"),
+            (OdmrSpectrum, dict(freqs=np.ones(2), pl=[math.inf, 1.0], noise=0.0), "be finite"),
+            (LiaSignal, dict(mod_freqs=[math.nan, 1.0], x=np.ones(2), y=np.ones(2)), "be finite"),
+            (LiaSignal, dict(mod_freqs=np.ones(2), x=[1.0, -math.inf], y=np.ones(2)), "be finite"),
+            (LiaSignal, dict(mod_freqs=np.ones(2), x=np.ones(2), y=[1.0, math.nan]), "be finite"),
         ],
         ids=[
             "odmr-span", "lia-linewidth", "lia-noise", "lia-points", "lia-chirp",
             "spectrum-nan-noise", "spectrum-negative-noise", "spectrum-inf-noise",
             "signal-short-mod_freqs", "signal-short-x", "signal-short-y",
+            "spectrum-nan-freqs", "spectrum-nan-pl", "spectrum-inf-pl",
+            "signal-nan-mod_freqs", "signal-inf-x", "signal-nan-y",
         ],
     )
     def test_invalid_value_rejected(self, cls, kwargs, message):

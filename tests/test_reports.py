@@ -33,6 +33,28 @@ class TestAtomicWrites:
         atomic_write_text(str(p), "data\n")
         assert sorted(os.listdir(tmp_path)) == ["f.txt"]
 
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "f.txt"
+        atomic_write_text(str(p), "old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            atomic_write_text(str(p), "new\n")
+        assert p.read_bytes() == b"old\n"
+        assert sorted(os.listdir(tmp_path)) == ["f.txt"]
+
+    def test_unencodable_text_leaves_the_directory_as_it_was(self, tmp_path):
+        (tmp_path / "f.txt").write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(str(tmp_path / "f.txt"), "bad \udc80\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(str(tmp_path / "g.txt"), "\udc80")
+        assert sorted(os.listdir(tmp_path)) == ["f.txt"]
+        assert (tmp_path / "f.txt").read_text() == "old\n"
+
 
 class TestCsvAndSummary:
     def test_csv_format(self, tmp_path):
@@ -107,7 +129,7 @@ EDGE_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e1
 class TestCsvBytes:
     """write_csv formats whole columns; its bytes are the per-cell writer's."""
 
-    @pytest.mark.parametrize("n", [1, 12, 31, 32, 200])
+    @pytest.mark.parametrize("n", [1, 12, 31, 32, 50, 127, 128, 129, 200])
     def test_edge_floats_repeated(self, tmp_path, n):
         rng = np.random.default_rng(n)
         floats = np.array(EDGE_FLOATS)[rng.integers(0, len(EDGE_FLOATS), n)]
@@ -117,15 +139,19 @@ class TestCsvBytes:
             "flag": floats > 0.5,
             "count": np.arange(n) - n // 2,
             "grid": np.tile(np.linspace(-1.5, 1.5, 41), 5)[:n],
+            "distinct": rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n),
         }
+        assert len(np.unique(columns["distinct"])) == n
         p = tmp_path / "edge.csv"
         write_csv(str(p), columns)
         assert p.read_text() == per_cell_csv(columns)
 
     def test_zero_and_negative_zero_stay_apart(self, tmp_path):
         p = tmp_path / "zeros.csv"
-        write_csv(str(p), {"z": np.array([0.0, -0.0] * 20)})
-        assert p.read_text() == "z\n" + "0.0\n-0.0\n" * 20
+        for pairs in (20, 64, 100):  # below, at and above the dedupe's 128 values
+            columns = {"z": np.array([0.0, -0.0] * pairs)}
+            write_csv(str(p), columns)
+            assert p.read_text() == per_cell_csv(columns) == "z\n" + "0.0\n-0.0\n" * pairs
 
     def test_scalar_columns(self, tmp_path):
         columns = {

@@ -1051,6 +1051,19 @@ class TestScanKernel:
         for array in DEMO_ARRAYS:
             assert same_bits(getattr(rep, array), expected[array]), array
 
+    def test_scalar_demo_draws_each_stream_once(self, monkeypatch):
+        calls = {"_cell_rngs": 0, "_draw_block": 0}
+        for name in calls:
+            original = getattr(simulation, name)
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(simulation, name, counting)
+        scalar_vs_vector_demo(SCAN_CONFIGS["cal_error"])
+        assert calls == {"_cell_rngs": 1, "_draw_block": 1}
+
     def test_rb_clipped_config_clips(self):
         rep = spatial_scan_sim(SCAN_CONFIGS["rb_clipped"])
         demo = scalar_vs_vector_demo(SCAN_CONFIGS["rb_clipped"])
