@@ -5,8 +5,9 @@ Commands, declared once in ``_COMMANDS``, cover the simulation reports
 ``plot_<stem>.py`` script), background calibration from a CSV of paired
 readings, and a one-shot combined estimate.  ``calibrate`` and
 ``estimate`` also take the keys of their config section as flags
-(``--pairs``; ``--b-nv``, ``--b-0``, ``--b-rb``), parsed and checked as the
-file's values are; an empty flag value unsets the key.
+(``--pairs``; ``--b-nv``, ``--b-0``, ``--b-rb``), and ``--seed`` sets
+[simulation] and [spatial] seed.  A flag replaces the file's value before
+any check; each section is then checked once.  An empty flag value unsets it.
 
 Exit codes: 0 success, 2 config/usage parse error, 3 validation error,
 4 runtime failure.
@@ -24,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import _KEYS, RunSettings, parse_config, rendered
+from .config import _KEYS, RunSettings, parse_config, parse_config_text, rendered
 from .errors import ComagError, ConfigParseError, ConfigValidationError
 from .estimator import CalibrationSet, calibrate_background, combined_estimate
 from .geometry import FieldVector
@@ -69,24 +70,17 @@ def _flag(field_name: str) -> str:
 
 
 def _load_settings(args) -> RunSettings:
-    settings = parse_config(args.config) if args.config else RunSettings()
-    if args.seed is not None:
-        seed = _KEYS["simulation"]["seed"][1](args.seed, "flag --seed")
-        try:
-            settings = settings.with_seed(seed)
-        except ValueError as err:
-            raise ConfigValidationError(f"--seed {args.seed}: {err}")
-    for section in _COMMANDS[args.command][2:]:
-        given = {
-            name: parse(getattr(args, name), f"flag {_flag(name)}")
-            for name, parse in _KEYS[section].values()
-            if getattr(args, name) is not None
-        }
-        try:
-            settings = replace(settings, **{section: replace(getattr(settings, section), **given)})
-        except ValueError as err:
-            raise ConfigValidationError(str(err))
-    return settings
+    """The file's settings with the flags' values in place of its own, each
+    section built and checked once, on the merged values."""
+    flags = [
+        (section, key, getattr(args, name), f"flag {_flag(name)}")
+        for section, key, name in [("simulation", "seed", "seed"), ("spatial", "seed", "seed")]
+        + [(s, k, n) for s in _COMMANDS[args.command][2:] for k, (n, _) in _KEYS[s].items()]
+        if getattr(args, name) is not None
+    ]
+    if args.config:
+        return parse_config(args.config, _flags=flags)
+    return parse_config_text("", _flags=flags)
 
 
 def _out(args, name: str) -> str:

@@ -1,8 +1,11 @@
 """Config-file schema: INI sections per module, validated with defaults.
 
-One file drives every command, and flags, parsed and checked as keys,
-override its values.  Unknown sections or keys are rejected with a suggestion,
-malformed values report the key, and constraint violations name the constraint.
+One file drives every command, and flags replace its values: the file is
+parsed (syntax, then its sections, keys and values in file order), then the
+flags, and only then is each section built and checked, once, on the merged
+values, so parse errors come first (a non-finite number fails as it is read).
+Unknown sections or keys are rejected with a suggestion, malformed values
+report the key or flag, and constraint violations name the constraint.
 
 Each section is a field of :class:`RunSettings` holding a frozen
 dataclass, and each field of that dataclass is one INI key, declared
@@ -18,6 +21,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import difflib
+import itertools
 import math
 import typing
 from dataclasses import dataclass, field, replace
@@ -54,12 +58,9 @@ class RunSettings:
     estimate: EstimateSettings = field(default_factory=EstimateSettings)
     calibrate: CalibrateSettings = field(default_factory=CalibrateSettings)
 
-    def with_seed(self, seed: int) -> "RunSettings":
-        return replace(
-            self,
-            simulation=replace(self.simulation, seed=seed),
-            spatial=replace(self.spatial, seed=seed),
-        )
+
+# Built once (every section is frozen): the sections nothing sets come from here.
+_DEFAULTS = RunSettings()
 
 
 def _parse_float(text: str, name: str) -> float:
@@ -125,50 +126,53 @@ def _suggest(name: str, candidates) -> str:
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
-def parse_config_text(text: str, source: str = "<string>") -> RunSettings:
+def _file_entries(cp: configparser.ConfigParser):
+    """(section, key, text, label) of each value of a read file, in file
+    order; an unknown section or key raises when it is reached."""
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigParseError(f"unknown section [{section}]" + _suggest(section, _KEYS))
+        keys = _KEYS[section]
+        for key, raw in cp.items(section):
+            if key not in keys:
+                raise ConfigParseError(f"unknown key {key!r} in [{section}]" + _suggest(key, keys))
+            yield section, key, raw, f"key {key!r}"
+
+
+def parse_config_text(text: str, source: str = "<string>", *, _flags=()) -> RunSettings:
     """Parse and validate configuration text, named ``source`` in syntax
-    errors; empty text gives all defaults."""
+    errors; empty text gives all defaults.  ``_flags``, a command's flags as
+    (section, key, text, label), are parsed after the file's values and
+    replace them before any check."""
     # No default section: a [DEFAULT] in the file is an unknown section like any other.
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text, source=source)
     except configparser.Error as err:
         raise ConfigParseError(" ".join(line.strip() for line in str(err).splitlines()))
-
     values: dict[str, dict] = {}
-    for section in cp.sections():
-        if section not in _KEYS:
-            raise ConfigParseError(
-                f"unknown section [{section}]" + _suggest(section, _KEYS)
-            )
-        keys = _KEYS[section]
-        values[section] = {}
-        for key, raw in cp.items(section):
-            if key not in keys:
-                raise ConfigParseError(
-                    f"unknown key {key!r} in [{section}]" + _suggest(key, keys)
-                )
-            name, parse = keys[key]
-            values[section][name] = parse(raw, f"key {key!r}")
+    for section, key, raw, label in itertools.chain(_file_entries(cp), _flags):
+        name, parse = _KEYS[section][key]
+        values.setdefault(section, {})[name] = parse(raw, label)
     try:
-        # Sections are built in declaration order, so the check that fails
-        # first does not depend on the order of the file.
-        return RunSettings(
-            **{name: cls(**values[name]) for name, cls in _SECTIONS.items() if name in values}
+        # Each section set is built once, in declaration order, so the check
+        # that fails first does not depend on the order of the file or flags.
+        return replace(
+            _DEFAULTS, **{name: cls(**values[name]) for name, cls in _SECTIONS.items() if name in values}
         )
     except ValueError as err:
         # Dataclass validators raise ValueError naming the constraint.
         raise ConfigValidationError(str(err))
 
 
-def parse_config(path: str) -> RunSettings:
-    """Parse and validate a configuration file."""
+def parse_config(path: str, *, _flags=()) -> RunSettings:
+    """Parse and validate a configuration file; ``_flags`` as in parse_config_text."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigParseError(f"cannot read config file {path!r}: {err}")
-    return parse_config_text(text, path)
+    return parse_config_text(text, path, _flags=_flags)
 
 
 def _fmt(value) -> str:
@@ -191,10 +195,9 @@ def rendered(settings: RunSettings, section: str) -> dict[str, str]:
 
 def default_config_text() -> str:
     """Render every key of every section with its default value."""
-    defaults = RunSettings()
     out = []
     for section in _SECTIONS:
         out.append(f"[{section}]\n")
-        out.extend(f"{k} = {v}\n" for k, v in rendered(defaults, section).items())
+        out.extend(f"{k} = {v}\n" for k, v in rendered(_DEFAULTS, section).items())
         out.append("\n")
     return "".join(out)

@@ -87,7 +87,7 @@ def combined_estimate(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Combi
     nv = b_nv.as_array()
     s = nv + b_0.as_array()
     with np.errstate(over="ignore"):
-        norm_s = float(np.linalg.norm(s))
+        norm_s, _ = norm_and_unit(s)
     if norm_s == 0.0:
         raise DegenerateDirectionError("b_nv + b_0 = 0: correction direction undefined")
     if not math.isfinite(norm_s):
@@ -96,14 +96,8 @@ def combined_estimate(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Combi
     if not np.isfinite(c).all():
         raise DegenerateDirectionError("b_rb / |b_nv + b_0| overflows: correction undefined")
     radial = tangential = ortho = math.nan
-    nv_norm = float(np.linalg.norm(nv))
-    if nv_norm == 0.0 and nv.any():
-        # The squares underflow; the reading scaled to a unit largest
-        # component has the same direction and a normal norm.
-        nv = nv / np.abs(nv).max()
-        nv_norm = float(np.linalg.norm(nv))
-    if nv_norm != 0.0:
-        u = nv / nv_norm
+    _, u = norm_and_unit(nv)
+    if u is not None:
         radial = float(c @ u)
         tangential = float(np.linalg.norm(c - radial * u))
         ortho = abs(float(s @ u)) / norm_s
@@ -115,6 +109,17 @@ def combined_estimate(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Combi
         tangential=tangential,
         orthogonality=ortho,
     )
+
+
+def norm_and_unit(v: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """|v| and v / |v| (None where v is zero).  Where a nonzero v's squares
+    underflow, v is divided by its largest component first."""
+    scale, n = 1.0, float(np.linalg.norm(v))
+    if n == 0.0 and v.any():
+        scale = float(np.abs(v).max())
+        v = v / scale
+        n = float(np.linalg.norm(v))
+    return scale * n, (v / n if n else None)
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,7 +270,7 @@ def linearized_angles(v: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarr
         denom = rho * r2
     undefined = (r2 == 0.0) | ((rho > 0.0) & (denom == 0.0))
     if undefined.any():
-        if r2[np.argmax(undefined)] == 0.0:
+        if not v.any(axis=1).all():
             raise ZeroFieldError("angles undefined at zero field")
         raise ZeroFieldError("angles undefined at an underflowing field")
 

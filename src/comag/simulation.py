@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimator import batch_combined, linearized_angles, row_dots, row_norms
+from .estimator import batch_combined, linearized_angles, norm_and_unit, row_dots, row_norms
 from .geometry import FieldVector
 
 # Stream tags keep the per-cell RNG keys of different harnesses disjoint.
@@ -625,15 +625,12 @@ class SpatialScanConfig:
             self.axis_unit()
 
     def axis_unit(self) -> np.ndarray:
-        if self.source_axis is not None:
-            v = np.asarray(self.source_axis, dtype=float)
-        else:
-            v = self.b_0.as_array()
-        n = np.linalg.norm(v)
+        v = self.b_0.as_array() if self.source_axis is None else np.asarray(self.source_axis, float)
+        n, unit = norm_and_unit(v)
         if not 0.0 < n < math.inf:
             axis = "source_axis, or b_0 when source_axis is unset,"
             raise ValueError(f"{axis} must be nonzero, with a finite norm")
-        return v / n
+        return unit
 
     def positions(self) -> np.ndarray:
         half = self.stage_range / 2.0

@@ -14,10 +14,16 @@ import pytest
 import comag
 from comag import cli
 from comag.cli import _COMMANDS, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
-from comag.config import parse_config
+from comag.config import EstimateSettings, parse_config
 from comag.geometry import FieldVector
 from comag.plots import _KINDS
-from comag.simulation import _MAX_COUNT, _MAX_SIDE, run_grid_simulation
+from comag.simulation import (
+    _MAX_COUNT,
+    _MAX_SIDE,
+    SimConfig,
+    SpatialScanConfig,
+    run_grid_simulation,
+)
 
 COMMANDS = tuple(_COMMANDS)
 FAST_SIM = "[simulation]\ngrid_points = 7\nn_reps = 10\n"
@@ -109,6 +115,18 @@ class TestEstimateCommand:
         values = dict(zip(header.split(","), map(float, row.split(","))))
         assert (values["radial"], values["tangential"]) == (0.0, 0.0)
         assert values["orthogonality"] == 1e-200
+
+    def test_underflowing_sum_keeps_its_direction(self, tmp_path):
+        # |b_nv + b_0| = sqrt(5)e-200, though its squares underflow to 0.
+        flags = ["--b-nv=1e-200,1e-200,0", "--b-0=1e-200,0,0", "--b-rb", "1e-200"]
+        rc = main(["estimate", *flags, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        header, row = (tmp_path / "o" / "estimate.csv").read_text().splitlines()
+        values = dict(zip(header.split(","), map(float, row.split(","))))
+        b_hat = np.array([values[f"bhat_{a}"] for a in "xyz"]) * 1e200
+        # b_hat = b_nv - s (|s| - b_rb) / |s|, in units of 1e-200 G.
+        expected = np.array([1.0, 1.0, 0.0]) - np.array([2.0, 1.0, 0.0]) * (1 - 1 / 5**0.5)
+        np.testing.assert_allclose(b_hat, expected, rtol=1e-14, atol=0)
 
     def test_values_from_config_section(self, tmp_path):
         cfg = write_cfg(tmp_path, "[estimate]\nb_nv = 1.1,0,0\nb_rb = 1.0\n")
@@ -301,6 +319,20 @@ class TestSimulationCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be nonzero" in err
 
+    @pytest.mark.parametrize("command", ["spatial-scan", "scalar-demo"])
+    @pytest.mark.parametrize(
+        "spatial",
+        ["source_axis = 1e-320,0,0\n", "b_0 = 1e-320,0,0\n"],
+        ids=["subnormal-source-axis", "subnormal-b0-without-axis"],
+    )
+    def test_subnormal_source_axis_has_a_direction(self, tmp_path, command, spatial):
+        cfg = write_cfg(tmp_path, FAST_SPATIAL + spatial)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        stem = command.replace("-", "_")
+        for name in (f"{stem}.csv", f"{stem}_summary.txt", f"plot_{stem}.py"):
+            assert (out / name).is_file()
+
     def test_invalid_value_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[simulation]\nsigma_rb = -2\n")
         rc = main(["simulate-grid", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -434,6 +466,11 @@ BAD_CONFIGS = [
         "angles undefined at an underflowing field", id="underflowing-angular-field",
     ),
     pytest.param(
+        # The origin is masked, so no row is zero; every square underflows.
+        "angular-map", FAST_ANGULAR + "grid_min = -1e-320\ngrid_max = 1e-320\n", EXIT_RUNTIME,
+        "angles undefined at an underflowing field", id="subnormal-angular-grid",
+    ),
+    pytest.param(
         "angular-map", FAST_ANGULAR + "sigma = 1e308\n", EXIT_RUNTIME,
         "inputs too extreme to compute (overflow encountered", id="overflowing-angular-sigma",
     ),
@@ -527,6 +564,53 @@ class TestBadConfigs:
         err = capsys.readouterr().err
         assert rc == EXIT_PARSE
         assert err.count("\n") == 1 and "cannot read config file" in err
+
+
+def _count_builds(monkeypatch, *classes) -> dict:
+    """Count each class's __post_init__ runs from now on."""
+    counts = dict.fromkeys(classes, 0)
+    for cls in classes:
+        original = cls.__post_init__
+
+        def counted(self, cls=cls, original=original):
+            counts[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+class TestFlagsJoinTheFile:
+    def test_seed_builds_each_section_once(self, tmp_path, monkeypatch):
+        counts = _count_builds(monkeypatch, SimConfig, SpatialScanConfig)
+        cfg = write_cfg(tmp_path, FAST_SIM)
+        argv = ["orthogonality", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "5"]
+        assert main(argv) == EXIT_OK
+        assert counts == {SimConfig: 1, SpatialScanConfig: 1}
+
+    def test_estimate_flags_build_the_section_once(self, tmp_path, monkeypatch):
+        counts = _count_builds(monkeypatch, EstimateSettings)
+        flags = ["--b-nv=0.5,0,0", "--b-0=0,0,1", "--b-rb", "1.2"]
+        assert main(["estimate", *flags, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert counts == {EstimateSettings: 1}
+
+    def test_seed_flag_replaces_an_invalid_file_seed(self, tmp_path):
+        cfg = write_cfg(tmp_path, FAST_SIM + "seed = -3\n")
+        out = tmp_path / "o"
+        assert main(["simulate-grid", "--config", cfg, "--out", str(out), "--seed", "5"]) == EXIT_OK
+        assert "seed=5\n" in (out / "grid_summary.txt").read_text()
+
+    def test_flag_replaces_an_invalid_file_value(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[estimate]\nb_rb = -1\n")
+        flags = ["--b-nv=0.1,0,0", "--b-rb", "1"]
+        assert main(["estimate", "--config", cfg, *flags, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_flag_parse_error_comes_before_file_validation(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[simulation]\nsigma_nv = -1\n")
+        rc = main(["simulate-grid", "--config", cfg, "--seed", "x", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "flag --seed: expected an integer, got 'x'" in err
 
 
 class TestCalibrateCommand:

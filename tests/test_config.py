@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from comag.cli import _COMMANDS, main
+from comag.cli import _COMMANDS, _PARSER, _load_settings, main
 from comag.config import (
     EstimateSettings,
     RunSettings,
@@ -94,8 +94,11 @@ class TestOverrides:
         assert sim.b_0_true.as_array() == pytest.approx([0.5, 0.0, 0.0])
         assert sim.seed == 9
 
-    def test_seed_override(self):
-        st = parse_config_text("[simulation]\nseed = 3\n").with_seed(99)
+    def test_seed_override(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[simulation]\nseed = 3\n[spatial]\nseed = 4\n")
+        args = _PARSER.parse_args(["orthogonality", "--config", str(cfg), "--seed", "99"])
+        st = _load_settings(args)
         assert st.simulation.seed == 99
         assert st.spatial.seed == 99
 
