@@ -20,7 +20,6 @@ import csv
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -215,10 +214,6 @@ def _spatial_scan(settings: RunSettings) -> Report:
 @_report("scalar_demo")
 def _scalar_demo(settings: RunSettings) -> Report:
     cfg = settings.spatial
-    if cfg.source_axis is None:
-        # A source collinear with the background hides the distortion the
-        # demo exists to show; default to a clearly non-collinear axis.
-        cfg = replace(cfg, source_axis=(0.0, 0.0, 1.0))
     rep = scalar_vs_vector_demo(cfg)
     columns = {
         "position_mm": rep.positions,

@@ -6,7 +6,10 @@ channel produces lock-in amplifier (LIA) chirp traces whose dispersive
 quadrature crosses zero at the Larmor resonance.  Fitting either trace
 yields a field reading together with an empirically derived uncertainty.
 Gyromagnetic ratios are in frequency units (MHz/G for NV, kHz/G for Rb),
-so ``f = gamma * B`` with no 2*pi.
+so ``f = gamma * B`` with no 2*pi.  Where a numpy function has an array-method
+or ufunc form (``x[1:] - x[:-1]`` for ``np.diff``, ``a.argsort()``), per-reading
+code uses that form: a reading that starts with cold caches pays tens of
+microseconds for each of numpy's Python-level wrapper chains.
 """
 
 from __future__ import annotations
@@ -18,17 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    NoResonanceError,
-    ResonanceOutOfRangeError,
-    UnresolvedPeaksError,
-)
+from .errors import NoResonanceError, ResonanceOutOfRangeError, UnresolvedPeaksError
 from .geometry import (
-    FieldVector,
-    OrientationBasis,
-    project_field,
-    recovery_matrix,
-    select_best_axes,
+    FieldVector, OrientationBasis, project_field, recovery_matrix, select_best_axes
 )
 
 # Max-slope point of a Lorentzian sits linewidth/(2*sqrt(3)) off center.
@@ -339,10 +334,12 @@ def _find_peaks(x: np.ndarray, prominence: float, distance: int):
     """``scipy.signal.find_peaks(x, prominence=prominence, distance=distance)`` for
     finite ``x``: peaks at the midpoints of plateaus above both neighbours, thinned by
     distance from the highest down in ``np.argsort`` order, and their ``prominences``
-    (height above the higher minimum before a strictly higher sample on each side)."""
-    dx = np.diff(x)
-    steps = np.flatnonzero(dx)
-    top = np.flatnonzero((dx[steps[:-1]] > 0) & (dx[steps[1:]] < 0))
+    (height above the higher minimum before a strictly higher sample on each side).
+    A prominence is at most the peak's height above ``x.min()``: after the thinning,
+    only the peaks whose height can reach ``prominence`` are walked to their bases."""
+    dx = x[1:] - x[:-1]
+    steps = dx.nonzero()[0]
+    top = ((dx[steps[:-1]] > 0) & (dx[steps[1:]] < 0)).nonzero()[0]
     peaks = (steps[top] + 1 + steps[top + 1]) // 2
     if distance > 1:
         keep = np.ones(len(peaks), dtype=bool)
@@ -351,17 +348,21 @@ def _find_peaks(x: np.ndarray, prominence: float, distance: int):
                 keep[np.abs(peaks - peaks[j]) < distance] = False
                 keep[j] = True
         peaks = peaks[keep]
-    xs, prominences = x.tolist(), []
+    xs, last = x.tolist(), len(x) - 1
+    floor, found, prominences = min(xs, default=0.0), [], []
     for p in peaks.tolist():
         h, lo, hi = xs[p], p, p
+        if h - floor < prominence:  # so is its prominence
+            continue
         while lo > 0 and xs[lo - 1] <= h:
             lo -= 1
-        while hi < len(xs) - 1 and xs[hi + 1] <= h:
+        while hi < last and xs[hi + 1] <= h:
             hi += 1
-        prominences.append(h - max(min(xs[lo : p + 1]), min(xs[p : hi + 1])))
-    prominences = np.array(prominences)
-    keep = prominences >= prominence
-    return peaks[keep], prominences[keep]
+        prom = h - max(min(xs[lo : p + 1]), min(xs[p : hi + 1]))
+        if prom >= prominence:
+            found.append(p)
+            prominences.append(prom)
+    return np.array(found, dtype=np.intp), np.array(prominences)
 
 
 def _median(xs: list) -> float:
@@ -383,7 +384,7 @@ def _find_dips(spectrum: OdmrSpectrum, params: OdmrParams):
     that baseline.  Raises :class:`UnresolvedPeaksError` when fewer dips are found."""
     freqs = np.asarray(spectrum.freqs, dtype=float)
     pl = np.asarray(spectrum.pl, dtype=float)
-    spacing = _median(sorted(np.diff(freqs).tolist()))
+    spacing = _median(sorted((freqs[1:] - freqs[:-1]).tolist()))
 
     pl_sorted = sorted(pl.tolist())
     baseline0 = _percentile_90(pl_sorted)
@@ -441,11 +442,11 @@ def fit_odmr(spectrum: OdmrSpectrum, params: OdmrParams) -> OdmrFit:
     widths = np.abs(widths)
     contrasts = np.abs(contrasts)
 
-    order = np.argsort(centers)
+    order = centers.argsort()
     contrasts, centers, widths = contrasts[order], centers[order], widths[order]
 
     dof = max(len(freqs) - len(sol.x), 1)
-    delta_pl = float(math.sqrt(np.sum(sol.fun**2) / dof))
+    delta_pl = float(math.sqrt((sol.fun**2).sum() / dof))
     return OdmrFit(peak_freqs=centers, contrasts=contrasts, linewidths=widths, delta_pl=delta_pl)
 
 
@@ -465,8 +466,9 @@ def nv_measure(
     scan only has its dips counted, so :class:`UnresolvedPeaksError` is
     raised when delta_b merges them.  The per-axis Larmor shift is
     then read out at the maximum-slope working point of each reference
-    dip: the shift of the fitted lineshape that gives the PL difference
-    between the scans at that frequency, solved in closed form, so no
+    dip (all four picked in one masked argmax): the shift of the fitted
+    lineshape that gives the PL difference between the scans at that
+    frequency, solved in closed form on Python floats prepared once, so no
     lineshape-curvature bias is left.  A dip whose shift noise carries past
     the right flank's monotone range is read at the working point of its
     left flank instead, with that point's slope.  Bias and background cancel
@@ -489,41 +491,44 @@ def nv_measure(
     # the shifts, so the frequency order of the bias projections maps dips
     # back to axes.
     bias_proj = project_field(basis, b_bias)
-    axis_order = np.argsort(bias_proj)
+    axis_order = bias_proj.argsort()
 
     freqs = spec_ref.freqs
     # The model's slope in frequency: minus the sum of its center derivatives.
     jac = _lorentzian_dips_jac(freqs, fit_ref.contrasts, fit_ref.peak_freqs, fit_ref.linewidths)
     slopes = -jac[:, 2::3].sum(axis=1)
-    readout_idx = [_working_point_index(freqs, slopes, fit_ref, i) for i in range(4)]
-    dpl, df_dips = spec_ref.pl - spec_sig.pl, np.zeros(4)
+    sides = np.ones(4)
+    readout_idx = _working_points(freqs, slopes, fit_ref, sides)
+    dpl, dips, shifts = spec_ref.pl - spec_sig.pl, _dip_floats(fit_ref), [0.0] * 4
 
-    def invert(dip_i):
-        j = readout_idx[dip_i]
-        return _invert_working_point(float(dpl[j]), freqs[j], dip_i, fit_ref, df_dips)
+    def readout(j):  # the readout frequency; its PL difference plus the fitted depths there
+        f_j = float(freqs[j])
+        return f_j, float(dpl[j]) + sum(_depths(f_j, dips, [0.0] * 4))
 
+    points = [readout(j) for j in readout_idx]
     # Invert each dip's shift, then re-sweep with the other dips' estimated
     # shifts in the signal model: the tails of neighbouring dips move with
     # their own shifts, and ignoring that leaves a few-mG systematic.
     for _ in range(3):
         for dip_i in range(4):
             try:
-                df_dips[dip_i] = invert(dip_i)
+                shifts[dip_i] = _invert_working_point(*points[dip_i], dip_i, dips, shifts)
             except UnresolvedPeaksError:
-                if freqs[readout_idx[dip_i]] < fit_ref.peak_freqs[dip_i]:  # left flank too
+                if sides[dip_i] < 0:  # left flank too
                     raise
-                readout_idx[dip_i] = _working_point_index(freqs, slopes, fit_ref, dip_i, side=-1)
-                df_dips[dip_i] = invert(dip_i)
+                sides[dip_i] = -1.0
+                readout_idx = _working_points(freqs, slopes, fit_ref, sides)
+                points[dip_i] = readout(readout_idx[dip_i])
+                shifts[dip_i] = _invert_working_point(*points[dip_i], dip_i, dips, shifts)
 
     delta_f, sigma_axis = np.zeros(4), np.zeros(4)
-    for dip_i in range(4):
-        axis_i = int(axis_order[dip_i])
-        delta_f[axis_i] = df_dips[dip_i]
-        if fit_ref.delta_pl > 0:
-            # Two independent scans contribute to the PL difference.
-            sigma_axis[axis_i] = math.sqrt(2.0) * slope_sensitivity(
-                fit_ref.delta_pl, abs(slopes[readout_idx[dip_i]]), gamma
-            )
+    delta_f[axis_order] = shifts
+    if fit_ref.delta_pl > 0:
+        # Two independent scans contribute to the PL difference.
+        sigma_axis[axis_order] = [
+            math.sqrt(2.0) * slope_sensitivity(fit_ref.delta_pl, slope, gamma)
+            for slope in np.abs(slopes[readout_idx]).tolist()
+        ]
 
     # The lab-frame field and its independent-noise sigmas, sqrt(diag(W S W^T)),
     # from one recovery matrix W.
@@ -533,64 +538,56 @@ def nv_measure(
     return b_lab, np.sqrt(w**2 @ sigma_axis[idx] ** 2)
 
 
-def _working_point_index(
-    freqs: np.ndarray, slopes: np.ndarray, fit_ref: OdmrFit, dip_i: int, side: int = 1
-) -> int:
-    """Grid index of the readout point for one dip.
+def _working_points(freqs, slopes: np.ndarray, fit_ref: OdmrFit, sides) -> np.ndarray:
+    """Grid index of the readout point of each dip, from one (4, n) flank mask.
 
     Picks the sampled frequency with the largest model slope (``slopes``, the
-    fitted model's slope at every point of ``freqs``) among points at or
-    beyond the dip's inflection on its right (``side=1``) or left
-    (``side=-1``) flank, so the monotone inversion headroom is at least
-    linewidth/(2*sqrt(3)) regardless of how the scan grid happens to align
-    with the dip.
+    fitted model's slope at every point of ``freqs``; the first of equal ones)
+    among points at or beyond each dip's inflection on its right (``sides[i] =
+    1``) or left (``-1``) flank, so the monotone inversion headroom is at least
+    linewidth/(2*sqrt(3)) regardless of how the scan grid happens to align with
+    the dip.  Raises :class:`UnresolvedPeaksError` for the first empty flank.
     """
-    center = fit_ref.peak_freqs[dip_i]
-    width = fit_ref.linewidths[dip_i]
-    near = center + side * _MAX_SLOPE_OFFSET * width * 0.99
-    far = center + side * 2.5 * width
-    candidates = np.nonzero((freqs >= min(near, far)) & (freqs <= max(near, far)))[0]
-    if len(candidates) == 0:
+    centers, widths = fit_ref.peak_freqs, fit_ref.linewidths
+    near = centers + sides * _MAX_SLOPE_OFFSET * widths * 0.99
+    far = centers + sides * 2.5 * widths
+    flank = (freqs >= np.minimum(near, far)[:, None]) & (freqs <= np.maximum(near, far)[:, None])
+    empty = ~flank.any(axis=1)
+    if empty.any():
         raise UnresolvedPeaksError(
-            f"no scan point on the {'right' if side > 0 else 'left'} flank of a dip;"
-            " scan grid too coarse"
+            f"no scan point on the {'right' if sides[empty.argmax()] > 0 else 'left'} flank"
+            " of a dip; scan grid too coarse"
         )
-    return int(candidates[np.argmax(np.abs(slopes[candidates]))])
+    return np.where(flank, np.abs(slopes), -np.inf).argmax(axis=1)
 
 
-def _invert_working_point(
-    dpl: float,
-    f_j: float,
-    dip_i: int,
-    fit_ref: OdmrFit,
-    df_others: np.ndarray,
-) -> float:
-    """Frequency shift of dip ``dip_i`` whose model PL difference at f_j is ``dpl``.
+def _dip_floats(fit: OdmrFit) -> list[tuple[float, float, float, float, float]]:
+    """Each fitted dip as Python floats: contrast c, center, half-width h, h**2 and c h**2."""
+    dips = zip(fit.contrasts.tolist(), fit.peak_freqs.tolist(), (fit.linewidths / 2.0).tolist())
+    return [(c, f0, h, h**2, c * h**2) for c, f0, h in dips]
 
-    Solves model_ref(f_j) - model_shifted(f_j) = dpl for the shift of the
-    targeted dip, with the other dips displaced by their current estimates
-    ``df_others``.  Those dips held, the targeted dip must be T deep at f_j,
-    and c h^2 / (u^2 + h^2) = T (contrast c, half-width h) is a quadratic in
-    u = f_j - center - shift.  Its root on the flank that holds f_j, where
-    the depth is monotone, is u = sign(f_j - center) h sqrt(c / T - 1).  The
-    usable shift is bounded by (f_j - center) toward f_j and ~1.5 linewidths
+
+def _depths(f_j: float, dips: list, shifts: list) -> list[float]:
+    """How deep each of ``dips`` (from :func:`_dip_floats`), displaced by its shift, is at f_j."""
+    return [ch2 / ((u := f_j - (f0 + s)) * u + h2) for (_, f0, _, h2, ch2), s in zip(dips, shifts)]
+
+
+def _invert_working_point(f_j: float, base: float, dip_i: int, dips: list, shifts: list) -> float:
+    """Frequency shift of dip ``dip_i`` for which the dips (``dips``, from
+    :func:`_dip_floats`), each displaced by its shift, are ``base`` deep in all at f_j.
+
+    ``base`` is the PL difference between the scans at f_j plus the fitted dips'
+    depths there, so this solves model_ref(f_j) - model_shifted(f_j) = that difference.
+    The other dips held at their current estimates ``shifts``, the targeted dip
+    must be T deep at f_j, and c h^2 / (u^2 + h^2) = T (contrast c, half-width h)
+    is a quadratic in u = f_j - center - shift.  Its root on the flank that holds
+    f_j, where the depth is monotone, is u = sign(f_j - center) h sqrt(c / T - 1).
+    The usable shift is bounded by (f_j - center) toward f_j and ~1.5 linewidths
     away from it; raises :class:`UnresolvedPeaksError` when no shift in that
     range gives the depth.
     """
-    # The fitted dips' depths at the one point f_j, in Python floats.
-    halves = (fit_ref.linewidths / 2.0).tolist()
-    dips = list(zip(fit_ref.contrasts.tolist(), fit_ref.peak_freqs.tolist(), halves))
-    f_j, shifts = float(f_j), np.asarray(df_others, dtype=float).tolist()
-
-    def depth(c, f0, half, s):
-        u = f_j - (f0 + s)
-        return c * half**2 / (u * u + half**2)
-
-    ref_depths = sum(depth(*dip, 0.0) for dip in dips)
-    others = sum(depth(*dip, s) for k, (dip, s) in enumerate(zip(dips, shifts)) if k != dip_i)
-    target = dpl + ref_depths - others
-
-    c, center, half = dips[dip_i]
+    target = base - sum(d for k, d in enumerate(_depths(f_j, dips, shifts)) if k != dip_i)
+    c, center, half = dips[dip_i][:3]
     df_lo, df_hi = sorted((0.95 * (f_j - center), math.copysign(3.0 * half, center - f_j)))
     if 0.0 < target <= c:
         df = f_j - center - math.copysign(half * math.sqrt(c / target - 1.0), f_j - center)
@@ -640,25 +637,40 @@ _LINEAR_REGION = 2.0 - math.sqrt(3.0)
 
 
 def _dispersive_jac(freqs, amp, f0, gam):
-    """Jacobian of ``_dispersive`` in (amp, f0, gam); du/dgam = -u/gam for either sign."""
+    """Jacobian of ``_dispersive`` in (amp, f0, gam); du/dgam = -u/gam for either sign.
+    The transpose of one C-contiguous (3, n) block, so each column is a contiguous row."""
     u = (freqs - f0) / (abs(gam) / 2.0)
     q = 1.0 + u**2
     dy_du = amp * (1.0 - u**2) / q**2
-    jac = np.empty((len(freqs), 3))
-    jac[:, 0] = u / q
-    jac[:, 1] = dy_du * (-2.0 / abs(gam))
-    jac[:, 2] = dy_du * (-u / gam)
-    return jac
+    jac = np.empty((3, len(freqs)))
+    np.divide(u, q, out=jac[0])
+    np.multiply(dy_du, -2.0 / abs(gam), out=jac[1])
+    np.multiply(dy_du, -u / gam, out=jac[2])
+    return jac.T
+
+
+def _half_max_extent(x: np.ndarray) -> tuple[int, int, int]:
+    """Index of the first maximum of ``x``, and the first and last index of the run of
+    samples at or above half that maximum around it, between the nearest samples below."""
+    i_peak = int(x.argmax())
+    below = (x < x[i_peak] / 2.0).nonzero()[0]
+    k_left, k_right = below.searchsorted((i_peak, i_peak + 1)).tolist()
+    left = int(below[k_left - 1]) + 1 if k_left else 0
+    right = int(below[k_right]) - 1 if k_right < len(below) else len(x) - 1
+    return i_peak, left, right
 
 
 def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:
     """Resonance readout of an LIA trace.
 
-    The resonance is located from the in-phase peak, confirmed by the Y
-    sign change, and refined by a least-squares fit of the dispersive
-    model (:func:`least_squares`, numpy only; exact at zero noise), whose
-    callback builds the analytic Jacobian once per point and forms the
-    residual as the amplitude times its amplitude column.  The uncertainty
+    The resonance is located from the smoothed in-phase peak, whose
+    half-maximum extent (:func:`_half_max_extent`, bounded by the nearest
+    samples below half) gives the start width and the span in which the Y
+    sign change must confirm it, and refined by a least-squares fit of the
+    dispersive model (:func:`least_squares`, numpy only; exact at zero noise),
+    whose callback builds the analytic Jacobian (contiguous rows, see
+    :func:`_dispersive_jac`) once per point and forms the residual as the
+    amplitude times its amplitude column.  The uncertainty
     follows the slope method: the closed-form least-squares line through Y
     over the region around the zero crossing where the fitted lineshape stays
     within half its peak value gives the slope m and the RMSE dY, and
@@ -670,31 +682,22 @@ def fit_lia(signal: LiaSignal, gamma_rb: float = GAMMA_RB) -> LiaFit:
     n = len(freqs)
 
     kernel = np.ones(min(5, n)) / min(5, n)
-    x_smooth = np.convolve(x, kernel, mode="same")
-    i_peak = int(np.argmax(x_smooth))
-
     # Width estimate from the half-maximum extent of the smoothed X peak.
-    half = x_smooth[i_peak] / 2.0
-    above = x_smooth >= half
-    left = i_peak
-    while left > 0 and above[left - 1]:
-        left -= 1
-    right = i_peak
-    while right < n - 1 and above[right + 1]:
-        right += 1
+    i_peak, left, right = _half_max_extent(np.convolve(x, kernel, mode="same"))
     width_guess = max(freqs[right] - freqs[left], float(freqs[1] - freqs[0]))
 
     lo = max(0, left - (right - left + 1))
     hi = min(n, right + (right - left + 1) + 1)
     seg = slice(lo, hi)
 
-    sign_change = np.nonzero(np.diff(np.sign(y[seg])))[0]
+    sign = np.sign(y[seg])
+    sign_change = (sign[1:] - sign[:-1]).nonzero()[0]
     if len(sign_change) == 0:
         raise NoResonanceError("no sign change in the quadrature signal near the resonance")
 
     # Dispersive-model fit for the resonance frequency.
     f0_guess = float(freqs[i_peak])
-    amp_guess = 2.0 * float(np.max(np.abs(y[seg])))
+    amp_guess = 2.0 * float(np.abs(y[seg]).max())
     fit_span = np.abs(freqs - f0_guess) <= 3.0 * width_guess
     ff, yf = freqs[fit_span], y[fit_span]
 
@@ -744,6 +747,4 @@ def rb_measure(
 # Default bias field: 30 G along (2, 1, 0)/sqrt(5).  This direction gives
 # axis projections proportional to (3, 1, -1, -3), i.e. four evenly spaced
 # dips (44 MHz apart at 30 G) that stay resolved under small-field shifts.
-DEFAULT_BIAS = FieldVector(
-    30.0 * 2.0 / math.sqrt(5.0), 30.0 * 1.0 / math.sqrt(5.0), 0.0
-)
+DEFAULT_BIAS = FieldVector(30.0 * 2.0 / math.sqrt(5.0), 30.0 * 1.0 / math.sqrt(5.0), 0.0)

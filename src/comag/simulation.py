@@ -560,7 +560,8 @@ class SpatialScanConfig:
     The source is a point dipole carried along the stage axis; the sensor
     sits at the origin.  The dipole moment points along ``source_axis``
     (default: the unit vector of the configured background field, which
-    keeps the source field roughly collinear with the background), and the
+    keeps the source field roughly collinear with the background; z in
+    :func:`scalar_vs_vector_demo`), and the
     stage moves the dipole from standoff - range/2 to standoff + range/2
     along that same direction, with an optional perpendicular offset.
     ``dipole_moment`` is in Gauss * mm^3; defaults give a peak source
@@ -648,9 +649,9 @@ def dipole_field(moment: np.ndarray, r_vecs: np.ndarray) -> np.ndarray:
     return ((3.0 * dots)[:, None] * rhat - moment) / np.float_power(r, 3.0)[:, None]
 
 
-def source_fields(cfg: SpatialScanConfig) -> np.ndarray:
-    """Source field at the sensor (n_positions, 3) for every stage position."""
-    axis = cfg.axis_unit()
+def source_fields(cfg: SpatialScanConfig, axis: np.ndarray) -> np.ndarray:
+    """Source field at the sensor (n_positions, 3) for every stage position, with the
+    dipole moment and the stage along the unit vector ``axis``."""
     perp = _perpendicular_unit(axis)
     dipole_pos = (cfg.standoff + cfg.positions())[:, None] * axis + cfg.perp_offset * perp
     return dipole_field(cfg.dipole_moment * axis, -dipole_pos)
@@ -711,7 +712,7 @@ def spatial_scan_sim(cfg: SpatialScanConfig) -> SpatialScanReport:
     with the NV-to-combined MSE gain in dB.
     """
     positions = cfg.positions()
-    src = source_fields(cfg)
+    src = source_fields(cfg, cfg.axis_unit())
     [(nv, rb_mag, b_hat)] = _scan_readings(cfg, _TAG_SPATIAL, src, cfg.b_0.as_array())
     true_mag, nv_mag, comb_mag = _norms(src), _norms(nv), _norms(b_hat)
 
@@ -758,10 +759,13 @@ class ScalarDemoReport:
 
 
 def scalar_vs_vector_demo(cfg: SpatialScanConfig) -> ScalarDemoReport:
-    """Distortion of naive scalar background subtraction along a scan."""
+    """Distortion of naive scalar background subtraction along a scan.  The source
+    points along ``source_axis``, or along z where that is unset: a source collinear
+    with the background hides the distortion the demo exists to show."""
     b_0 = cfg.b_0.as_array()
     b_0_mag = float(np.linalg.norm(b_0))
-    src = source_fields(cfg)
+    axis = np.array([0.0, 0.0, 1.0]) if cfg.source_axis is None else cfg.axis_unit()
+    src = source_fields(cfg, axis)
     # Both backgrounds fuse the same draws: the same noise and calibration error.
     (_, rb, b_hat), (_, rb_rev, b_hat_rev) = _scan_readings(cfg, _TAG_DEMO, src, b_0, -b_0)
     return ScalarDemoReport(

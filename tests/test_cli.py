@@ -594,6 +594,16 @@ class TestFlagsJoinTheFile:
         assert main(["estimate", *flags, "--out", str(tmp_path / "o")]) == EXIT_OK
         assert counts == {EstimateSettings: 1}
 
+    @pytest.mark.parametrize("command", ["spatial-scan", "scalar-demo"])
+    def test_spatial_commands_build_the_section_once(self, tmp_path, monkeypatch, command):
+        # The scalar demo's default source axis is applied where the demo reads
+        # the axis, not by building [spatial] again.
+        counts = _count_builds(monkeypatch, SpatialScanConfig)
+        cfg = write_cfg(tmp_path, FAST_SPATIAL)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "5"]
+        assert main(argv) == EXIT_OK
+        assert counts == {SpatialScanConfig: 1}
+
     def test_seed_flag_replaces_an_invalid_file_seed(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SIM + "seed = -3\n")
         out = tmp_path / "o"

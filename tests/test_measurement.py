@@ -12,19 +12,23 @@ from comag.errors import (
 )
 from comag.geometry import FieldVector, default_basis, project_field
 from comag.measurement import (
+    _depths,
+    _dip_floats,
     _dispersive,
     _dispersive_jac,
     _find_peaks,
+    _half_max_extent,
     _invert_working_point,
     _lorentzian_dips,
     _lorentzian_dips_jac,
-    _working_point_index,
+    _working_points,
     brentq,
     DEFAULT_BIAS,
     GAMMA_NV,
     GAMMA_RB,
     LiaParams,
     LiaSignal,
+    OdmrFit,
     OdmrParams,
     OdmrSpectrum,
     fit_lia,
@@ -208,22 +212,33 @@ class TestFindPeaks:
     def arrays(rng, count):
         for k in range(count):
             n = int(rng.integers(5, 201))
-            if k % 4 == 0:
+            if k % 6 == 0:
                 yield rng.normal(size=n)
-            elif k % 4 == 1:  # rounded: short plateaus and equal peak heights
+            elif k % 6 == 1:  # rounded: short plateaus and equal peak heights
                 yield np.round(rng.normal(size=n), 1)
-            elif k % 4 == 2:  # small integers: ties everywhere
+            elif k % 6 == 2:  # small integers: ties everywhere
                 yield rng.integers(0, 4, n).astype(float)
-            else:  # every sample repeated: wide plateaus, also at the ends
+            elif k % 6 == 3:  # every sample repeated: wide plateaus, also at the ends
                 yield np.repeat(rng.integers(0, 5, n), 3)[:n].astype(float)
+            elif k % 6 == 4:  # noise-dominated: four bumps 2.5 high under unit noise
+                x = rng.normal(size=n)
+                for center in rng.uniform(0, n, 4):
+                    x += 2.5 / (1.0 + ((np.arange(n) - center) / 2.0) ** 2)
+                yield x
+            else:  # noise about a raised floor, with one deep sample setting the minimum
+                x = rng.normal(size=n)
+                x[rng.integers(n)] -= rng.uniform(0.0, 6.0)
+                yield x
 
     @pytest.mark.parametrize("distance", [1, 2, 3, 4, 5])
     def test_matches_scipy_exactly(self, distance):
+        # The larger prominences sit above most noise peaks, whose walks to their
+        # bases are skipped.
         from scipy.signal import find_peaks
 
         rng = np.random.default_rng(distance)
-        for x in self.arrays(rng, 400):
-            for prominence in (1e-12, 0.3, 1.0):
+        for x in self.arrays(rng, 600):
+            for prominence in (1e-12, 0.3, 1.0, 2.5):
                 want, props = find_peaks(x, prominence=prominence, distance=distance)
                 got, prominences = _find_peaks(x, prominence, distance)
                 np.testing.assert_array_equal(got, want)
@@ -306,12 +321,12 @@ class TestJacobians:
 
 def recorded_calls(monkeypatch, name, run):
     """Run ``run()`` with ``comag.measurement.<name>`` wrapped; the arguments (arrays
-    copied as they were passed) and the result, or the UnresolvedPeaksError raised,
-    of each call."""
+    and lists copied as they were passed) and the result, or the UnresolvedPeaksError
+    raised, of each call."""
     solver, calls = getattr(measurement, name), []
 
     def record(*args, **kwargs):
-        passed = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+        passed = tuple(a.copy() if isinstance(a, (np.ndarray, list)) else a for a in args)
         try:
             out = solver(*args, **kwargs)
         except UnresolvedPeaksError as err:
@@ -335,29 +350,57 @@ def minpack_fit(model, x0, **options):
     return minpack(lambda x: model(x)[0], x0, jac=lambda x: model(x)[1], **options)
 
 
-def brentq_readout(dpl, f_j, dip_i, fit_ref, df_others):
+def brentq_readout(f_j, base, dip_i, dips, shifts):
     """The root-finding form of ``_invert_working_point``: the readout equation as
-    a function of the targeted dip's shift, and the bracket brentq solved it on."""
-    center, width = fit_ref.peak_freqs[dip_i], fit_ref.linewidths[dip_i]
-    halves = (fit_ref.linewidths / 2.0).tolist()
-    dips = list(zip(fit_ref.contrasts.tolist(), fit_ref.peak_freqs.tolist(), halves))
-    f_j, shifts = float(f_j), np.asarray(df_others, dtype=float).tolist()
+    a function of the targeted dip's shift, and the bracket brentq solved it on.
+    ``base`` is the PL difference plus the unshifted dips' depths at f_j, so the
+    equation is (the shifted dips' depths at f_j) - base = 0."""
+    _, center, half = dips[dip_i][:3]
+    shifts = list(shifts)
 
-    def pl_at(offsets):  # the baseline cancels in the difference
-        pl = 1.0
-        for (c, f0, half), s in zip(dips, offsets):
+    def depth_at(offsets):
+        depth = 0.0
+        for (c, f0, h, _, _), s in zip(dips, offsets):
             u = f_j - (f0 + s)
-            pl = pl - c * half**2 / (u * u + half**2)
-        return pl
-
-    ref_at = pl_at([0.0] * len(dips))
+            depth += c * h**2 / (u * u + h**2)
+        return depth
 
     def transfer(df):
         shifts[dip_i] = df
-        return (ref_at - pl_at(shifts)) - dpl
+        return depth_at(shifts) - base
 
-    df_lo, df_hi = sorted((0.95 * (f_j - center), math.copysign(1.5 * width, center - f_j)))
+    df_lo, df_hi = sorted((0.95 * (f_j - center), math.copysign(3.0 * half, center - f_j)))
     return transfer, df_lo, df_hi
+
+
+def working_point_loop(freqs, slopes, fit_ref, sides):
+    """The per-dip form of ``_working_points``: each flank's candidates, then the
+    first of their largest absolute slopes."""
+    out = []
+    for dip_i, side in enumerate(sides):
+        center, width = fit_ref.peak_freqs[dip_i], fit_ref.linewidths[dip_i]
+        near = center + side * measurement._MAX_SLOPE_OFFSET * width * 0.99
+        far = center + side * 2.5 * width
+        candidates = np.nonzero((freqs >= min(near, far)) & (freqs <= max(near, far)))[0]
+        if len(candidates) == 0:
+            raise UnresolvedPeaksError(
+                f"no scan point on the {'right' if side > 0 else 'left'} flank of a dip;"
+                " scan grid too coarse"
+            )
+        out.append(int(candidates[np.argmax(np.abs(slopes[candidates]))]))
+    return out
+
+
+def half_max_loop(x):
+    """The while-loop form of ``_half_max_extent``."""
+    i_peak = int(np.argmax(x))
+    above = x >= x[i_peak] / 2.0
+    left = right = i_peak
+    while left > 0 and above[left - 1]:
+        left -= 1
+    while right < len(x) - 1 and above[right + 1]:
+        right += 1
+    return i_peak, left, right
 
 
 class TestSolvers:
@@ -540,22 +583,22 @@ class TestSolvers:
         recorded = recorded_calls(monkeypatch, "_invert_working_point", readings)
         assert len(recorded) >= 1000
         assert any(isinstance(out, UnresolvedPeaksError) for _, _, out in recorded)
-        # Each call's PL difference, and for every tenth call 15 more spanning its
-        # readout range and half of it again on either side.  Just inside and just
-        # outside the range's two ends, where the far end's flat tail leaves the
-        # root ill-conditioned, only the raise is checked.
+        # Each call's depth, and for every tenth call 15 more spanning its readout
+        # range and half of it again on either side.  Just inside and just outside
+        # the range's two ends, where the far end's flat tail leaves the root
+        # ill-conditioned, only the raise is checked.
         cases, ends = [], []
         for k, (args, _, _) in enumerate(recorded):
             cases.append(args)
             if k % 10 == 0:
-                _, f_j, dip_i, fit, df_others = args
-                transfer, lo, hi = brentq_readout(0.0, f_j, dip_i, fit, df_others)
+                f_j, _, dip_i, dips, shifts = args
+                transfer, lo, hi = brentq_readout(f_j, 0.0, dip_i, dips, shifts)
                 a, b = sorted((transfer(lo), transfer(hi)))
                 eps = 1e-6 * (b - a)
                 for d in np.linspace(a - (b - a) / 2, b + (b - a) / 2, 15):
-                    cases.append((float(d), f_j, dip_i, fit, df_others))
+                    cases.append((f_j, float(d), dip_i, dips, shifts))
                 for d in (a - eps, a + eps, b - eps, b + eps):
-                    ends.append((float(d), f_j, dip_i, fit, df_others))
+                    ends.append((f_j, float(d), dip_i, dips, shifts))
         raised = 0
         for args, exact in [(c, True) for c in cases] + [(e, False) for e in ends]:
             transfer, lo, hi = brentq_readout(*args)
@@ -693,15 +736,60 @@ class TestNvMeasure:
         freqs = params.frequencies
         jac = _lorentzian_dips_jac(freqs, fit.contrasts, fit.peak_freqs, fit.linewidths)
         slopes = -jac[:, 2::3].sum(axis=1)
-        j = _working_point_index(freqs, slopes, fit, 1, side=-1)
+        j = _working_points(freqs, slopes, fit, np.array([1.0, -1.0, 1.0, 1.0]))[1]
         center = fit.peak_freqs[1]
         assert center - 2.5 * fit.linewidths[1] <= freqs[j] < center
         def pl_at(centers):
             return _lorentzian_dips(freqs[j], 1.0, fit.contrasts, centers, fit.linewidths)
 
         dpl = float(pl_at(fit.peak_freqs) - pl_at(fit.peak_freqs + np.array([0.0, shift, 0.0, 0.0])))
-        df = _invert_working_point(dpl, freqs[j], 1, fit, np.zeros(4))
+        f_j, dips = float(freqs[j]), _dip_floats(fit)
+        base = dpl + sum(_depths(f_j, dips, [0.0] * 4))
+        df = _invert_working_point(f_j, base, 1, dips, [0.0] * 4)
         assert df == pytest.approx(shift, abs=1e-9)
+
+    def test_working_points_match_the_per_dip_loop(self, basis):
+        rng = np.random.default_rng(26)
+        flanks = [np.ones(4), -np.ones(4), np.array([1.0, -1.0, -1.0, 1.0])]
+        for k in range(40):
+            delta = FieldVector(*rng.uniform(-0.3, 0.3, 3))
+            params = OdmrParams(n_freqs=int(rng.integers(40, 120)))
+            spectrum = synth_odmr(DEFAULT_BIAS + B0_MEASURED + delta, basis, params, GAMMA_NV, k)
+            fit = fit_odmr(spectrum, params)
+            jac = _lorentzian_dips_jac(params.frequencies, fit.contrasts, fit.peak_freqs, fit.linewidths)
+            slopes = -jac[:, 2::3].sum(axis=1)
+            for s in (slopes, np.round(slopes, 3)):  # rounded: ties for the first maximum
+                for sides in flanks:
+                    got = _working_points(params.frequencies, s, fit, sides)
+                    assert got.tolist() == working_point_loop(params.frequencies, s, fit, sides)
+
+    @pytest.mark.parametrize(
+        "freqs, sides",
+        [
+            (np.linspace(2700.0, 3040.0, 4), np.ones(4)),  # no flank holds a point
+            (np.linspace(2700.0, 3040.0, 4), -np.ones(4)),
+            (np.arange(2805.0, 3000.0), np.array([1.0, 1.0, -1.0, 1.0])),  # left of dip 0 only
+            (np.arange(2805.0, 3000.0), np.array([-1.0, 1.0, 1.0, 1.0])),
+            (np.arange(2700.0, 2945.0), np.array([1.0, -1.0, 1.0, 1.0])),  # right of dip 3 only
+            (np.arange(2805.0, 2945.0), np.array([-1.0, 1.0, 1.0, 1.0])),  # the first of two
+        ],
+    )
+    def test_working_points_raise_as_the_per_dip_loop(self, freqs, sides):
+        fit = OdmrFit(
+            peak_freqs=np.array([2800.0, 2850.0, 2900.0, 2950.0]),
+            contrasts=np.full(4, 0.02),
+            linewidths=np.full(4, 8.0),
+            delta_pl=0.0,
+        )
+        slopes = np.cos(freqs)
+        try:
+            want = working_point_loop(freqs, slopes, fit, sides)
+        except UnresolvedPeaksError as err:
+            with pytest.raises(UnresolvedPeaksError) as raised:
+                _working_points(freqs, slopes, fit, sides)
+            assert str(raised.value) == str(err)
+        else:
+            assert _working_points(freqs, slopes, fit, sides).tolist() == want
 
     def test_unresolved_bias_raises(self, basis):
         params = OdmrParams(pl_noise=0.0)
@@ -786,6 +874,26 @@ class TestFitLia:
             delta_y = math.sqrt(np.sum(resid**2) / (len(fw) - 2))
             assert slope == pytest.approx(want, rel=1e-12, abs=0)
             assert fit.sigma_rb == pytest.approx(delta_y / (GAMMA_RB * want), rel=1e-12, abs=0)
+
+    def test_half_max_extent_matches_the_while_loops(self):
+        n = 1201
+        u = (np.arange(n) - 600.0) / 50.0
+        traces = {
+            "peak at index 0": 1.0 / (1.0 + (np.arange(n) / 50.0) ** 2),
+            "peak at n - 1": 1.0 / (1.0 + ((np.arange(n) - n + 1) / 50.0) ** 2),
+            "no sample below half": 1.0 + 0.5 / (1.0 + u**2),
+            "negative peak": -1.0 - 1.0 / (1.0 + u**2),
+            "flat": np.full(n, 2e-5),
+        }
+        rng = np.random.default_rng(27)
+        for k in range(50):  # smoothed noisy in-phase traces, as fit_lia reads them
+            x = synth_lia(rng.uniform(0.45, 2.1), GAMMA_RB, LiaParams(), k).x
+            traces[f"synth_lia {k}"] = np.convolve(x, np.ones(5) / 5, mode="same")
+        for name, x in traces.items():
+            assert _half_max_extent(x) == half_max_loop(x), name
+        assert _half_max_extent(traces["peak at index 0"])[:2] == (0, 0)
+        assert _half_max_extent(traces["peak at n - 1"])[::2] == (n - 1, n - 1)
+        assert _half_max_extent(traces["no sample below half"])[1:] == (0, n - 1)
 
     def test_no_resonance(self):
         freqs = np.linspace(300.0, 1500.0, 401)

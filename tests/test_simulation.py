@@ -239,7 +239,8 @@ class TestSpatialScan:
         assert b == pytest.approx([0.0, 0.0, 2.0], abs=1e-12)
 
     def test_source_peak_scale(self):
-        mags = np.linalg.norm(source_fields(SpatialScanConfig()), axis=1)
+        cfg = SpatialScanConfig()
+        mags = np.linalg.norm(source_fields(cfg, cfg.axis_unit()), axis=1)
         assert max(mags) == pytest.approx(1.0, rel=0.02)
 
     def test_zero_noise_gain_vanishes(self):
@@ -292,6 +293,7 @@ class TestScalarDemo:
         # Source field parallel to the background: scalar subtraction is
         # exact up to sensor noise.
         cfg = SpatialScanConfig(sigma_nv=1e-9, sigma_rb=1e-9)
+        cfg = replace(cfg, source_axis=tuple(cfg.b_0.as_array()))
         rep = scalar_vs_vector_demo(cfg)
         assert np.nanmax(np.abs(rep.naive - rep.true_mag)) < 1e-6
 
@@ -702,6 +704,8 @@ def _oracle_scan(cfg):
 
 
 def _oracle_demo(cfg):
+    if cfg.source_axis is None:  # the demo's source points along z
+        cfg = replace(cfg, source_axis=(0.0, 0.0, 1.0))
     positions = cfg.positions()
     b_0 = cfg.b_0.as_array()
     b_0_mag = float(np.linalg.norm(b_0))
