@@ -78,7 +78,8 @@ def combined_estimate(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Combi
     closed form c = (s/||s||) (||s|| - b_rb).  The expression stays valid
     when b_rb exceeds ||s|| (c flips anti-parallel).  Raises
     :class:`DegenerateDirectionError` when ||s|| = 0, where the direction
-    is undefined, or when ||s|| or the correction overflows.  The
+    is undefined, or when ||s|| or the correction overflows; an NV reading
+    whose squared norm overflows still gives its direction.  The
     correction is parallel to s, so the |cos| diagnostic is computed from
     s, which stays well-defined even when the correction is zero.
     """
@@ -86,8 +87,9 @@ def combined_estimate(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Combi
         raise ValueError("b_rb must be >= 0")
     nv = b_nv.as_array()
     s = nv + b_0.as_array()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # |s| is checked below; only nv's direction is used
         norm_s, _ = norm_and_unit(s)
+        _, u = norm_and_unit(nv)
     if norm_s == 0.0:
         raise DegenerateDirectionError("b_nv + b_0 = 0: correction direction undefined")
     if not math.isfinite(norm_s):
@@ -96,10 +98,10 @@ def combined_estimate(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Combi
     if not np.isfinite(c).all():
         raise DegenerateDirectionError("b_rb / |b_nv + b_0| overflows: correction undefined")
     radial = tangential = ortho = math.nan
-    _, u = norm_and_unit(nv)
     if u is not None:
         radial = float(c @ u)
-        tangential = float(np.linalg.norm(c - radial * u))
+        t = c - radial * u
+        tangential = math.sqrt(float(t.dot(t)))
         ortho = abs(float(s @ u)) / norm_s
     correction = FieldVector.from_array(c)
     return CombinedEstimate(
@@ -112,14 +114,18 @@ def combined_estimate(b_nv: FieldVector, b_0: FieldVector, b_rb: float) -> Combi
 
 
 def norm_and_unit(v: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """|v| and v / |v| (None where v is zero).  Where a nonzero v's squares
-    underflow, v is divided by its largest component first."""
-    scale, n = 1.0, float(np.linalg.norm(v))
-    if n == 0.0 and v.any():
+    """|v| from the dot ``np.linalg.norm`` takes, and v / |v| (None where v
+    is zero).  Where a nonzero, finite v's squares underflow or overflow, v /
+    |v| comes from v divided by its largest component first; so does |v| on
+    underflow, while on overflow it stays inf."""
+    n = math.sqrt(float(v.dot(v)))
+    if n in (0.0, math.inf) and v.any():
         scale = float(np.abs(v).max())
-        v = v / scale
-        n = float(np.linalg.norm(v))
-    return scale * n, (v / n if n else None)
+        if scale < math.inf:  # the squares underflow or overflow, not v itself
+            v = v / scale
+            m = math.sqrt(float(v.dot(v)))
+            return (n or scale * m), v / m
+    return n, (v / n if n else None)
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,7 +139,10 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     Sums the squares in the same order as ``np.linalg.norm(x, axis=-1)``,
     so the result is bit-identical, without its generic reduction.
     """
-    return np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
+    out, sq = np.square(x[..., 0]), np.square(x[..., 1])
+    out += sq
+    out += np.square(x[..., 2], out=sq)
+    return np.sqrt(out, out=out)
 
 
 def batch_combined(
@@ -158,7 +167,8 @@ def batch_combined(
     factor = (norm_s - rb) / norm_s if every else np.divide(
         norm_s - rb, norm_s, out=np.zeros_like(norm_s), where=valid
     )
-    s *= factor[..., None]  # the correction, then b_hat, in s's own buffer
+    for k in range(3):  # the correction, then b_hat, in s's own buffer
+        s[..., k] *= factor
     np.subtract(nv, s, out=s)
     if not every:
         s[~valid] = np.nan

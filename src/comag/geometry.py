@@ -124,9 +124,11 @@ def _inverse(rows: bytes) -> np.ndarray:
 def select_best_axes(sigma_axes: Sequence[float]) -> tuple[int, ...]:
     """Indices, ascending, of the three axes with the smallest uncertainty.
 
-    Ties go to the lower axis index.
+    Ties go to the lower axis index, and NaN ranks last, as in a stable
+    ``np.argsort``: Python's ``sorted`` is stable too, on Python floats.
     """
     sig = np.asarray(sigma_axes, dtype=float)
     if sig.shape != (4,):
         raise ValueError("expected four per-axis uncertainties")
-    return tuple(sorted(int(i) for i in np.argsort(sig, kind="stable")[:3]))
+    s = sig.tolist()
+    return tuple(sorted(sorted(range(4), key=lambda i: (math.isnan(s[i]), s[i]))[:3]))

@@ -9,8 +9,10 @@ position) draws from its own stream ``np.random.default_rng([seed, tag,
 and seed results are bit-identical in any evaluation order.  A grid or
 marginal cell draws one standard-normal block: NV (n_reps, 3), Rb
 (n_reps,), then calibration error (n_reps, 3) if b_0_cal_error > 0, each
-scaled as ``Generator.normal(0.0, sigma)`` scales it.  A scan position
-draws one block of its averaged readings: NV (3,) and Rb (1,) at sigma /
+scaled as ``Generator.normal(0.0, sigma)`` scales it: a reading is (0.0 +
+sigma z) + f for its true value f, which the kernel forms as sigma z + (f +
+0.0), the same bits, signed zeros included.  A scan position draws one
+block of its averaged readings: NV (3,) and Rb (1,) at sigma /
 sqrt(n_reps), then calibration error (3,) as above.  The scalar demo draws
 each position's stream once, and its two backgrounds fuse copies of that
 block: the same noise and calibration error.
@@ -244,7 +246,8 @@ def _angles(v, v_norms, d, d_norms) -> np.ndarray:
     """Angles (rad) between rows of v[k] (m, n, 3) and d[k], given both norms; NaN for 0."""
     with np.errstate(invalid="ignore", divide="ignore"):
         cosang = np.matmul(v, d[:, :, None])[..., 0] / (v_norms * d_norms[:, None])
-    return np.arccos(np.clip(cosang, -1.0, 1.0))
+    np.clip(cosang, -1.0, 1.0, out=cosang)
+    return np.arccos(cosang, out=cosang)
 
 
 def _orthogonality(deltas: np.ndarray, b_0: np.ndarray) -> np.ndarray:
@@ -259,8 +262,8 @@ def _orthogonality(deltas: np.ndarray, b_0: np.ndarray) -> np.ndarray:
 def _masked_mean(x: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """Mean of each row of x over its ok entries (NaN if none), summed as
     ``np.mean(x[r][ok[r]])`` sums; rows with equal counts are averaged together."""
-    if ok.all():  # the usual case: every repetition fused
-        return np.mean(x, axis=1)
+    if ok.all():  # the usual case, every repetition fused: np.mean's own arithmetic
+        return np.add.reduce(x, axis=1) / x.shape[1]
     out = np.full(len(x), math.nan)
     counts = np.count_nonzero(ok, axis=1)
     for k in np.unique(counts[counts > 0]):
@@ -403,8 +406,10 @@ def _fused_readings(fields, b_0, sigma_nv, sigma_rb, cal_error, z):
     without calibration error), as ``_draw_block`` fills it.  The readings,
     the clipped Rb values and the calibrated backgrounds are formed in place
     in that block for every batch shape, and batch_combined takes their
-    strided views without a copy.  Returns nv (m, n, 3) and rb (m, n), both
-    views of z, b_hat (m, n, 3) and ok (m, n); b_hat is NaN where ok is False.
+    strided views without a copy.  Each reading is s z + (f + 0.0) for its
+    true value f, the module docstring's (0.0 + s z) + f bit for bit.
+    Returns nv (m, n, 3) and rb (m, n), both views of z, b_hat (m, n, 3) and
+    ok (m, n); b_hat is NaN where ok is False.
     """
     m = len(fields)
     cal = cal_error > 0
@@ -412,15 +417,15 @@ def _fused_readings(fields, b_0, sigma_nv, sigma_rb, cal_error, z):
     z[:, : 3 * n] *= sigma_nv
     z[:, 3 * n : 4 * n] *= sigma_rb
     z[:, 4 * n :] *= cal_error  # empty without calibration error
-    z += 0.0  # normal(0.0, s) is 0.0 + s * z: a -0.0 draw becomes +0.0
     nv = z[:, : 3 * n].reshape(m, n, 3)
     b_0_hat = z[:, 4 * n :].reshape(m, n, 3) if cal else b_0
+    shift = fields + 0.0  # s z + (f + 0.0) == (0.0 + s z) + f: no pass over the block
     for k in range(3):  # axis by axis: an (m, n, 3) broadcast loops once per reading
-        nv[..., k] += fields[:, k, None]
+        nv[..., k] += shift[:, k, None]
         if cal:
-            b_0_hat[..., k] += b_0[k]
+            b_0_hat[..., k] += b_0[k] + 0.0
     rb = z[:, 3 * n : 4 * n]
-    rb += _norms(fields + b_0)[:, None]
+    rb += _norms(fields + b_0)[:, None] + 0.0
     np.clip(rb, 0.0, None, out=rb)
     b_hat, ok = batch_combined(nv, b_0_hat, rb)
     return nv, rb, b_hat.reshape(m, n, 3), ok.reshape(m, n)
@@ -431,16 +436,16 @@ def _simulate_chunk(deltas, cfg, z) -> dict[str, np.ndarray]:
     b_0, sigma_rb = cfg.b_0_true.as_array(), cfg.resolved_sigma_rb()
     nv, _, b_hat, ok = _fused_readings(deltas, b_0, cfg.sigma_nv, sigma_rb, cfg.b_0_cal_error, z)
     true_mag, nv_mag, comb_mag = _norms(deltas), row_norms(nv), row_norms(b_hat)
-    errors = {
-        "mag": (nv_mag - true_mag[:, None], comb_mag - true_mag[:, None]),
-        "dir": (_angles(nv, nv_mag, deltas, true_mag), _angles(b_hat, comb_mag, deltas, true_mag)),
-    }
+    dir_errors = _angles(nv, nv_mag, deltas, true_mag), _angles(b_hat, comb_mag, deltas, true_mag)
+    nv_mag -= true_mag[:, None]  # the angles are taken: the norms become the errors
+    comb_mag -= true_mag[:, None]
     stats = {"valid": ok.any(axis=1)}
     stats["dir_valid"] = stats["valid"] & (true_mag > 0)
-    for quantity, (err_nv, err_comb) in errors.items():
-        for metric, f in (("mse", np.square), ("mae", np.abs)):
-            stats[f"{metric}_{quantity}_nv"] = _masked_mean(f(err_nv), ok)
-            stats[f"{metric}_{quantity}_comb"] = _masked_mean(f(err_comb), ok)
+    for quantity, errors in (("mag", (nv_mag, comb_mag)), ("dir", dir_errors)):
+        for estimator, err in zip(("nv", "comb"), errors):
+            np.abs(err, out=err)  # |error|, then its square: |e| * |e| == e * e
+            stats[f"mae_{quantity}_{estimator}"] = _masked_mean(err, ok)
+            stats[f"mse_{quantity}_{estimator}"] = _masked_mean(np.square(err, out=err), ok)
     return stats
 
 

@@ -105,6 +105,17 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "overflows" in err
 
+    def test_overflowing_nv_norm_keeps_its_direction(self, tmp_path):
+        # |b_nv|**2 overflows, but b_nv + b_0 = (0, 0, 1) is finite and b_rb = |s|.
+        flags = ["--b-nv=1e300,1e300,0", "--b-0=-1e300,-1e300,1", "--b-rb", "1"]
+        rc = main(["estimate", *flags, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        header, row = (tmp_path / "o" / "estimate.csv").read_text().splitlines()
+        values = dict(zip(header.split(","), map(float, row.split(","))))
+        assert [values[f"bhat_{a}"] for a in "xyz"] == [1e300, 1e300, 0.0]
+        assert [values[f"correction_{a}"] for a in "xyz"] == [0.0, 0.0, 0.0]
+        assert (values["radial"], values["tangential"], values["orthogonality"]) == (0, 0, 0)
+
     def test_underflowing_reading_keeps_its_direction(self, tmp_path, capsys):
         # |b_nv|**2 underflows to 0, but the reading's direction (+x) is defined.
         flags = ["--b-nv", "1e-200,0,0", "--b-0=0,0,1", "--b-rb", "1"]

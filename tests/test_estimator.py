@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comag.errors import DegenerateDirectionError, ZeroFieldError
-from comag.estimator import batch_combined, combined_estimate, linearized_angles
+from comag.estimator import batch_combined, combined_estimate, linearized_angles, norm_and_unit
 from comag.geometry import FieldVector
 
 finite3 = st.lists(
@@ -200,6 +200,68 @@ class TestCombinedEstimate:
         batch, ok = batch_combined(nv, b_0, np.array([0.5, 0.5]))
         assert not ok[0] and ok[1]
         assert np.isnan(batch[0]).all()
+
+
+def numpy_norm_and_unit(v):
+    """norm_and_unit through ``np.linalg.norm``, rescaling where the squares
+    underflow."""
+    scale, n = 1.0, float(np.linalg.norm(v))
+    if n == 0.0 and v.any():
+        scale = float(np.abs(v).max())
+        v = v / scale
+        n = float(np.linalg.norm(v))
+    return scale * n, (v / n if n else None)
+
+
+def same_result(got, want):
+    (n, u), (n_want, u_want) = got, want
+    assert np.float64(n).tobytes() == np.float64(n_want).tobytes()
+    assert (u is None) == (u_want is None)
+    if u is not None:
+        assert u.tobytes() == u_want.tobytes()
+
+
+class TestNormAndUnit:
+    def test_matches_numpy_norm(self):
+        # Directions of every octant, norms from 1e-300 (squares underflow)
+        # to 1e150, and rows with zero components.
+        rng = np.random.default_rng(21)
+        v = rng.normal(size=(6000, 3))
+        v *= 10.0 ** rng.uniform(-300.0, 150.0, (6000, 1))
+        v[::7, rng.integers(0, 3)] = 0.0
+        v[1::7, rng.integers(0, 3)] = -0.0
+        for row in v:
+            same_result(norm_and_unit(row), numpy_norm_and_unit(row))
+
+    @pytest.mark.parametrize(
+        "v",
+        [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [5e-324, 0.0, 0.0], [1e-310, -1e-320, 0.0],
+         [math.inf, 1.0, 0.0], [-math.inf, math.inf, 0.0], [math.nan, 1.0, 0.0],
+         [1e154, -1e153, 0.0]],
+        ids=["zero", "signed-zero", "smallest", "subnormal", "inf", "two-infs", "nan",
+             "squares-below-overflow"],
+    )
+    def test_special_values_match_numpy_norm(self, v):
+        v = np.array(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            same_result(norm_and_unit(v), numpy_norm_and_unit(v))
+
+    @pytest.mark.parametrize(
+        "v", [[1e300, -1e300, 0.0], [1e154, 1e154, 1e154], [-1.7e308, 0.0, 5e-324]]
+    )
+    def test_overflowing_squares_keep_the_direction(self, v):
+        v = np.array(v)
+        with np.errstate(over="ignore"):
+            n, u = norm_and_unit(v)
+        scaled = v / np.abs(v).max()
+        assert n == math.inf
+        assert u.tobytes() == (scaled / np.linalg.norm(scaled)).tobytes()
+
+    def test_overflow_warns_as_numpy_norm_does(self):
+        v = np.array([1e300, 1e300, 0.0])
+        for f in (norm_and_unit, np.linalg.norm):
+            with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+                f(v)
 
 
 class TestWorkingPoint:

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -230,6 +231,18 @@ class TestAxisSelection:
 
     def test_tie_break_by_index(self):
         assert select_best_axes([0.2, 0.2, 0.2, 0.2]) == (0, 1, 2)
+
+    def test_matches_stable_argsort(self):
+        # Every 4-tuple of these values: ties, signed zeros, inf, NaN and
+        # extreme magnitudes, against the numpy form of the ranking.
+        values = [0.0, -0.0, 5e-324, 1e-300, 0.2, 1e300, math.inf, math.nan]
+        for sig in itertools.product(values, repeat=4):
+            order = np.argsort(np.array(sig), kind="stable")[:3]
+            assert select_best_axes(sig) == tuple(sorted(int(i) for i in order)), sig
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="four per-axis"):
+            select_best_axes([0.1, 0.2, 0.3])
 
 
 class TestFieldVector:

@@ -747,6 +747,11 @@ DEMO_ARRAYS = (
 # drops those rows, so near the origin cells are partly valid, or not at all.
 TINY = 3e-163
 
+# Two steps of the smallest subnormal: a draw below 1/4 in size scales to a
+# signed zero, which meets the -0.0 components of the background and of the
+# cells on its axes.
+SUB = 1e-323
+
 BIT_IDENTITY_CONFIGS = {
     "shielded": SimConfig(grid_points=11, n_reps=50),
     "background_x": SimConfig(grid_points=11, n_reps=50, b_0_true=FieldVector(0.5, 0, 0)),
@@ -757,6 +762,10 @@ BIT_IDENTITY_CONFIGS = {
         grid_min=-10 * TINY, grid_max=10 * TINY, grid_points=5, n_reps=30, sigma_nv=TINY
     ),
     "rb_clipped": SimConfig(grid_points=7, n_reps=30, sigma_rb=1.0),
+    "signed_zeros": SimConfig(
+        grid_min=-1.0, grid_max=1.0, grid_points=5, n_reps=30, sigma_nv=SUB, sigma_rb=1e-3,
+        b_0_true=FieldVector(-0.0, 0.5, -0.0), b_0_cal_error=SUB,
+    ),
 }
 
 
@@ -812,6 +821,57 @@ class TestCellBatchKernel:
                 reference_profile,
                 PROFILE_ARRAYS,
             )
+
+
+class TestSignedZeros:
+    """A reading is Generator.normal(0.0, s) plus its true value, bit for bit,
+    where the scaled draw or the true value is a signed zero."""
+
+    def test_scaled_draws_underflow_to_negative_zero(self):
+        cfg = BIT_IDENTITY_CONFIGS["signed_zeros"]
+        scaled = SUB * np.random.default_rng([cfg.seed, 1, 0, 0]).standard_normal(7 * cfg.n_reps)
+        assert np.any((scaled == 0.0) & np.signbit(scaled))
+
+    def test_kernel_readings_match_normal_draws(self):
+        m, n = 4, 6
+        rng = np.random.default_rng(9)
+        fields = rng.normal(size=(m, 3))
+        fields[:2, 0], fields[2:, 2] = -0.0, 0.0
+        b_0 = np.array([-0.0, 0.5, -0.0])
+        z0 = rng.standard_normal((m, 7 * n))
+        z = z0.copy()
+        nv, rb, _, _ = simulation._fused_readings(fields, b_0, SUB, SUB, SUB, z)
+        drawn = 0.0 + SUB * z0  # Generator.normal(0.0, SUB), as the oracles draw
+        want_nv = drawn[:, : 3 * n].reshape(m, n, 3) + fields[:, None, :]
+        want_b_0 = drawn[:, 4 * n :].reshape(m, n, 3) + b_0
+        want_rb = drawn[:, 3 * n : 4 * n] + simulation._norms(fields + b_0)[:, None]
+        assert same_bits(nv, want_nv)
+        assert same_bits(z[:, 4 * n :].reshape(m, n, 3), want_b_0)
+        assert same_bits(rb, np.clip(want_rb, 0.0, None))
+        # Without the + 0.0, a -0.0 draw plus a -0.0 field would stay -0.0.
+        bare = (SUB * z0[:, : 3 * n]).reshape(m, n, 3) + fields[:, None, :]
+        assert not same_bits(bare, want_nv)
+
+    def test_grid_bits_match_per_cell_loop(self):
+        cfg = BIT_IDENTITY_CONFIGS["signed_zeros"]
+        imp = run_grid_simulation(cfg)
+        expected = _oracle_grid(cfg)
+        for name in ORACLE_GAINS + ("orthogonality",):
+            assert same_bits(getattr(imp, name), expected[name]), name
+        assert not imp.valid.all() and imp.dir_valid.any()
+
+    @pytest.mark.parametrize("name", ["signed_zeros", "measured_b0_cal_error"])
+    def test_marginal_ending_at_negative_zero(self, name):
+        cfg = BIT_IDENTITY_CONFIGS[name]
+        for axis_i, axis in enumerate("xyz"):
+            sweep = MarginalSettings(axis=axis, field_min=-1.0, field_max=-0.0, n_points=5)
+            prof = marginal_improvement(cfg, sweep)
+            values = np.linspace(-1.0, -0.0, 5)
+            assert math.copysign(1.0, values[-1]) == -1.0
+            expected = _oracle_marginal(cfg, axis_i, values)
+            expected["b_applied"] = values
+            for array in PROFILE_ARRAYS:
+                assert same_bits(getattr(prof, array), expected[array]), (axis, array)
 
 
 class TestDbCells:
