@@ -234,8 +234,7 @@ def _scalar_demo(settings: RunSettings) -> Report:
 
 @_report("angular_map")
 def _angular_map(settings: RunSettings) -> Report:
-    a = settings.angular
-    amap = angular_error_map(a)
+    amap = angular_error_map(settings.simulation, settings.angular)
     columns = {
         **_grid_xy(amap.bx, amap.by),
         "d_theta_rad": amap.d_theta,
@@ -244,8 +243,8 @@ def _angular_map(settings: RunSettings) -> Report:
     }
     total_db = amap.total_db[np.isfinite(amap.total_db)]
     summary = {
-        "sigma": a.sigma,
-        "grid_points": a.grid_points,
+        "sigma": settings.angular.sigma,
+        "grid_points": settings.simulation.grid_points,
         "min_total_db": _or_nan(np.min, total_db),
         "max_total_db": _or_nan(np.max, total_db),
     }

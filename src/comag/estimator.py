@@ -181,13 +181,21 @@ def calibrate_background(cal: CalibrationSet) -> tuple[FieldVector, float]:
     Damped Gauss-Newton on the residuals r_i = ||B_0 + b_nv_i|| - b_rb_i,
     started at the origin, with Levenberg-style damping (lambda = 1e-3,
     x10 on a rejected step, /10 on an accepted one).  Converged when the
-    step norm drops below 1e-10 G, capped at 200 iterations.  On a failed
-    run, retries from each b_rb_i times the unit vector opposing b_nv_i,
-    which escapes the reflected local minimum of near-collinear
-    geometries.  Returns the estimate and the final residual norm.
+    step norm drops below 1e-10 G, or when 60 rising dampings find no step
+    that lowers the cost; capped at 200 iterations.  Only a run that hits
+    the cap is retried, from each b_rb_i times the unit vector opposing
+    b_nv_i in turn: a run that converges is kept, even at a local minimum.
+    One model, x -> (residuals, Jacobian), serves the solver, the rank check
+    and the residual norm at the solution.  Returns the estimate and that
+    residual norm.
     """
     nv = cal.nv_matrix()
     rb = cal.rb_values()
+
+    def model(x):
+        shifted = x[None, :] + nv
+        norms = np.linalg.norm(shifted, axis=1)
+        return norms - rb, shifted / np.where(norms > 0, norms, 1.0)[:, None]
 
     starts = [np.zeros(3)]
     for v, r in zip(nv, rb):
@@ -195,44 +203,29 @@ def calibrate_background(cal: CalibrationSet) -> tuple[FieldVector, float]:
         if n > 0:
             starts.append(-v / n * r)
 
-    last_error: NonConvergenceError | None = None
     for start in starts:
         try:
-            x = _damped_gauss_newton(nv, rb, start)
+            x, resid, jac = _damped_gauss_newton(model, start)
+            break
         except NonConvergenceError as err:
             last_error = err
-            continue
-        resid = np.linalg.norm(x[None, :] + nv, axis=1) - rb
-        jac = _calibration_jacobian(nv, x)
-        if np.linalg.matrix_rank(jac, tol=1e-8) < 3:
-            raise SingularGeometryError(
-                "calibration geometry leaves the background field underdetermined"
-            )
-        return FieldVector.from_array(x), float(np.linalg.norm(resid))
-    raise last_error if last_error is not None else NonConvergenceError("no starting point")
+    else:
+        raise last_error
+    if np.linalg.matrix_rank(jac, tol=1e-8) < 3:
+        raise SingularGeometryError(
+            "calibration geometry leaves the background field underdetermined"
+        )
+    return FieldVector.from_array(x), float(np.linalg.norm(resid))
 
 
-def _calibration_jacobian(nv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    shifted = x[None, :] + nv
-    norms = np.linalg.norm(shifted, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    return shifted / safe[:, None]
-
-
-def _damped_gauss_newton(nv: np.ndarray, rb: np.ndarray, start: np.ndarray) -> np.ndarray:
-    x = np.array(start, dtype=float)
-    lam = 1e-3
-
-    def residuals(p):
-        return np.linalg.norm(p[None, :] + nv, axis=1) - rb
-
-    r = residuals(x)
+def _damped_gauss_newton(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The point where the solve stops, with ``model``'s (r, J) there."""
+    r, jac = model(x)
     cost = float(r @ r)
+    lam = 1e-3
     for _ in range(200):
-        jac = _calibration_jacobian(nv, x)
         g = jac.T @ r
         h = jac.T @ jac
-        accepted = False
         for _ in range(60):
             try:
                 step = np.linalg.solve(h + lam * np.eye(3), -g)
@@ -240,19 +233,18 @@ def _damped_gauss_newton(nv: np.ndarray, rb: np.ndarray, start: np.ndarray) -> n
                 lam *= 10.0
                 continue
             if np.linalg.norm(step) < 1e-10:
-                return x
-            r_new = residuals(x + step)
+                return x, r, jac
+            x_new = x + step
+            r_new, jac_new = model(x_new)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
-                x = x + step
-                r, cost = r_new, cost_new
+                x, r, jac, cost = x_new, r_new, jac_new, cost_new
                 lam = max(lam / 10.0, 1e-12)
-                accepted = True
                 break
             lam *= 10.0
-        if not accepted:
+        else:
             # Damping drove the step to nothing: stationary point reached.
-            return x
+            return x, r, jac
     raise NonConvergenceError("calibration solver hit the iteration cap")
 
 

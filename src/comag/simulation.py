@@ -426,7 +426,7 @@ def _fused_readings(fields, b_0, sigma_nv, sigma_rb, cal_error, z):
             b_0_hat[..., k] += b_0[k] + 0.0
     rb = z[:, 3 * n : 4 * n]
     rb += _norms(fields + b_0)[:, None] + 0.0
-    np.clip(rb, 0.0, None, out=rb)
+    np.maximum(rb, 0.0, out=rb)
     b_hat, ok = batch_combined(nv, b_0_hat, rb)
     return nv, rb, b_hat.reshape(m, n, 3), ok.reshape(m, n)
 
@@ -796,11 +796,8 @@ class AngularErrorMap:
 
 @dataclass(frozen=True)
 class AngularSettings:
-    """The field grid and per-axis reading noise of :func:`angular_error_map`."""
+    """The per-axis reading noise of :func:`angular_error_map`, on SimConfig's grid."""
 
-    grid_min: float = -1.5
-    grid_max: float = 1.5
-    grid_points: int = 41
     sigma: float = 0.1
 
     def __post_init__(self):
@@ -808,17 +805,11 @@ class AngularSettings:
             raise ValueError("angular sigma must be positive")
         if not math.isfinite(self.sigma):
             raise ValueError("angular sigma must be finite")
-        if self.grid_points < 2:
-            raise ValueError("angular grid_points must be >= 2")
-        _require_count("angular grid_points", self.grid_points, _MAX_SIDE)
-        if not self.grid_min < self.grid_max:
-            raise ValueError("angular grid_min must be below grid_max")
-        if not math.isfinite(self.grid_min) or not math.isfinite(self.grid_max):
-            raise ValueError("angular grid_min and grid_max must be finite")
 
 
-def angular_error_map(settings: AngularSettings) -> AngularErrorMap:
-    """Angular uncertainty of a vector reading across the x-y plane.
+def angular_error_map(cfg: SimConfig, settings: AngularSettings) -> AngularErrorMap:
+    """Angular uncertainty of a vector reading across the x-y plane of
+    ``cfg``'s field grid.
 
     Per cell, the first-order angle uncertainties for an isotropic
     per-axis noise ``settings.sigma``; ``total_db`` is 10*log10(d_theta^2 +
@@ -826,8 +817,7 @@ def angular_error_map(settings: AngularSettings) -> AngularErrorMap:
     normal float.  The error falls off as 1/|B| along every ray, so larger
     working fields give better angular accuracy.  The origin is NaN.
     """
-    xs = np.linspace(settings.grid_min, settings.grid_max, settings.grid_points)
-    ys = np.linspace(settings.grid_min, settings.grid_max, settings.grid_points)
+    xs, ys = cfg.axis_values(), cfg.axis_values()
     if not np.isfinite(xs).all():
         raise ValueError("field components must be finite")
     x, y = np.meshgrid(xs, ys)

@@ -244,7 +244,7 @@ def test_criterion_6_calibration_round_trip():
 
 
 def test_criterion_7_angular_law():
-    amap = angular_error_map(AngularSettings(grid_points=41, sigma=0.1))
+    amap = angular_error_map(SimConfig(grid_points=41), AngularSettings(sigma=0.1))
     mid = len(amap.by) // 2
     monotone = True
     # Rays: +x, -x, +y, and both diagonals.

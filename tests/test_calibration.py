@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from comag.errors import SingularGeometryError
+from comag.cli import EXIT_RUNTIME, main
+from comag.errors import NonConvergenceError, SingularGeometryError
 from comag.estimator import CalibrationSet, calibrate_background
 from comag.geometry import FieldVector
 
@@ -126,3 +127,47 @@ def test_keeps_the_lowest_minimum():
     est, resid = calibrate_background(cal)
     assert resid < 0.0024  # the residual at the B_0 the pairs came from
     assert est.as_array() == pytest.approx([0.8511, -0.9868, 1.0496], abs=0.01)
+
+
+# Near-collinear three-pair sets (bx, by, bz, b_rb), drawn as the NV fields
+# t_i d + N(0, 1 mG) along one random direction d, with 1 mG Rb noise and
+# rounded to 1 uG.  From the origin, the solver hits its 200-iteration cap on
+# both; the set below is solved from the last start, b_rb_3 times the unit
+# vector opposing b_nv_3, and the next one from no start at all.
+RESCUED_PAIRS = (
+    (-0.741326, 0.163557, -0.788824, 0.838352),
+    (-0.638156, 0.140708, -0.678159, 0.831166),
+    (0.225832, -0.052223, 0.245244, 1.557086),
+)
+CAPPED_PAIRS = (
+    (0.437636, 0.722866, 0.136458, 2.528746),
+    (0.914163, 1.507278, 0.281381, 2.431239),
+    (0.237635, 0.395628, 0.074096, 2.668861),
+)
+
+
+def pair_set(rows):
+    return CalibrationSet(tuple((FieldVector(*p[:3]), p[3]) for p in rows))
+
+
+class TestRetries:
+    def test_a_later_start_rescues_a_capped_origin_start(self):
+        est, resid = calibrate_background(pair_set(RESCUED_PAIRS))
+        assert est.as_array().tolist() == [
+            1.2405282441938286, 0.23471448931977235, 0.2456748344010314
+        ]
+        assert resid == 2.7194799110210365e-16
+
+    def test_every_start_capped_raises(self):
+        with pytest.raises(NonConvergenceError, match="iteration cap"):
+            calibrate_background(pair_set(CAPPED_PAIRS))
+
+    def test_every_start_capped_exits_4(self, tmp_path, capsys):
+        p = tmp_path / "pairs.csv"
+        rows = ["bx,by,bz,b_rb"] + [",".join(map(repr, row)) for row in CAPPED_PAIRS]
+        p.write_text("\n".join(rows) + "\n")
+        rc = main(["calibrate", "--pairs", str(p), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "comag: calibration solver hit the iteration cap\n"
+        assert not (tmp_path / "o").exists()

@@ -28,7 +28,7 @@ from comag.simulation import (
 COMMANDS = tuple(_COMMANDS)
 FAST_SIM = "[simulation]\ngrid_points = 7\nn_reps = 10\n"
 FAST_SPATIAL = "[spatial]\nn_positions = 12\nn_reps = 10\n"
-FAST_ANGULAR = "[angular]\ngrid_points = 9\n"
+FAST_ANGULAR = "[simulation]\ngrid_points = 9\n"
 FAST_MARGINAL = "[marginal]\nn_points = 7\n"
 
 
@@ -287,6 +287,22 @@ class TestSimulationCommands:
         assert main(["angular-map", "--config", cfg, "--out", out]) == EXIT_OK
         assert os.path.exists(os.path.join(out, "angular_map.csv"))
 
+    def test_one_field_grid(self, tmp_path):
+        # [simulation] declares the (Bx, By) plane of all three maps.
+        cfg = write_cfg(tmp_path, "[simulation]\ngrid_min = -1\ngrid_max = 2\ngrid_points = 7\n")
+        planes = []
+        for command, stem in (
+            ("simulate-grid", "grid"), ("orthogonality", "orthogonality"), ("angular-map", "angular_map")
+        ):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+            lines = (out / f"{stem}.csv").read_text().splitlines()
+            assert lines[0].startswith("bx,by,")
+            planes.append([",".join(line.split(",")[:2]) for line in lines])
+        assert len(planes[0]) == 1 + 7 * 7
+        assert planes[0][1:3] == ["-1.0,-1.0", "-0.5,-1.0"]
+        assert planes[0] == planes[1] == planes[2]
+
     def test_seed_override_changes_grid(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SIM)
         out_a = str(tmp_path / "a")
@@ -386,12 +402,17 @@ BAD_CONFIGS = [
         "angular sigma must be positive", id="angular-sigma",
     ),
     pytest.param(
-        "angular-map", "[angular]\ngrid_points = 1\n", EXIT_VALIDATION,
-        "angular grid_points must be >= 2", id="angular-points",
+        "angular-map", "[simulation]\ngrid_points = 1\n", EXIT_VALIDATION,
+        "grid_points must be >= 2", id="angular-points",
     ),
     pytest.param(
-        "angular-map", "[angular]\ngrid_min = 0\ngrid_max = 0\n", EXIT_VALIDATION,
+        "angular-map", "[simulation]\ngrid_min = 0\ngrid_max = 0\n", EXIT_VALIDATION,
         "grid_min must be below grid_max", id="angular-range",
+    ),
+    pytest.param(
+        # The map's grid is [simulation]'s, declared nowhere else.
+        "angular-map", "[angular]\ngrid_points = 9\n", EXIT_PARSE,
+        "unknown key 'grid_points' in [angular]", id="angular-grid-key",
     ),
     pytest.param(
         "marginal", "[marginal]\naxis = q\n", EXIT_VALIDATION,
@@ -482,7 +503,7 @@ BAD_CONFIGS = [
         "angles undefined at an underflowing field", id="subnormal-angular-grid",
     ),
     pytest.param(
-        "angular-map", FAST_ANGULAR + "sigma = 1e308\n", EXIT_RUNTIME,
+        "angular-map", FAST_ANGULAR + "[angular]\nsigma = 1e308\n", EXIT_RUNTIME,
         "inputs too extreme to compute (overflow encountered", id="overflowing-angular-sigma",
     ),
     pytest.param(
@@ -534,8 +555,8 @@ BAD_CONFIGS = [
         EXIT_VALIDATION, f"grid_points must be at most {_MAX_SIDE}", id="grid-points-past-index",
     ),
     pytest.param(
-        "angular-map", "[angular]\ngrid_points = 100000000000\n", EXIT_VALIDATION,
-        f"angular grid_points must be at most {_MAX_SIDE}", id="angular-points-past-index",
+        "angular-map", "[simulation]\ngrid_points = 100000000000\n", EXIT_VALIDATION,
+        f"grid_points must be at most {_MAX_SIDE}", id="angular-points-past-index",
     ),
     pytest.param(
         "marginal", "[marginal]\nn_points = 10000000000000000000000\n", EXIT_VALIDATION,
@@ -780,7 +801,7 @@ class TestPlotScripts:
 
     def test_scripts_compile(self, tmp_path):
         # matplotlib is not a dependency, so the scripts are compiled, not run.
-        cfg = write_cfg(tmp_path, FAST_SIM + FAST_SPATIAL + FAST_ANGULAR + FAST_MARGINAL)
+        cfg = write_cfg(tmp_path, FAST_SIM + FAST_SPATIAL + FAST_MARGINAL)
         stems = []
         for command in set(COMMANDS) - {"calibrate", "estimate"}:
             out = tmp_path / command
@@ -802,7 +823,7 @@ class TestPlotScripts:
 class TestImportPath:
     def test_commands_never_import_scipy(self, tmp_path):
         # A fresh process: this one has scipy loaded by the other tests.
-        cfg = write_cfg(tmp_path, FAST_SIM + FAST_SPATIAL + FAST_ANGULAR + FAST_MARGINAL)
+        cfg = write_cfg(tmp_path, FAST_SIM + FAST_SPATIAL + FAST_MARGINAL)
         b_0 = FieldVector(0.004, -0.7454, 0.6451)
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("bx,by,bz,b_rb\n" + "".join(

@@ -23,7 +23,6 @@ from comag.config import _KEYS
 BASE = {
     "simulation": {"grid_points": "3", "n_reps": "2"},
     "spatial": {"n_positions": "5", "n_reps": "2"},
-    "angular": {"grid_points": "3"},
     "marginal": {"n_points": "3"},
     "estimate": {"b_nv": "0.1,0.2,0.3", "b_rb": "1.0"},
 }
@@ -94,7 +93,7 @@ def assert_clean_exit(rc: int, err: str, caught: list) -> None:
 @settings(max_examples=250, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from(tuple(_COMMANDS)), overrides)
 # The four traceback classes of the first boundary search, now one-line exits.
-@example("angular-map", [(("angular", "grid_min"), "1e-160")])
+@example("angular-map", [(("simulation", "grid_min"), "1e-160")])
 @example("scalar-demo", [(("spatial", "source_axis"), "-1e200,1e200,0")])
 @example("spatial-scan", [(("spatial", "b_0"), "1e308,0,0")])
 @example("spatial-scan", [(("spatial", "stage_range"), "1e308")])

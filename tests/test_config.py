@@ -67,7 +67,7 @@ class TestDefaults:
         cfg = tmp_path / "small.ini"
         cfg.write_text(
             "[simulation]\ngrid_points = 5\nn_reps = 4\n[spatial]\nn_positions = 12\nn_reps = 4\n"
-            "[marginal]\nn_points = 5\n[angular]\ngrid_points = 5\n"
+            "[marginal]\nn_points = 5\n"
             "[estimate]\nb_nv = 1.1,0,0\nb_rb = 1.0\n"
         )
         out = tmp_path / "out"

@@ -85,8 +85,6 @@ def test_nan_is_rejected(cls, field, match):
         (SpatialScanConfig, "sigma_rb", math.inf, "sensor noise must be finite"),
         (SpatialScanConfig, "b_0_cal_error", math.inf, "b_0_cal_error must be finite"),
         (AngularSettings, "sigma", math.inf, "angular sigma must be finite"),
-        (AngularSettings, "grid_min", -math.inf, "angular grid_min and grid_max must be finite"),
-        (AngularSettings, "grid_max", math.inf, "angular grid_min and grid_max must be finite"),
         (OdmrParams, "center_frequency", math.inf, "center_frequency must be finite"),
         (OdmrParams, "linewidth", math.inf, "linewidth must be finite"),
         (OdmrParams, "scan_span", math.inf, "scan_span must be finite"),
@@ -300,7 +298,7 @@ class TestScalarDemo:
 
 class TestAngularErrorMap:
     def test_monotone_along_rays(self):
-        amap = angular_error_map(AngularSettings(grid_points=41))
+        amap = angular_error_map(SimConfig(grid_points=41), AngularSettings())
         mid = len(amap.by) // 2
         row = amap.total_db[mid, :]
         xs = amap.bx
@@ -310,7 +308,7 @@ class TestAngularErrorMap:
         assert np.all(np.diff(diag) < 0)
 
     def test_isotropy(self):
-        amap = angular_error_map(AngularSettings(grid_points=41))
+        amap = angular_error_map(SimConfig(grid_points=41), AngularSettings())
         xs = amap.bx
         i_x = int(np.argmin(np.abs(xs - 1.5)))
         i_y = int(np.argmin(np.abs(amap.by - 1.5)))
@@ -320,7 +318,7 @@ class TestAngularErrorMap:
         assert on_x == pytest.approx(on_y, abs=1e-9)
 
     def test_default_total_db_is_the_log_of_the_squares(self):
-        amap = angular_error_map(AngularSettings(grid_points=9))
+        amap = angular_error_map(SimConfig(grid_points=9), AngularSettings())
         for t, p, db in zip(amap.d_theta.ravel(), amap.d_phi.ravel(), amap.total_db.ravel()):
             if math.isfinite(t):
                 assert db == 10.0 * math.log10(t**2 + p**2)
@@ -329,8 +327,8 @@ class TestAngularErrorMap:
     def test_underflowing_sigma_keeps_total_db(self, sigma):
         # The squares of the angles (at 1e-320 the angles' own terms too)
         # underflow; the dB figure follows 20*log10(sigma) down instead.
-        unit = angular_error_map(AngularSettings(grid_points=9, sigma=1.0))
-        tiny = angular_error_map(AngularSettings(grid_points=9, sigma=sigma))
+        unit = angular_error_map(SimConfig(grid_points=9), AngularSettings(sigma=1.0))
+        tiny = angular_error_map(SimConfig(grid_points=9), AngularSettings(sigma=sigma))
         finite = np.isfinite(unit.total_db)
         assert np.array_equal(np.isfinite(tiny.total_db), finite)
         expected = unit.total_db[finite] + 20.0 * math.log10(sigma)
@@ -417,7 +415,9 @@ class TestAngularErrorMapBits:
         + [(-1.5, 1.5, 41, sigma) for sigma in (1e-160, 1e-170, 1e-320)],
     )
     def test_matches_per_cell_form(self, grid):
-        amap = angular_error_map(AngularSettings(*grid))
+        lo, hi, points, sigma = grid
+        cfg = SimConfig(grid_min=lo, grid_max=hi, grid_points=points)
+        amap = angular_error_map(cfg, AngularSettings(sigma=sigma))
         for got, want in zip((amap.d_theta, amap.d_phi, amap.total_db), per_cell_angular_map(*grid)):
             assert same_bits(got, want)
 
